@@ -69,25 +69,27 @@ class DeltaCoefficients:
         return cls(b=None, B1=B1, B2=B2, T=T)
 
 
-def _tensor_coefficients(d: DeltaCoefficients, w0, w) -> np.ndarray:
-    """4x4 coefficient array c[m,l] of Delta(x) in the tensor basis.
-
-    w may carry a leading batch axis; the result then does too.
-    """
-    w = np.asarray(w, dtype=complex)
-    batch = w.shape[:-1]
-    c = np.zeros(batch + (4, 4), dtype=complex)
-    c[..., 0, 0] = w0 + w @ d.b
-    c[..., 0, 1:] = w @ d.B1.T
-    c[..., 1:, 0] = w @ d.B2.T
-    c[..., 1:, 1:] = np.einsum("mli,...i->...ml", d.T, w)
+def _basis_coefficients(d: DeltaCoefficients) -> np.ndarray:
+    """c[i, m, l]: weight of sigma_m (x) sigma_l in Delta(sigma_i), sigma_0 = 1."""
+    c = np.zeros((3, 4, 4))
+    c[:, 0, 0] = d.b
+    c[:, 0, 1:] = d.B1.T
+    c[:, 1:, 0] = d.B2.T
+    c[:, 1:, 1:] = d.T.transpose(2, 0, 1)
     return c
 
 
+def basis_images(d: DeltaCoefficients) -> np.ndarray:
+    """The three 4x4 matrices Delta(sigma_i), stacked along the first axis.
+
+    With Delta(1) = 1(x)1 they determine Delta on all of M_2(C).
+    """
+    return np.einsum("iml,mlab->iab", _basis_coefficients(d), TENSOR_BASIS)
+
+
 def apply(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
-    """The 4x4 matrix Delta(x)."""
-    c = _tensor_coefficients(d, x.w0, x.w)
-    return np.einsum("ml,mlij->ij", c, TENSOR_BASIS)
+    """The 4x4 matrix Delta(x) = w0 * 1(x)1 + sum_i w_i Delta(sigma_i)."""
+    return x.w0 * np.eye(4) + np.tensordot(x.w, basis_images(d), axes=1)
 
 
 def bloch_images(d: DeltaCoefficients, W) -> np.ndarray:
@@ -97,8 +99,7 @@ def bloch_images(d: DeltaCoefficients, W) -> np.ndarray:
     sampled positivity oracle.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    c = _tensor_coefficients(d, 1.0, W)
-    return np.einsum("sml,mlij->sij", c, TENSOR_BASIS)
+    return np.eye(4) + np.tensordot(W, basis_images(d), axes=1)
 
 
 @dataclass(frozen=True)
@@ -160,11 +161,9 @@ def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
 
 def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Invariance under the tensor swap, checked on every basis image."""
-    for i in range(3):
-        m = apply(d, PauliElement(0.0, np.eye(3)[i]))
-        if np.abs(swap_conjugate(m) - m).max() > tol:
-            return False
-    return True
+    images = basis_images(d)
+    swapped = np.array([swap_conjugate(m) for m in images])
+    return bool(np.abs(swapped - images).max() <= tol)
 
 
 def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
@@ -174,13 +173,8 @@ def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     image Delta(sigma_i) must vanish, which for trace-preserving operators
     is the same as B1 = B2 = 0.
     """
-    for i in range(3):
-        m = apply(d, PauliElement(0.0, np.eye(3)[i]))
-        if np.abs(pauli.partial_trace_right(m)).max() > tol:
-            return False
-        if np.abs(pauli.partial_trace_left(m)).max() > tol:
-            return False
-    return True
+    traces = [(pauli.partial_trace_right(m), pauli.partial_trace_left(m)) for m in basis_images(d)]
+    return bool(np.abs(traces).max() <= tol)
 
 
 def dual_pair(d: DeltaCoefficients, phi: BlochState, psi: BlochState) -> np.ndarray:
@@ -216,22 +210,12 @@ def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     Both sides are built as 8x8 matrices by expanding each basis image in
     the tensor-Pauli basis and lifting one leg through Delta again.
     """
-    images = [np.eye(4, dtype=complex)] + [
-        apply(d, PauliElement(0.0, np.eye(3)[i])) for i in range(3)
-    ]
-    for i in range(3):
-        c = _tensor_coefficients(d, 0.0, np.eye(3)[i])
-        lhs = np.zeros((8, 8), dtype=complex)
-        rhs = np.zeros((8, 8), dtype=complex)
-        for m in range(4):
-            for l in range(4):
-                if c[m, l] == 0:
-                    continue
-                lhs += c[m, l] * np.kron(images[m], BASIS[l])
-                rhs += c[m, l] * np.kron(BASIS[m], images[l])
-        if np.abs(lhs - rhs).max() > tol:
-            return False
-    return True
+    c = _basis_coefficients(d)
+    images = np.concatenate([np.eye(4)[None], basis_images(d)])  # Delta(sigma_m), m = 0..3
+    basis = np.array(BASIS)
+    lhs = np.einsum("iml,mab,lcd->iacbd", c, images, basis).reshape(3, 8, 8)
+    rhs = np.einsum("iml,mab,lcd->iacbd", c, basis, images).reshape(3, 8, 8)
+    return bool(np.abs(lhs - rhs).max() <= tol)
 
 
 def induced_qmap(d: DeltaCoefficients) -> QuadraticMapCoeffs:

@@ -35,19 +35,23 @@ class Trajectory:
 
 
 def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
-    """Orbit f0, V(f0), ..., V^steps(f0); flushes to exact zero below 1e-300."""
+    """Orbit f0, V(f0), ..., V^steps(f0); flushes to exact zero below 1e-300.
+
+    Norms are taken with math.hypot, which scales instead of squaring, so
+    they stay accurate far below the 1e-154 where squared components underflow.
+    """
     f = np.array(f0, dtype=float)
     if np.linalg.norm(f) > 1.0 + TOL_STATE:
         raise ValueError(f"start point norm {np.linalg.norm(f)} exceeds 1")
     points = [f.copy()]
     for _ in range(steps):
         f = evaluate(v, f)
-        if np.linalg.norm(f) < UNDERFLOW_FLUSH:
+        if math.hypot(*f) < UNDERFLOW_FLUSH:
             points.append(np.zeros(3))
             break
         points.append(f.copy())
     points = np.array(points)
-    return Trajectory(points=points, norms=np.linalg.norm(points, axis=1))
+    return Trajectory(points=points, norms=np.array([math.hypot(*p) for p in points]))
 
 
 def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:

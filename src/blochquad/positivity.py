@@ -1,9 +1,8 @@
 """Positivity certificates, closed-form spectra, and the sampled oracle.
 
-The numerical kernel is a cyclic Jacobi eigensolver for small Hermitian
-matrices (complex rotations, off-diagonal Frobenius mass below 1e-14 or 64
-sweeps).  Closed forms from the coefficient picture are checked against it
-rather than replacing it: simple_form_eigs covers images of the form
+Every numerical spectrum comes from LAPACK through numpy (eigvalsh, eigh).
+Closed forms from the coefficient picture are checked against it rather
+than replacing it: simple_form_eigs covers images of the form
 w0*1(x)1 + w.sigma(x)1 + 1(x)r.sigma, theorem_witness_eigs the probe
 images of sphere-preserving trace-state operators.
 """
@@ -21,77 +20,6 @@ from .pauli import TOL_ALG
 from .qmap import QuadraticMapCoeffs, is_haar_form
 
 TOL_EIG = 1e-9
-JACOBI_OFF_MASS = 1e-14
-JACOBI_MAX_SWEEPS = 64
-
-
-def _off_mass(a: np.ndarray) -> np.ndarray:
-    """Frobenius mass of the off-diagonal part, per matrix in the stack."""
-    off = a.copy()
-    idx = np.arange(a.shape[-1])
-    off[..., idx, idx] = 0.0
-    return np.sqrt(np.sum(np.abs(off) ** 2, axis=(-2, -1)))
-
-
-def _jacobi_rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int) -> None:
-    """One cyclic-Jacobi step zeroing entry (p, q) of every matrix in the stack."""
-    apq = a[:, p, q]
-    mag = np.abs(apq)
-    active = mag > 1e-300
-    safe = np.where(active, mag, 1.0)
-    phase = np.where(active, apq / safe, 1.0 + 0.0j)  # a_pq = |a_pq| * phase
-    tau = np.where(active, (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe), 0.0)
-    t = np.where(
-        tau == 0.0,
-        1.0,
-        np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-    )
-    t = np.where(active, t, 0.0)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    ph = np.conj(phase)
-
-    col_p = a[:, :, p].copy()
-    col_q = a[:, :, q].copy()
-    a[:, :, p] = c[:, None] * col_p - (s * ph)[:, None] * col_q
-    a[:, :, q] = s[:, None] * col_p + (c * ph)[:, None] * col_q
-    row_p = a[:, p, :].copy()
-    row_q = a[:, q, :].copy()
-    a[:, p, :] = c[:, None] * row_p - (s * phase)[:, None] * row_q
-    a[:, q, :] = s[:, None] * row_p + (c * phase)[:, None] * row_q
-
-    if vec is not None:
-        v_p = vec[:, :, p].copy()
-        v_q = vec[:, :, q].copy()
-        vec[:, :, p] = c[:, None] * v_p - (s * ph)[:, None] * v_q
-        vec[:, :, q] = s[:, None] * v_p + (c * ph)[:, None] * v_q
-
-
-def jacobi_eigh(h: np.ndarray, with_vectors: bool = False):
-    """Eigenvalues (ascending) of a stack of Hermitian matrices by cyclic Jacobi.
-
-    Accepts shape (n, n) or (batch, n, n).  With with_vectors=True also
-    returns the accumulated unitaries, columns ordered like the values.
-    """
-    a = np.array(h, dtype=complex)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    n = a.shape[-1]
-    vec = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy() if with_vectors else None
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_mass(a).max() < JACOBI_OFF_MASS:
-            break
-        for p, q in pairs:
-            _jacobi_rotate(a, vec, p, q)
-    vals = np.real(np.diagonal(a, axis1=-2, axis2=-1))
-    order = np.argsort(vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1)
-    if with_vectors:
-        vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
-        return (vals[0], vec[0]) if single else (vals, vec)
-    return vals[0] if single else vals
 
 
 def eigvals_hermitian4(h: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
@@ -100,9 +28,9 @@ def eigvals_hermitian4(h: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
     defect = float(np.abs(h - h.conj().T).max())
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return jacobi_eigh(0.5 * (h + h.conj().T))
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
 
 
 def simple_form_eigs(w0: float, w, r) -> np.ndarray:
@@ -117,10 +45,8 @@ def simple_form_eigs(w0: float, w, r) -> np.ndarray:
 
 
 def operator_norm3(B: np.ndarray) -> float:
-    """Largest singular value of a real 3x3 matrix via B^T B and the Jacobi solver."""
-    B = np.asarray(B, dtype=float)
-    vals = jacobi_eigh(B.T @ B)
-    return float(np.sqrt(max(vals[-1], 0.0)))
+    """Largest singular value of a real 3x3 matrix."""
+    return float(np.linalg.norm(np.asarray(B, dtype=float), 2))
 
 
 @dataclass(frozen=True)
@@ -145,13 +71,12 @@ def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVe
     witness: the image of 1 + w.sigma has smallest eigenvalue 1 - 2|Bw| < 0.
     """
     B = np.asarray(B, dtype=float)
-    vals, vecs = jacobi_eigh(B.T @ B, with_vectors=True)
+    vals, vecs = np.linalg.eigh(B.T @ B)
     norm = float(np.sqrt(max(vals[-1], 0.0)))
     min_eig = 1.0 - 2.0 * norm
     if norm <= 0.5 + tol:
         return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_eig)
-    w = np.real(vecs[:, -1])
-    w = w / np.linalg.norm(w)
+    w = vecs[:, -1]
     nonzero = np.nonzero(np.abs(w) > 1e-12)[0]
     if nonzero.size and w[nonzero[0]] < 0:  # fix the sign for determinism
         w = -w
@@ -163,51 +88,62 @@ def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVe
 
 
 def _probe_directions(v: QuadraticMapCoeffs) -> np.ndarray:
-    """Deterministic probes: +-a, +-b, +-c (normalized), then +-e1, +-e2, +-e3."""
-    probes = []
-    for vec in (v.a, v.b, v.c):
-        norm = np.linalg.norm(vec)
-        if norm > 1e-12:
-            probes.append(vec / norm)
-            probes.append(-vec / norm)
-    for k in range(3):
-        probes.append(np.eye(3)[k])
-        probes.append(-np.eye(3)[k])
-    return np.array(probes)
+    """Deterministic probe directions: a, b, c (normalized), then e1, e2, e3.
+
+    The oracle scans each direction with both signs, so the probe sequence
+    is +-a, +-b, +-c, +-e1, +-e2, +-e3.
+    """
+    quadratic = [vec / np.linalg.norm(vec) for vec in (v.a, v.b, v.c) if np.linalg.norm(vec) > 1e-12]
+    return np.vstack(quadratic + [np.eye(3)])
+
+
+def _batches(d: DeltaCoefficients, samples: int, seed: int):
+    """The probe directions, then the sphere points.
+
+    A generator, so the sphere points are drawn only when the caller goes
+    on past the probes.
+    """
+    yield _probe_directions(induced_qmap(d))
+    if samples > 0:
+        yield sampling.sphere_points(sampling.generator(seed), samples)
 
 
 def check_positivity_sampled(d: DeltaCoefficients, samples: int, seed: int) -> PositivityVerdict:
     """Sampled positivity oracle over the positive boundary inputs 1 + w.sigma.
 
-    Scans the deterministic probe set first (sphere violations of
+    Scans the deterministic probes first (sphere violations of
     sphere-preserving operators occur at the quadratic coefficient
-    directions), then `samples` sphere points and `samples` interior
-    points.  Stops at the first eigenvalue below -TOL_EIG; positivity is
-    scale-invariant, so w0 = 1 inputs suffice.
+    directions) and, only when they all pass, `samples` seeded sphere
+    directions.  Each direction w is scanned as +w, then -w, from one
+    eigen solve: Delta(1) = 1(x)1, so Delta(1 - w.sigma) =
+    2*1(x)1 - Delta(1 + w.sigma), whose smallest eigenvalue is 2 minus the
+    largest of Delta(1 + w.sigma).  Interior inputs are dominated and not
+    scanned: lambda_min(Delta(1 + r u.sigma)) =
+    (1-r) + r*lambda_min(Delta(1 + u.sigma)) for 0 <= r <= 1.  Stops at
+    the first eigenvalue below -TOL_EIG; positivity is scale-invariant, so
+    w0 = 1 inputs suffice.  Raises ValueError when an image has a
+    non-finite entry, because no verdict can be read from it.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    batches = [_probe_directions(induced_qmap(d))]
-    if samples > 0:
-        rng = sampling.generator(seed)
-        batches.append(sampling.sphere_points(rng, samples))
-        batches.append(sampling.ball_points(rng, samples))
     min_seen = np.inf
-    for W in batches:
-        if W.size == 0:
-            continue
-        mins = jacobi_eigh(channel.bloch_images(d, W))[:, 0]
+    for W in _batches(d, samples, seed):
+        images = channel.bloch_images(d, W)
+        if not np.isfinite(images).all():
+            raise ValueError("operator images overflow double precision; positivity cannot be decided")
+        vals = np.linalg.eigvalsh(images)
+        mins = np.column_stack([vals[:, 0], 2.0 - vals[:, -1]]).ravel()  # (w, +), (w, -), ...
         bad = np.nonzero(mins < -TOL_EIG)[0]
         if bad.size:
             first = int(bad[0])
-            min_seen = min(min_seen, float(mins[: first + 1].min()))
+            w = W[first // 2] if first % 2 == 0 else -W[first // 2]
             return PositivityVerdict(
                 verdict=False,
-                min_eigenvalue_seen=min_seen,
-                witness=Witness(w=W[first], min_eigenvalue=float(mins[first])),
+                min_eigenvalue_seen=min(min_seen, float(mins[: first + 1].min())),
+                witness=Witness(w=w, min_eigenvalue=float(mins[first])),
             )
         min_seen = min(min_seen, float(mins.min()))
-    return PositivityVerdict(verdict=True, min_eigenvalue_seen=float(min_seen))
+    return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_seen)
 
 
 def theorem_witness_eigs(v: QuadraticMapCoeffs) -> dict:

@@ -264,6 +264,10 @@ def test_coassociativity_cases():
     assert check_coassociativity(right_leg)
     assert not check_coassociativity(linear_family(np.eye(3) / 2))
     assert check_coassociativity(DeltaCoefficients())  # x -> w0 * 1(x)1
+    T = np.random.default_rng(3).normal(size=(3, 3, 3))
+    assert not check_coassociativity(DeltaCoefficients.trace_preserving(T=T))
+    # the 8x8 products overflow to NaN, which must not read as a pass
+    assert not check_coassociativity(DeltaCoefficients.trace_preserving(T=1e200 * T))
 
 
 def test_tensor_basis_enumeration():

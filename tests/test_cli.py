@@ -93,6 +93,19 @@ def test_inspect_invalid_config_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_inspect_refuses_overflowing_operator(tmp_path, capsys):
+    # finite coefficients whose images overflow: no verdict, and no "inf" in a report
+    T = np.zeros((3, 3, 3))
+    T[0, 1, :] = 1.7e308
+    T[1, 0, :] = -1.7e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"T": T.tolist()}))
+    code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "overflow" in err
+
+
 def test_inspect_matches_library_verdicts(tmp_path, capsys):
     # round-trip: exported config reproduces the in-memory verdicts
     path = write_catalog_config(tmp_path, capsys, "delta0")
@@ -138,9 +151,12 @@ def test_simulate_collapse_norm_column(tmp_path, capsys):
     assert code == 0
     assert "classification=collapsed" in out
     rows = out_csv.read_text().splitlines()[1:]
-    for n, row in enumerate(rows[:9]):
+    # row 12 is 0.9**4096 ~ 3.8e-188, above the 1e-300 flush floor; row 13 is not
+    assert len(rows) == 14
+    for n, row in enumerate(rows[:13]):
         norm = float(row.split(",")[4])
         assert norm == pytest.approx(0.9 ** (2.0**n), rel=1e-9)
+    assert rows[13] == "13,0,0,0,0"
 
 
 def test_simulate_absorbing_circle(tmp_path, capsys):

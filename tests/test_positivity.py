@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochquad import (
+    DeltaCoefficients,
     NotHaarFormError,
     NotHermitianError,
     PauliElement,
@@ -19,8 +22,10 @@ from blochquad import (
     theorem_witness_eigs,
 )
 from blochquad.pauli import ID2, SIGMAS
-from blochquad.positivity import jacobi_eigh
-from conftest import conjugate_qmap, delta_from_qmap, rotation_matrix
+from blochquad.channel import basis_images
+from blochquad.positivity import _probe_directions
+from blochquad.sampling import generator, sphere_points
+from conftest import conjugate_qmap, delta_from_qmap, random_delta, rotation_matrix
 
 
 def simple_form_matrix(w0, w, r):
@@ -49,10 +54,13 @@ def test_eigvals_rejects_non_hermitian():
     m[0, 1] = 1e-3
     with pytest.raises(NotHermitianError):
         eigvals_hermitian4(m)
+    m[0, 1] = np.nan  # a NaN defect must not pass as Hermitian
+    with pytest.raises(NotHermitianError):
+        eigvals_hermitian4(m)
 
 
 def test_eigvals_matches_lapack(rng):
-    # extra cross-check of the hand-rolled solver against a library one
+    # the wrapper's symmetrisation must leave an exactly Hermitian spectrum unchanged
     for _ in range(200):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = g + g.conj().T
@@ -68,7 +76,7 @@ def test_simple_form_eigs_examples():
     assert simple_form_eigs(1.0, w, r).min() == pytest.approx(-0.2)
 
 
-def test_simple_form_vs_jacobi_random(rng):
+def test_simple_form_vs_eigvals_random(rng):
     for _ in range(1000):
         w0 = rng.normal()
         w = rng.normal(size=3)
@@ -169,7 +177,7 @@ def test_theorem_witness_eigs_examples():
     assert np.allclose(made["a"], [0, 0, 2, 2])
 
 
-def test_theorem_witness_eigs_match_jacobi():
+def test_theorem_witness_eigs_match_eigvals():
     for v in rotated_benchmarks():
         d = delta_from_qmap(v)
         spectra = theorem_witness_eigs(v)
@@ -184,10 +192,56 @@ def test_theorem_witness_requires_haar_form():
         theorem_witness_eigs(v)
 
 
-def test_jacobi_handles_batches(rng):
-    stack = []
-    for _ in range(64):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        stack.append(g + g.conj().T)
-    stack = np.array(stack)
-    assert np.abs(jacobi_eigh(stack) - np.linalg.eigvalsh(stack)).max() < 1e-12
+def test_sampled_oracle_scans_both_signs(rng):
+    # On positive operators the oracle scans everything: its minimum must be
+    # the brute-force minimum over the probes and sphere points, both signs.
+    for seed in range(5):
+        d = random_delta(rng)
+        norms = sum(np.abs(np.linalg.eigvalsh(m)).max() for m in basis_images(d))
+        d = DeltaCoefficients(B1=d.B1 * 0.9 / norms, B2=d.B2 * 0.9 / norms, T=d.T * 0.9 / norms)
+        result = check_positivity_sampled(d, samples=200, seed=seed)
+        assert result.verdict
+        X = np.vstack([_probe_directions(induced_qmap(d)), sphere_points(generator(seed), 200)])
+        brute = min(eigvals_hermitian4(apply(d, PauliElement(1.0, w)))[0] for w in np.vstack([X, -X]))
+        assert abs(result.min_eigenvalue_seen - brute) < 1e-12
+
+
+def test_sampled_oracle_finds_witness_on_the_minus_sign():
+    # Delta(w.sigma) = s <t,w> (1(x)1 + sigma1(x)sigma2) has spectrum
+    # s <t,w> {0, 0, 2, 2}, so 1 + w.sigma fails only where <t,w> < -1/(2s).
+    # With t the first sphere sample, the first failing input is -t, and the
+    # axis probes pass while |t_k| < 1/(2s).
+    s = 0.6
+    t = sphere_points(generator(0), 1)[0]
+    assert np.abs(t).max() < 1.0 / (2.0 * s)
+    T = np.zeros((3, 3, 3))
+    T[0, 1] = s * t
+    d = DeltaCoefficients(b=s * t, T=T)
+    result = check_positivity_sampled(d, samples=50, seed=0)
+    assert not result.verdict
+    assert np.array_equal(result.witness.w, -t)
+    direct = eigvals_hermitian4(apply(d, PauliElement(1.0, result.witness.w)))[0]
+    assert result.witness.min_eigenvalue == pytest.approx(direct, abs=1e-12)
+    assert direct == pytest.approx(1.0 - 2.0 * s, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_interior_inputs_are_dominated_by_the_sphere(seed, r):
+    # Delta(1) = 1(x)1 gives lambda_min(Delta(1 + r u.sigma)) =
+    # (1 - r) + r lambda_min(Delta(1 + u.sigma)): the oracle scans no ball points.
+    rng = np.random.default_rng(seed)
+    d = random_delta(rng, trace_preserving=False)
+    u = sphere_points(generator(seed), 1)[0]
+    inner = eigvals_hermitian4(apply(d, PauliElement(1.0, r * u)))[0]
+    outer = eigvals_hermitian4(apply(d, PauliElement(1.0, u)))[0]
+    assert inner == pytest.approx((1.0 - r) + r * outer, abs=1e-12)
+
+
+def test_sampled_oracle_refuses_overflowing_images():
+    T = np.zeros((3, 3, 3))
+    T[0, 1, :] = 1.7e308
+    T[1, 0, :] = -1.7e308
+    d = DeltaCoefficients.trace_preserving(T=T)
+    with pytest.raises(ValueError, match="overflow"):
+        check_positivity_sampled(d, samples=0, seed=0)
