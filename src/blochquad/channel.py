@@ -11,6 +11,10 @@ The bilinear pairing against w is complex-bilinear (the standard C^3
 scalar product conjugates its second argument, which cancels against the
 conjugate of w in the defining expansion), so Delta is linear on all of
 M_2(C), unital and *-preserving by construction.
+
+The structural checks run with numpy's overflow and invalid warnings off
+and compare as `residual <= tol`, so a residual that overflows fails its
+check without a warning.
 """
 
 from __future__ import annotations
@@ -159,6 +163,7 @@ def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     return float(np.linalg.norm(d.b)) <= tol
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Invariance under the tensor swap, checked on every basis image."""
     images = basis_images(d)
@@ -166,6 +171,7 @@ def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     return bool(np.abs(swapped - images).max() <= tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Whether the normalized trace is invariant on both legs.
 
@@ -204,6 +210,7 @@ def split(d: DeltaCoefficients, lam: float) -> tuple:
     return d1, d2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Compare (Delta (x) id) Delta and (id (x) Delta) Delta on the basis.
 

@@ -98,7 +98,7 @@ def config_dict(d: DeltaCoefficients) -> dict:
 # --------------------------------------------------------------- JSON output
 
 
-def _fmt(value, indent: int) -> str:
+def _fmt(value, indent: int, path: str = "") -> str:
     pad = "  " * indent
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -107,6 +107,8 @@ def _fmt(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"report field {path or '/'} is {float(value)}, which JSON cannot hold")
         return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
@@ -114,7 +116,7 @@ def _fmt(value, indent: int) -> str:
         if not value:
             return "{}"
         body = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_fmt(v, indent + 1)}" for k, v in value.items()
+            f"{pad}  {json.dumps(k)}: {_fmt(v, indent + 1, f'{path}/{k}')}" for k, v in value.items()
         )
         return "{\n" + body + "\n" + pad + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -122,14 +124,18 @@ def _fmt(value, indent: int) -> str:
         if not items:
             return "[]"
         if all(isinstance(x, (int, float, np.integer, np.floating)) for x in items):
-            return "[" + ", ".join(_fmt(x, 0) for x in items) + "]"
-        body = ",\n".join(f"{pad}  {_fmt(x, indent + 1)}" for x in items)
+            return "[" + ", ".join(_fmt(x, 0, f"{path}/{i}") for i, x in enumerate(items)) + "]"
+        body = ",\n".join(f"{pad}  {_fmt(x, indent + 1, f'{path}/{i}')}" for i, x in enumerate(items))
         return "[\n" + body + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def dumps_report(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats.
+
+    Raises ValueError naming the field (as a /-separated key path) when a
+    float is infinite or NaN, which JSON has no literal for.
+    """
     return _fmt(obj, 0) + "\n"
 
 

@@ -81,10 +81,20 @@ def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:
 def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     """Fixed points of V on the unit sphere.
 
-    Seeds a polar x azimuthal grid (grid_density x 2*grid_density), runs a
-    damped Newton refinement of V(f) - f = 0, keeps converged points with
-    residual <= 1e-9 that lie within 1e-6 of the sphere, and deduplicates
-    within 1e-6.
+    Seeds a polar x azimuthal grid (grid_density x 2*grid_density) and runs
+    at most 60 damped Newton steps on V(f) - f = 0.  Each step solves
+    (J - I) s = -(V(f) - f) for all active seeds in one batched LAPACK
+    solve; when some seed's system is exactly singular, that iteration
+    takes the pseudo-inverse step (np.linalg.pinv) for every active seed
+    instead.  Steps longer than 0.5 are cut to 0.5.  A seed stops
+    iterating (its row freezes) when its update is rejected, because the
+    new point is non-finite or has norm >= 10: f is unchanged, so every
+    later step would repeat the rejected one.  It also freezes once its
+    step is at most 1e-15 * max(1, |f|_inf), i.e. it has converged to
+    rounding.  Converged points with residual <= 1e-9 that lie within 1e-6
+    of the sphere are sorted lexicographically and deduplicated greedily:
+    the first remaining candidate is kept and every candidate within 1e-6
+    of it is dropped, until none remain.
     """
     if grid_density < 1:
         raise ValueError("grid_density must be >= 1")
@@ -99,15 +109,24 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
         ]
     )
     eye = np.eye(3)
+    active = np.arange(len(f))
     for _ in range(60):
-        residual = evaluate(v, f) - f
-        step = -np.linalg.pinv(jacobian(v, f) - eye) @ residual[..., None]
-        step = step[..., 0]
+        if not active.size:
+            break
+        x = f[active]
+        residual = (evaluate(v, x) - x)[..., None]
+        system = jacobian(v, x) - eye
+        try:
+            step = -np.linalg.solve(system, residual)[..., 0]
+        except np.linalg.LinAlgError:
+            step = -(np.linalg.pinv(system) @ residual)[..., 0]
         lengths = np.linalg.norm(step, axis=1, keepdims=True)
         step = step * np.where(lengths > 0.5, 0.5 / np.maximum(lengths, 1e-300), 1.0)
-        f_new = f + step
-        ok = np.isfinite(f_new).all(axis=1) & (np.linalg.norm(f_new, axis=1) < 10.0)
-        f = np.where(ok[:, None], f_new, f)
+        x_new = x + step
+        ok = np.isfinite(x_new).all(axis=1) & (np.linalg.norm(x_new, axis=1) < 10.0)
+        f[active[ok]] = x_new[ok]
+        moving = np.abs(step).max(axis=1) > 1e-15 * np.maximum(1.0, np.abs(x).max(axis=1))
+        active = active[ok & moving]
 
     residuals = np.linalg.norm(evaluate(v, f) - f, axis=1)
     on_sphere = np.abs(np.linalg.norm(f, axis=1) - 1.0) <= 1e-6
@@ -116,9 +135,9 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     candidates = candidates[np.lexsort(candidates.T[::-1])]
 
     found: list[np.ndarray] = []
-    for point in candidates:
-        if all(np.linalg.norm(point - other) > 1e-6 for other in found):
-            found.append(point)
+    while len(candidates):
+        found.append(candidates[0])
+        candidates = candidates[np.linalg.norm(candidates - candidates[0], axis=1) > 1e-6]
     return found
 
 

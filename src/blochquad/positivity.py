@@ -87,13 +87,22 @@ def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVe
     )
 
 
+@np.errstate(over="ignore")
 def _probe_directions(v: QuadraticMapCoeffs) -> np.ndarray:
     """Deterministic probe directions: a, b, c (normalized), then e1, e2, e3.
 
     The oracle scans each direction with both signs, so the probe sequence
-    is +-a, +-b, +-c, +-e1, +-e2, +-e3.
+    is +-a, +-b, +-c, +-e1, +-e2, +-e3.  A vector whose norm overflows is
+    divided by its largest entry before it is normalized.
     """
-    quadratic = [vec / np.linalg.norm(vec) for vec in (v.a, v.b, v.c) if np.linalg.norm(vec) > 1e-12]
+    quadratic = []
+    for vec in (v.a, v.b, v.c):
+        norm = np.linalg.norm(vec)
+        if not np.isfinite(norm):
+            vec = vec / np.abs(vec).max()
+            norm = np.linalg.norm(vec)
+        if norm > 1e-12:
+            quadratic.append(vec / norm)
     return np.vstack(quadratic + [np.eye(3)])
 
 
@@ -122,13 +131,16 @@ def check_positivity_sampled(d: DeltaCoefficients, samples: int, seed: int) -> P
     (1-r) + r*lambda_min(Delta(1 + u.sigma)) for 0 <= r <= 1.  Stops at
     the first eigenvalue below -TOL_EIG; positivity is scale-invariant, so
     w0 = 1 inputs suffice.  Raises ValueError when an image has a
-    non-finite entry, because no verdict can be read from it.
+    non-finite entry, because no verdict can be read from it; the image
+    assembly runs with numpy's overflow and invalid warnings off, so that
+    case reaches the caller as the error alone.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
     min_seen = np.inf
     for W in _batches(d, samples, seed):
-        images = channel.bloch_images(d, W)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite images are refused below
+            images = channel.bloch_images(d, W)
         if not np.isfinite(images).all():
             raise ValueError("operator images overflow double precision; positivity cannot be decided")
         vals = np.linalg.eigvalsh(images)

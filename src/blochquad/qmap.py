@@ -51,10 +51,16 @@ class QuadraticMapCoeffs:
     def __post_init__(self):
         for name in _FIELDS:
             object.__setattr__(self, name, _real_vector3(getattr(self, name), name))
+        rows = np.stack([getattr(self, name) for name in _FIELDS])
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
 
     def coefficient_rows(self) -> np.ndarray:
-        """The 9x3 stack of coefficient vectors, row order as in _FIELDS."""
-        return np.stack([getattr(self, name) for name in _FIELDS])
+        """The read-only 9x3 stack of coefficient vectors, row order as in _FIELDS.
+
+        Built once with the instance; every evaluate() call reads it.
+        """
+        return self._rows
 
 
 def _features(f: np.ndarray) -> np.ndarray:

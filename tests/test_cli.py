@@ -106,6 +106,26 @@ def test_inspect_refuses_overflowing_operator(tmp_path, capsys):
     assert err.startswith("error: ") and "overflow" in err
 
 
+def test_inspect_refuses_non_finite_report_fields(tmp_path, capsys):
+    # finite images, but |a|^2 overflows in the purity certificate: no "inf" in a report
+    T = np.zeros((3, 3, 3))
+    T[0, 0, 0] = 1e160
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"T": T.tolist()}))
+    code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "/q_purity/certificate/residuals/i.1" in err
+
+
+def test_dumps_report_names_non_finite_field():
+    assert dumps_report({"x": [1.0, 2.5]}) == '{\n  "x": [1, 2.5]\n}\n'
+    with pytest.raises(ValueError, match="/x/1 is nan"):
+        dumps_report({"x": [1.0, float("nan")]})
+    with pytest.raises(ValueError, match="/r/s is -inf"):
+        dumps_report({"r": {"s": -np.inf}})
+
+
 def test_inspect_matches_library_verdicts(tmp_path, capsys):
     # round-trip: exported config reproduces the in-memory verdicts
     path = write_catalog_config(tmp_path, capsys, "delta0")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochquad import (
     NotApplicableError,
@@ -19,7 +21,9 @@ from blochquad import (
     verify_collapse,
 )
 from blochquad.dynamics import write_trajectory_csv
+from blochquad.qmap import jacobian
 from blochquad.sampling import generator, sphere_points
+from conftest import conjugate_qmap, rotation_matrix
 
 
 def v0():
@@ -85,15 +89,88 @@ def test_fixed_points_of_target_map():
 
 
 def test_fixed_points_of_benchmark_map():
+    # On the circle f3 = 0, V acts on the angle as a -> pi/2 - 2a, whose fixed
+    # points are a = pi/6 + 2k pi/3; off the circle no sphere point is fixed.
+    h = math.sqrt(3.0) / 2.0
+    expected = np.array([[-h, 0.5, 0.0], [0.0, -1.0, 0.0], [h, 0.5, 0.0]])
     points = fixed_points_sphere(v0())
-    assert any(np.abs(p - np.array([0, -1, 0])).max() < 1e-9 for p in points)
-    for p in points:
-        assert np.linalg.norm(evaluate(v0(), p) - p) <= 1e-9
-        assert abs(np.linalg.norm(p) - 1.0) <= 1e-6
+    assert len(points) == 3
+    assert np.abs(np.array(points) - expected).max() <= 1e-12
 
 
 def test_fixed_points_of_zero_map():
     assert fixed_points_sphere(QuadraticMapCoeffs()) == []
+
+
+def test_fixed_points_of_contraction():
+    assert fixed_points_sphere(induced_qmap(linear_family(0.3 * np.eye(3)))) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(lambda u: np.linalg.norm(u) > 0.1),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_fixed_points_follow_rotations(axis, angle):
+    # f -> R V(R^T f) has the fixed points R p of V
+    R = rotation_matrix(axis, angle)
+    expected = [R @ p for p in fixed_points_sphere(v0())]
+    points = fixed_points_sphere(conjugate_qmap(v0(), R.T))
+    assert len(points) == len(expected)
+    for q in expected:
+        assert min(np.abs(p - q).max() for p in points) <= 1e-9
+
+
+def fixed_points_sphere_reference(v, grid_density):
+    """The original search: 60 damped pinv Newton steps on every seed, pairwise dedup."""
+    theta = np.linspace(0.0, np.pi, grid_density)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * grid_density, endpoint=False)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    f = np.column_stack([(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()])
+    for _ in range(60):
+        residual = evaluate(v, f) - f
+        step = (-np.linalg.pinv(jacobian(v, f) - np.eye(3)) @ residual[..., None])[..., 0]
+        lengths = np.linalg.norm(step, axis=1, keepdims=True)
+        step = step * np.where(lengths > 0.5, 0.5 / np.maximum(lengths, 1e-300), 1.0)
+        f_new = f + step
+        ok = np.isfinite(f_new).all(axis=1) & (np.linalg.norm(f_new, axis=1) < 10.0)
+        f = np.where(ok[:, None], f_new, f)
+    residuals = np.linalg.norm(evaluate(v, f) - f, axis=1)
+    keep = np.isfinite(residuals) & (residuals <= 1e-9) & (np.abs(np.linalg.norm(f, axis=1) - 1.0) <= 1e-6)
+    found = []
+    for point in f[keep][np.lexsort(f[keep].T[::-1])]:
+        if all(np.linalg.norm(point - other) > 1e-6 for other in found):
+            found.append(point)
+    return found
+
+
+def assert_matches_reference_search(v, grid):
+    points = fixed_points_sphere(v, grid)
+    reference = fixed_points_sphere_reference(v, grid)
+    assert len(points) == len(reference)
+    for p, q in zip(points, reference):
+        assert np.abs(p - q).max() <= 1e-9
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3, 4, 8, 32])
+def test_fixed_points_match_reference_search(grid):
+    assert_matches_reference_search(v0(), grid)
+    assert_matches_reference_search(conjugate_qmap(v0(), rotation_matrix((1, 2, 3), 0.7)), grid)
+    # at grid 4, J - I is nearly singular at the seeds where <t, f> = 1/2
+    assert_matches_reference_search(induced_qmap(delta1((0, 0, 1))), grid)
+    assert_matches_reference_search(induced_qmap(linear_family(0.3 * np.eye(3))), grid)
+
+
+def test_fixed_points_fall_back_to_pinv(monkeypatch):
+    # the identity map makes every J - I exactly zero, which LAPACK's solve refuses
+    assert_matches_reference_search(induced_qmap(linear_family(0.5 * np.eye(3))), 4)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # with every solve refused, the search runs on pinv steps alone
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert_matches_reference_search(v0(), 8)
 
 
 def test_circle_restriction_step_values():

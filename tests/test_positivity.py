@@ -238,6 +238,14 @@ def test_interior_inputs_are_dominated_by_the_sphere(seed, r):
     assert inner == pytest.approx((1.0 - r) + r * outer, abs=1e-12)
 
 
+def test_probe_directions_survive_overflowing_norms():
+    T = np.zeros((3, 3, 3))
+    T[0, 0] = (3e160, 4e160, 0.0)  # |a|^2 overflows
+    probes = _probe_directions(induced_qmap(DeltaCoefficients.trace_preserving(T=T)))
+    assert np.array_equal(probes[0], [0.6, 0.8, 0.0])
+    assert np.array_equal(probes[1:], np.eye(3))
+
+
 def test_sampled_oracle_refuses_overflowing_images():
     T = np.zeros((3, 3, 3))
     T[0, 1, :] = 1.7e308

@@ -65,6 +65,16 @@ def test_degree_two_homogeneity(s):
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
+def test_coefficient_rows_are_cached_read_only(rng):
+    v = QuadraticMapCoeffs(*rng.normal(size=(9, 3)))
+    rows = v.coefficient_rows()
+    fields = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
+    assert np.array_equal(rows, np.stack([getattr(v, name) for name in fields]))
+    assert v.coefficient_rows() is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+
+
 def test_coefficient_validation():
     with pytest.raises(ValueError):
         QuadraticMapCoeffs(a=(1, 2))
