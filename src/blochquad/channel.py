@@ -12,9 +12,10 @@ scalar product conjugates its second argument, which cancels against the
 conjugate of w in the defining expansion), so Delta is linear on all of
 M_2(C), unital and *-preserving by construction.
 
-The structural checks run with numpy's overflow and invalid warnings off
-and compare as `residual <= tol`, so a residual that overflows fails its
-check without a warning.
+Blocks are admitted with entries up to qmap.COEFFICIENT_LIMIT (1e150) in
+magnitude, so the largest product any check forms from them, an 8x8
+coassociativity entry (about 2.6e302), stays below the double maximum of
+1.8e308; the structural checks compare as `residual <= tol`.
 """
 
 from __future__ import annotations
@@ -26,23 +27,10 @@ import numpy as np
 from . import pauli
 from .errors import NotHaarFormError, NotSelfAdjointError, NotSymmetricError
 from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, kron, swap_conjugate
-from .qmap import QuadraticMapCoeffs, evaluate
+from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, evaluate, real_array
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
 TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])
-
-
-def _real_array(value, shape: tuple, name: str) -> np.ndarray:
-    if value is None:
-        arr = np.zeros(shape)
-    else:
-        arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -62,10 +50,9 @@ class DeltaCoefficients:
     T: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _real_array(self.b, (3,), "b"))
-        object.__setattr__(self, "B1", _real_array(self.B1, (3, 3), "B1"))
-        object.__setattr__(self, "B2", _real_array(self.B2, (3, 3), "B2"))
-        object.__setattr__(self, "T", _real_array(self.T, (3, 3, 3), "T"))
+        for name, shape in (("b", (3,)), ("B1", (3, 3)), ("B2", (3, 3)), ("T", (3, 3, 3))):
+            value = real_array(getattr(self, name), shape, name, COEFFICIENT_LIMIT)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def trace_preserving(cls, B1=None, B2=None, T=None) -> "DeltaCoefficients":
@@ -163,7 +150,6 @@ def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     return float(np.linalg.norm(d.b)) <= tol
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Invariance under the tensor swap, checked on every basis image."""
     images = basis_images(d)
@@ -171,7 +157,6 @@ def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     return bool(np.abs(swapped - images).max() <= tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Whether the normalized trace is invariant on both legs.
 
@@ -210,7 +195,6 @@ def split(d: DeltaCoefficients, lam: float) -> tuple:
     return d1, d2
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Compare (Delta (x) id) Delta and (id (x) Delta) Delta on the basis.
 

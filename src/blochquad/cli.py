@@ -82,7 +82,7 @@ def load_config(path: str) -> DeltaCoefficients:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
         return parse_config(text)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -315,9 +315,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -43,15 +43,17 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
     f = np.array(f0, dtype=float)
     if np.linalg.norm(f) > 1.0 + TOL_STATE:
         raise ValueError(f"start point norm {np.linalg.norm(f)} exceeds 1")
-    points = [f.copy()]
+    points, norms = [f], [math.hypot(*f)]
     for _ in range(steps):
         f = evaluate(v, f)
-        if math.hypot(*f) < UNDERFLOW_FLUSH:
+        norm = math.hypot(*f)
+        if norm < UNDERFLOW_FLUSH:
             points.append(np.zeros(3))
+            norms.append(0.0)
             break
-        points.append(f.copy())
-    points = np.array(points)
-    return Trajectory(points=points, norms=np.array([math.hypot(*p) for p in points]))
+        points.append(f)
+        norms.append(norm)
+    return Trajectory(points=np.array(points), norms=np.array(norms))
 
 
 def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:

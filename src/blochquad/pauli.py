@@ -144,12 +144,6 @@ def swap_conjugate(m: np.ndarray) -> np.ndarray:
     return m[np.ix_(idx, idx)]
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Entrywise max of |m - m*|."""
-    m = np.asarray(m, dtype=complex)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def partial_trace_right(m: np.ndarray) -> np.ndarray:
     """(id (x) tau) of a 4x4 matrix, tau the normalized trace on the right leg."""
     m = np.asarray(m, dtype=complex).reshape(2, 2, 2, 2)

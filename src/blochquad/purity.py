@@ -6,9 +6,7 @@ equations.  check_sphere_conditions evaluates the full list for maps with
 linear terms, check_haar_conditions the reduced list for maps without
 them, and monte_carlo_sphere arbitrates independently by sampling the
 sphere.  The equation list is checked verbatim, one residual per displayed
-equation; no attempt is made to minimize the system.  Residuals and
-deviations are computed with numpy's overflow and invalid warnings off: one
-that overflows reads as inf or NaN, which fails its check.
+equation; no attempt is made to minimize the system.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ def _report(pairs, tol: float) -> CertificateReport:
     return CertificateReport(verdict=verdict, residuals=tuple(pairs), worst_condition=worst)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def check_sphere_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> CertificateReport:
     """Full sphere-preservation certificate for a general quadratic map.
 
@@ -99,7 +96,6 @@ def check_sphere_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> Cer
     return _report(pairs, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def check_haar_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> CertificateReport:
     """Reduced certificate for maps without linear terms.
 
@@ -138,7 +134,6 @@ def check_linear_isometry(B: np.ndarray, tol: float = TOL_CERT) -> CertificateRe
     return _report([("isometry", residual)], tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def monte_carlo_sphere(v: QuadraticMapCoeffs, samples: int, seed: int) -> tuple:
     """Worst sphere-norm deviation of V over seeded uniform sphere samples.
 

@@ -8,6 +8,11 @@ Component k of V(f) is
 
 Evaluation never clamps to the ball; range checks belong to the purity
 certifiers, which must be able to observe violations.
+
+Map coefficients are admitted up to 2 * COEFFICIENT_LIMIT (2e150) in
+magnitude, twice the operator bound because each map vector may sum two
+operator blocks, so the largest product formed from them, |V(f)|^2 on the
+sphere (about 1e303), stays below the double maximum of 1.8e308.
 """
 
 from __future__ import annotations
@@ -20,16 +25,23 @@ from .pauli import TOL_ALG
 
 _FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 
+COEFFICIENT_LIMIT = 1e150
 
-def _real_vector3(value, name: str) -> np.ndarray:
-    if value is None:
-        arr = np.zeros(3)
-    else:
-        arr = np.array(value, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name}: expected a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
+
+def real_array(value, shape: tuple, name: str, limit: float) -> np.ndarray:
+    """Read-only float array of the given shape (zeros for None).
+
+    Refuses any entry x with not (|x| <= limit), which refuses NaN and
+    +-inf as well.
+    """
+    arr = np.zeros(shape) if value is None else np.array(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not (np.abs(arr) <= limit).all():
+        raise ValueError(
+            f"{name}: entries must be numbers of magnitude at most {limit:g}, "
+            "or their products overflow double precision"
+        )
     arr.setflags(write=False)
     return arr
 
@@ -50,7 +62,8 @@ class QuadraticMapCoeffs:
 
     def __post_init__(self):
         for name in _FIELDS:
-            object.__setattr__(self, name, _real_vector3(getattr(self, name), name))
+            value = real_array(getattr(self, name), (3,), name, 2.0 * COEFFICIENT_LIMIT)
+            object.__setattr__(self, name, value)
         rows = np.stack([getattr(self, name) for name in _FIELDS])
         rows.setflags(write=False)
         object.__setattr__(self, "_rows", rows)

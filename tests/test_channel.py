@@ -266,8 +266,10 @@ def test_coassociativity_cases():
     assert check_coassociativity(DeltaCoefficients())  # x -> w0 * 1(x)1
     T = np.random.default_rng(3).normal(size=(3, 3, 3))
     assert not check_coassociativity(DeltaCoefficients.trace_preserving(T=T))
-    # the 8x8 products overflow to NaN, which must not read as a pass
-    assert not check_coassociativity(DeltaCoefficients.trace_preserving(T=1e200 * T))
+    with pytest.raises(ValueError, match="T: .*overflow"):
+        DeltaCoefficients.trace_preserving(T=1e200 * T)
+    # at the admission bound the 8x8 products stay finite and the check still fails
+    assert not check_coassociativity(DeltaCoefficients.trace_preserving(T=1e150 * T / np.abs(T).max()))
 
 
 def test_tensor_basis_enumeration():

@@ -94,28 +94,40 @@ def test_inspect_invalid_config_exits_one(tmp_path, capsys):
 
 
 def test_inspect_refuses_overflowing_operator(tmp_path, capsys):
-    # finite coefficients whose images overflow: no verdict, and no "inf" in a report
-    T = np.zeros((3, 3, 3))
-    T[0, 1, :] = 1.7e308
-    T[1, 0, :] = -1.7e308
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"T": T.tolist()}))
-    code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "overflow" in err
+    # coefficients whose products overflow are refused at load: no verdict, no report
+    huge = np.zeros((3, 3, 3))
+    huge[0, 1, :] = 1.7e308
+    huge[1, 0, :] = -1.7e308
+    big = np.zeros((3, 3, 3))
+    big[0, 0, 0] = 1e160
+    for T in (huge, big):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"T": T.tolist()}))
+        code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "T: " in err and "overflow" in err
 
 
-def test_inspect_refuses_non_finite_report_fields(tmp_path, capsys):
-    # finite images, but |a|^2 overflows in the purity certificate: no "inf" in a report
-    T = np.zeros((3, 3, 3))
-    T[0, 0, 0] = 1e160
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({"T": T.tolist()}))
-    code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "/q_purity/certificate/residuals/i.1" in err
+@pytest.mark.parametrize("pattern", ["plus", "minus", "random"])
+def test_inspect_and_certify_at_the_admission_bound(tmp_path, capsys, pattern):
+    # every entry at +-1e150: each check runs to a verdict without a RuntimeWarning
+    shapes = {"b": (3,), "B1": (3, 3), "B2": (3, 3), "T": (3, 3, 3)}
+    rng = np.random.default_rng(7)
+    config = {}
+    for name, shape in shapes.items():
+        if pattern == "random":
+            signs = rng.choice([-1.0, 1.0], size=shape)
+        else:
+            signs = np.full(shape, 1.0 if pattern == "plus" else -1.0)
+        config[name] = (1e150 * signs).tolist()
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(config))
+    runs = [("inspect",)] + [("certify", "--expect", e) for e in ("pure", "positive")]
+    for command in runs:
+        code, out, _ = run_cli(capsys, command[0], str(path), *command[1:], "--samples", "200")
+        assert code in (0, 2)
+        json.loads(out)
 
 
 def test_dumps_report_names_non_finite_field():

@@ -9,6 +9,7 @@ from blochquad import (
     NotHermitianError,
     PauliElement,
     apply,
+    channel,
     check_haar_conditions,
     check_linear_positivity,
     check_positivity_sampled,
@@ -238,18 +239,23 @@ def test_interior_inputs_are_dominated_by_the_sphere(seed, r):
     assert inner == pytest.approx((1.0 - r) + r * outer, abs=1e-12)
 
 
-def test_probe_directions_survive_overflowing_norms():
+def test_probe_directions_at_the_admission_bound():
     T = np.zeros((3, 3, 3))
-    T[0, 0] = (3e160, 4e160, 0.0)  # |a|^2 overflows
+    T[0, 0] = (3e160, 4e160, 0.0)
+    with pytest.raises(ValueError, match="T: .*overflow"):
+        DeltaCoefficients.trace_preserving(T=T)
+    T[0, 0] = (0.6e150, 0.8e150, 0.0)
     probes = _probe_directions(induced_qmap(DeltaCoefficients.trace_preserving(T=T)))
-    assert np.array_equal(probes[0], [0.6, 0.8, 0.0])
+    assert np.abs(probes[0] - [0.6, 0.8, 0.0]).max() <= 1e-15
     assert np.array_equal(probes[1:], np.eye(3))
 
 
-def test_sampled_oracle_refuses_overflowing_images():
-    T = np.zeros((3, 3, 3))
-    T[0, 1, :] = 1.7e308
-    T[1, 0, :] = -1.7e308
-    d = DeltaCoefficients.trace_preserving(T=T)
+def test_sampled_oracle_refuses_overflowing_images(monkeypatch):
+    def overflowing_images(d, W):
+        images = np.repeat(np.eye(4)[None], len(W), axis=0)
+        images[0, 0, 0] = np.inf
+        return images
+
+    monkeypatch.setattr(channel, "bloch_images", overflowing_images)
     with pytest.raises(ValueError, match="overflow"):
-        check_positivity_sampled(d, samples=0, seed=0)
+        check_positivity_sampled(delta0(), samples=0, seed=0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochquad import (
+    DeltaCoefficients,
     QuadraticMapCoeffs,
     delta0,
     delta1,
@@ -13,6 +14,7 @@ from blochquad import (
     is_haar_form,
     linear_part,
 )
+from blochquad.qmap import COEFFICIENT_LIMIT
 from conftest import random_delta
 
 
@@ -80,6 +82,36 @@ def test_coefficient_validation():
         QuadraticMapCoeffs(a=(1, 2))
     with pytest.raises(ValueError):
         QuadraticMapCoeffs(a=(np.inf, 0, 0))
+
+
+ADMITTED = [
+    (QuadraticMapCoeffs, "Gamma", (3,), 2.0 * COEFFICIENT_LIMIT),
+    (DeltaCoefficients, "b", (3,), COEFFICIENT_LIMIT),
+    (DeltaCoefficients, "T", (3, 3, 3), COEFFICIENT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("cls, name, shape, limit", ADMITTED)
+def test_admission_bound(cls, name, shape, limit):
+    entries = np.full(shape, limit)
+    entries.flat[::2] = -limit
+    assert np.array_equal(getattr(cls(**{name: entries}), name), entries)
+    for bad in (limit * (1.0 + 1e-12), -limit * (1.0 + 1e-12), np.inf, -np.inf, np.nan):
+        entries.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name}: .*overflow"):
+            cls(**{name: entries})
+
+
+def test_induced_map_of_an_operator_at_the_bound_is_admitted():
+    d = DeltaCoefficients(
+        b=np.full(3, COEFFICIENT_LIMIT),
+        B1=np.full((3, 3), COEFFICIENT_LIMIT),
+        B2=np.full((3, 3), COEFFICIENT_LIMIT),
+        T=np.full((3, 3, 3), -COEFFICIENT_LIMIT),
+    )
+    v = induced_qmap(d)
+    assert np.array_equal(v.A, np.full(3, -2.0 * COEFFICIENT_LIMIT))
+    assert np.array_equal(v.d, np.full(3, 2.0 * COEFFICIENT_LIMIT))
 
 
 def test_linear_part_of_linear_family(rng):
