@@ -95,18 +95,27 @@ def test_inspect_invalid_config_exits_one(tmp_path, capsys):
 
 def test_inspect_refuses_overflowing_operator(tmp_path, capsys):
     # coefficients whose products overflow are refused at load: no verdict, no report
-    huge = np.zeros((3, 3, 3))
-    huge[0, 1, :] = 1.7e308
-    huge[1, 0, :] = -1.7e308
-    big = np.zeros((3, 3, 3))
-    big[0, 0, 0] = 1e160
-    for T in (huge, big):
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"T": T.tolist()}))
-        code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and "T: " in err and "overflow" in err
+    T = np.zeros((3, 3, 3))
+    T[0, 1, :] = 1.7e308
+    T[1, 0, :] = -1.7e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"T": T.tolist()}))
+    code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "T: " in err and "overflow" in err
+
+
+def test_inspect_refuses_non_finite_report_fields(tmp_path, capsys):
+    # |a|^2 would overflow in the purity certificate: refused at load, no "inf" in a report
+    T = np.zeros((3, 3, 3))
+    T[0, 0, 0] = 1e160
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"T": T.tolist()}))
+    code, out, err = run_cli(capsys, "inspect", str(path), "--samples", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "T: " in err and "overflow" in err
 
 
 @pytest.mark.parametrize("pattern", ["plus", "minus", "random"])
