@@ -277,8 +277,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="full classification report as JSON")
     p.add_argument("path", help="operator config JSON file")
-    p.add_argument("--samples", type=int, default=100000, help="oracle sample count")
-    p.add_argument("--seed", type=int, default=42, help="sampler seed")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=100000,
+        help="N: sphere points for the Monte-Carlo purity oracle, and sphere directions w "
+        "for the positivity oracle, which scans each as +w and -w (2N inputs)",
+    )
+    p.add_argument("--seed", type=int, default=42, help="seed of both oracles' sphere samples")
     p.add_argument("--tol", type=float, default=1e-9, help="classifier/certificate tolerance")
     p.set_defaults(func=_cmd_inspect)
 
@@ -296,8 +302,14 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("pure", "impure", "positive", "nonpositive"),
     )
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=100000,
+        help="N: sphere directions w for the positivity oracle, which scans each as +w and -w "
+        "(2N inputs); --expect pure/impure uses the exact certificate and no samples",
+    )
+    p.add_argument("--seed", type=int, default=42, help="seed of the positivity oracle's sphere sample")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("catalog", help="list built-in operators or print one")

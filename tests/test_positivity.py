@@ -8,6 +8,8 @@ from blochquad import (
     NotHaarFormError,
     NotHermitianError,
     PauliElement,
+    PositivityVerdict,
+    Witness,
     apply,
     channel,
     check_haar_conditions,
@@ -22,9 +24,11 @@ from blochquad import (
     simple_form_eigs,
     theorem_witness_eigs,
 )
+from blochquad import sampling
 from blochquad.pauli import ID2, SIGMAS
 from blochquad.channel import basis_images
-from blochquad.positivity import _probe_directions
+from blochquad.positivity import CHUNK, TOL_EIG, _clears, _probe_directions
+from blochquad.qmap import COEFFICIENT_LIMIT
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, delta_from_qmap, random_delta, rotation_matrix
 
@@ -193,18 +197,199 @@ def test_theorem_witness_requires_haar_form():
         theorem_witness_eigs(v)
 
 
+def check_positivity_exhaustive(d, samples, seed):
+    """Reference oracle: one eigvalsh over the probes, then one over every sphere point.
+
+    The screened oracle must reach the same verdict and witness, and a
+    minimum within 1e-12 * scale of this one.
+    """
+    batches = [_probe_directions(induced_qmap(d))]
+    if samples > 0:
+        batches.append(sphere_points(generator(seed), samples))
+    min_seen = np.inf
+    for W in batches:
+        vals = np.linalg.eigvalsh(channel.bloch_images(d, W))
+        mins = np.column_stack([vals[:, 0], 2.0 - vals[:, -1]]).ravel()  # (w, +), (w, -), ...
+        bad = np.nonzero(mins < -TOL_EIG)[0]
+        if bad.size:
+            first = int(bad[0])
+            w = W[first // 2] if first % 2 == 0 else -W[first // 2]
+            return PositivityVerdict(
+                verdict=False,
+                min_eigenvalue_seen=min(min_seen, float(mins[: first + 1].min())),
+                witness=Witness(w=w, min_eigenvalue=float(mins[first])),
+            )
+        min_seen = min(min_seen, float(mins.min()))
+    return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_seen)
+
+
+def oracle_scale(d):
+    """The oracle's bound on ||Delta(1 + w.sigma)||: 1 + sum of |basis image entries|."""
+    return 1.0 + float(np.abs(basis_images(d)).sum())
+
+
+def assert_matches_exhaustive(d, samples, seed):
+    result = check_positivity_sampled(d, samples=samples, seed=seed)
+    reference = check_positivity_exhaustive(d, samples, seed)
+    assert result.verdict == reference.verdict
+    if reference.witness is None:
+        assert result.witness is None
+    else:
+        assert np.array_equal(result.witness.w, reference.witness.w)
+        assert result.witness.min_eigenvalue == reference.witness.min_eigenvalue
+    assert abs(result.min_eigenvalue_seen - reference.min_eigenvalue_seen) <= 1e-12 * oracle_scale(d)
+    return result
+
+
+def rescaled(d, factor):
+    return DeltaCoefficients(b=d.b * factor, B1=d.B1 * factor, B2=d.B2 * factor, T=d.T * factor)
+
+
+def narrow_cap_operator(s, t):
+    # Delta(w.sigma) = s <t,w> (1(x)1 + sigma1(x)sigma2): only the inputs with
+    # <t,w> < -1/(2s) fail, a cap that is tiny for s just above 1/2.
+    T = np.zeros((3, 3, 3))
+    T[0, 1] = s * t
+    return DeltaCoefficients(b=s * t, T=T)
+
+
+def rank_one_operator(t):
+    # delta1's shape with |t| free: Delta(w.sigma) = <t,w> sum_m sigma_m(x)sigma_m,
+    # whose smallest eigenvalue over the sphere is 1 - 3|t|: 0 at |t| = 1/3.
+    T = np.zeros((3, 3, 3))
+    for m in range(3):
+        T[m, m] = t
+    return DeltaCoefficients.trace_preserving(T=T)
+
+
+def cross_check_operators():
+    rng = np.random.default_rng(2024)
+    ops = [linear_family(np.eye(3) / 2)]
+    for trace_preserving in (True, False):
+        for ratio in (0.9, 1.0, 1.05):
+            d = random_delta(rng, trace_preserving=trace_preserving)
+            ops.append(rescaled(d, ratio / sum(np.abs(np.linalg.eigvalsh(m)).max() for m in basis_images(d))))
+    direction = np.array([2.0, -1.0, 2.0]) / 3.0
+    for offset in (-1e-10, 1e-10):
+        ops.append(rank_one_operator((1.0 / 3.0 + offset) * direction))
+    ops.append(narrow_cap_operator(0.5 / (1.0 - 2e-4), sphere_points(generator(5), 1)[0]))
+    return ops
+
+
+@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 20000])
+def test_screened_oracle_matches_the_exhaustive_reference(samples):
+    # Scale s multiplies every coefficient, capped at the admission bound.
+    for i, d in enumerate(cross_check_operators()):
+        top = max(float(np.abs(block).max()) for block in (d.b, d.B1, d.B2, d.T))
+        for s in (1e-12, 1.0, 1e100, 1e150):
+            assert_matches_exhaustive(rescaled(d, min(s, COEFFICIENT_LIMIT / top)), samples, seed=i)
+
+
+def test_screened_oracle_finds_a_late_witness():
+    # The narrow cap is first hit well past the first chunk, so the witness
+    # comes from a screened chunk.
+    d = cross_check_operators()[-1]
+    result = assert_matches_exhaustive(d, 20000, seed=0)
+    assert not result.verdict
+    W = sphere_points(generator(0), 20000)
+    hit = np.nonzero((np.abs(W - result.witness.w).max(axis=1) == 0) | (np.abs(W + result.witness.w).max(axis=1) == 0))[0]
+    assert hit.size == 1 and hit[0] >= CHUNK
+
+
 def test_sampled_oracle_scans_both_signs(rng):
     # On positive operators the oracle scans everything: its minimum must be
-    # the brute-force minimum over the probes and sphere points, both signs.
-    for seed in range(5):
+    # the brute-force minimum over the probes and sphere points, both signs,
+    # within the screen's margin of 1e-12 * scale.
+    samples = CHUNK + 100
+    for seed in range(3):
         d = random_delta(rng)
         norms = sum(np.abs(np.linalg.eigvalsh(m)).max() for m in basis_images(d))
         d = DeltaCoefficients(B1=d.B1 * 0.9 / norms, B2=d.B2 * 0.9 / norms, T=d.T * 0.9 / norms)
-        result = check_positivity_sampled(d, samples=200, seed=seed)
+        result = check_positivity_sampled(d, samples=samples, seed=seed)
         assert result.verdict
-        X = np.vstack([_probe_directions(induced_qmap(d)), sphere_points(generator(seed), 200)])
+        X = np.vstack([_probe_directions(induced_qmap(d)), sphere_points(generator(seed), samples)])
         brute = min(eigvals_hermitian4(apply(d, PauliElement(1.0, w)))[0] for w in np.vstack([X, -X]))
-        assert abs(result.min_eigenvalue_seen - brute) < 1e-12
+        assert abs(result.min_eigenvalue_seen - brute) <= 1e-12 * oracle_scale(d)
+
+
+def random_unitaries(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    return q * (np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, None, :]
+
+
+@pytest.mark.parametrize("size", [1.0, 1e150])
+@pytest.mark.parametrize("t_frac", [-1e-9, 0.0, 0.5])
+def test_screen_never_clears_a_row_at_or_below_t(size, t_frac):
+    # Spectra with lambda_min = t + k eps * scale for k = -512..512, the rest
+    # spread up to `size`: rows whose eigvalsh minimum is at or below t must
+    # not clear; rows far above t must.
+    rng = np.random.default_rng(7)
+    t = t_frac * size
+    k = np.arange(-512, 513)
+    far = np.full(64, t + 1e-6 * size)
+    lowest = np.concatenate([t + k * np.finfo(float).eps * size, far])
+    spectra = np.column_stack([lowest, t + size * rng.uniform(0.01, 1.0, size=(len(lowest), 3))])
+    U = random_unitaries(rng, len(lowest))
+    X = (U * spectra[:, None, :]) @ U.conj().transpose(0, 2, 1)
+    X = 0.5 * (X + X.conj().transpose(0, 2, 1))
+    scale = float(np.abs(np.linalg.eigvalsh(X)).max())
+    cleared = _clears(X, t, 256.0 * np.finfo(float).eps * scale)
+    assert not cleared[np.linalg.eigvalsh(X)[:, 0] <= t].any()
+    assert cleared[-len(far) :].all()
+
+
+def test_screen_does_not_clear_nan():
+    X = np.repeat(3.0 * np.eye(4, dtype=complex)[None], 11, axis=0)
+    rows, cols = np.tril_indices(4)
+    for n, (i, j) in enumerate(zip(rows, cols)):
+        X[n, i, j] = np.nan
+    cleared = _clears(X, 0.0, 1e-13)
+    assert not cleared[:10].any()
+    assert cleared[10]
+
+
+def test_oracle_exits_early(monkeypatch):
+    # A probe-decided operator draws no sphere points.
+    def refuse(rng, n):
+        raise AssertionError("sphere points drawn")
+
+    monkeypatch.setattr(sampling, "sphere_points", refuse)
+    assert not check_positivity_sampled(delta0(), samples=100000, seed=0).verdict
+    monkeypatch.undo()
+
+    # A witness in the first sphere chunk stops the scan there.
+    rows = []
+    images = channel.bloch_images
+
+    def counting_images(d, W):
+        rows.append(len(W))
+        return images(d, W)
+
+    monkeypatch.setattr(channel, "bloch_images", counting_images)
+    d = narrow_cap_operator(0.6, sphere_points(generator(0), 1)[0])
+    result = check_positivity_sampled(d, samples=100000, seed=0)
+    assert not result.verdict
+    assert rows[0] == len(_probe_directions(induced_qmap(d)))
+    assert sum(rows) <= rows[0] + CHUNK
+
+
+def test_screen_spares_most_eigen_solves(monkeypatch):
+    # On a positive operator only the first chunk and the few directions
+    # that may lower the minimum are solved.
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    d = linear_family(np.diag([0.45, 0.3, 0.2]))
+    result = check_positivity_sampled(d, samples=20000, seed=1)
+    monkeypatch.undo()
+    assert result.verdict
+    assert result.min_eigenvalue_seen == check_positivity_exhaustive(d, 20000, 1).min_eigenvalue_seen
+    assert sum(solved) <= len(_probe_directions(induced_qmap(d))) + CHUNK + 200
 
 
 def test_sampled_oracle_finds_witness_on_the_minus_sign():
@@ -215,9 +400,7 @@ def test_sampled_oracle_finds_witness_on_the_minus_sign():
     s = 0.6
     t = sphere_points(generator(0), 1)[0]
     assert np.abs(t).max() < 1.0 / (2.0 * s)
-    T = np.zeros((3, 3, 3))
-    T[0, 1] = s * t
-    d = DeltaCoefficients(b=s * t, T=T)
+    d = narrow_cap_operator(s, t)
     result = check_positivity_sampled(d, samples=50, seed=0)
     assert not result.verdict
     assert np.array_equal(result.witness.w, -t)
