@@ -51,7 +51,7 @@ from .positivity import (
     PositivityVerdict,
     Witness,
     check_linear_positivity,
-    check_positivity_sampled,
+    check_positivity,
     eigvals_hermitian4,
     operator_norm3,
     simple_form_eigs,
@@ -94,7 +94,7 @@ __all__ = [
     "check_haar_conditions",
     "check_linear_isometry",
     "check_linear_positivity",
-    "check_positivity_sampled",
+    "check_positivity",
     "check_sphere_conditions",
     "circle_restriction_step",
     "decompose",

@@ -146,7 +146,7 @@ def inspection_report(d: DeltaCoefficients, samples: int, seed: int, tol: float)
     v = induced_qmap(d)
     certificate = purity.check_sphere_conditions(v, tol=tol)
     max_deviation, _ = purity.monte_carlo_sphere(v, samples=samples, seed=seed)
-    pos = positivity.check_positivity_sampled(d, samples=samples, seed=seed)
+    pos = positivity.check_positivity_sampled(d)  # check_positivity, by the name perfbench traces
     report = {
         "trace_preserving": is_trace_preserving(d, tol=tol),
         "symmetric": is_symmetric(d, tol=tol),
@@ -166,7 +166,7 @@ def inspection_report(d: DeltaCoefficients, samples: int, seed: int, tol: float)
         },
         "positivity": {
             "verdict": pos.verdict,
-            "min_eigenvalue": pos.min_eigenvalue_seen,
+            "min_eigenvalue": pos.interval,
         },
     }
     if pos.witness is not None:
@@ -231,13 +231,19 @@ def _cmd_certify(args) -> int:
         actual = "pure" if verdict else "impure"
         detail = {"check": "q_purity", "verdict": verdict}
     else:
-        result = positivity.check_positivity_sampled(d, samples=args.samples, seed=args.seed)
-        actual = "positive" if result.verdict else "nonpositive"
+        result = positivity.check_positivity_sampled(d)
+        actual = {True: "positive", False: "nonpositive", None: "marginal"}[result.verdict]
         detail = {
             "check": "positivity",
             "verdict": result.verdict,
-            "min_eigenvalue": result.min_eigenvalue_seen,
+            "min_eigenvalue": result.interval,
         }
+        if result.verdict is None:
+            lower, upper = result.interval
+            sys.stderr.write(
+                f"positivity undecided: the proof reached its vertex cap with the smallest "
+                f"eigenvalue in [{lower:.3e}, {upper:.3e}]\n"
+            )
     detail["expected"] = args.expect
     detail["actual"] = actual
     detail["match"] = actual == args.expect
@@ -281,10 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=100000,
-        help="N: sphere points for the Monte-Carlo purity oracle, and sphere directions w "
-        "for the positivity oracle, which scans each as +w and -w (2N inputs)",
+        help="sphere points for the Monte-Carlo purity check; the positivity check is a "
+        "proof and draws no samples",
     )
-    p.add_argument("--seed", type=int, default=42, help="seed of both oracles' sphere samples")
+    p.add_argument("--seed", type=int, default=42, help="seed of the Monte-Carlo purity check's sample")
     p.add_argument("--tol", type=float, default=1e-9, help="classifier/certificate tolerance")
     p.set_defaults(func=_cmd_inspect)
 
@@ -306,10 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=100000,
-        help="N: sphere directions w for the positivity oracle, which scans each as +w and -w "
-        "(2N inputs); --expect pure/impure uses the exact certificate and no samples",
+        help="ignored: the positivity check is a proof and --expect pure/impure uses the "
+        "exact certificate, so certify draws no samples",
     )
-    p.add_argument("--seed", type=int, default=42, help="seed of the positivity oracle's sphere sample")
+    p.add_argument("--seed", type=int, default=42, help="ignored, like --samples")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("catalog", help="list built-in operators or print one")

@@ -1,4 +1,4 @@
-"""Positivity certificates, closed-form spectra, and the sampled oracle.
+"""Positivity certificates, closed-form spectra, and the positivity proof.
 
 Every numerical spectrum comes from LAPACK through numpy (eigvalsh, eigh).
 Closed forms from the coefficient picture are checked against it rather
@@ -10,19 +10,19 @@ images of sphere-preserving trace-state operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from . import channel, sampling
+from . import channel
 from .channel import DeltaCoefficients, induced_qmap
 from .errors import NotHaarFormError, NotHermitianError
 from .pauli import TOL_ALG
 from .qmap import QuadraticMapCoeffs, is_haar_form
 
 TOL_EIG = 1e-9
-# Sphere directions per oracle step.  2048 was the fastest of 1024-8192 in
-# the oracle on 100k directions: larger chunks leave the cache.
-CHUNK = 2048
+# Vertices the branch and bound may solve before it gives up as marginal.
+VERTEX_CAP = 20000
 
 
 def eigvals_hermitian4(h: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
@@ -62,9 +62,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class PositivityVerdict:
-    verdict: bool
+    """verdict None is marginal.  interval, where set, is a certified [lower, upper] around
+    min over unit w of lambda_min Delta(1 + w.sigma); min_eigenvalue_seen is the least computed."""
+
+    verdict: bool | None
     min_eigenvalue_seen: float
     witness: Witness | None = None
+    interval: tuple | None = None
 
 
 def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVerdict:
@@ -91,11 +95,7 @@ def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVe
 
 
 def _probe_directions(v: QuadraticMapCoeffs) -> np.ndarray:
-    """Deterministic probe directions: a, b, c (normalized), then e1, e2, e3.
-
-    The oracle scans each direction with both signs, so the probe sequence
-    is +-a, +-b, +-c, +-e1, +-e2, +-e3.
-    """
+    """Deterministic probe directions: a, b, c (normalized), then e1, e2, e3."""
     quadratic = []
     for vec in (v.a, v.b, v.c):
         norm = np.linalg.norm(vec)
@@ -104,122 +104,121 @@ def _probe_directions(v: QuadraticMapCoeffs) -> np.ndarray:
     return np.vstack(quadratic + [np.eye(3)])
 
 
-def _batches(d: DeltaCoefficients, samples: int, seed: int):
-    """The probe directions, then `samples` sphere points in chunks of CHUNK rows.
+def _minima(d: DeltaCoefficients, W: np.ndarray) -> np.ndarray:
+    """Rows (lambda_min Delta(1 + w.sigma), lambda_min Delta(1 - w.sigma)) for the rows w of W.
 
-    A generator, so each chunk is drawn only when the caller goes on past
-    the previous one.  The chunks come from one seeded stream, so they are
-    the rows of sphere_points(generator(seed), samples) in order.
+    One eigvalsh gives both, as Delta(1 - w.sigma) = 2*1(x)1 - Delta(1 + w.sigma).  Raises
+    ValueError on a non-finite image: no verdict can be read from it."""
+    images = channel.bloch_images(d, W)
+    if not np.isfinite(images).all():
+        raise ValueError("operator images overflow double precision; positivity cannot be decided")
+    vals = np.linalg.eigvalsh(images)
+    return np.column_stack([vals[:, 0], 2.0 - vals[:, -1]])
+
+
+def _icosahedron() -> tuple:
+    """Unit icosahedron vertices, and one face (vertex indices) of each antipodal pair."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    V = np.array([np.roll((0.0, s, t * phi), k) for k in range(3) for s in (1, -1) for t in (1, -1)])
+    edge = np.abs(np.linalg.norm(V[:, None] - V[None], axis=2) - 2.0) < 1e-9
+    faces = np.array([f for f in combinations(range(12), 3) if all(edge[i, j] for i, j in combinations(f, 2))])
+    return V / np.linalg.norm(V, axis=1, keepdims=True), faces[[tuple(c) > tuple(-c) for c in V[faces].sum(axis=1)]]
+
+
+ICOSAHEDRON, FACES = _icosahedron()
+
+
+def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
+    """Prove or refute positivity on the positive boundary inputs 1 + w.sigma.
+
+    With M = channel.basis_images(d) and g(u) = lambda_max(u.M),
+    lambda_min(Delta(1 + w.sigma)) = 1 - g(-w): Delta is positive iff g <= 1
+    on the unit sphere (interior inputs are dominated; w0 = 1 suffices).
+    Stages: (1) the probes, each scanned as +w, then -w, where
+    sphere-preserving operators fail; (2) for T = 0, b = 0,
+    g(u) = |B1 u| + |B2 u| <= |B1| + |B2|, which proves flat maxima such as
+    linear(I/2)'s that no vertex bound can; (3) _branch_and_bound.
+    verdict: True when the certified minimum is at least -TOL_EIG, False
+    with a witness (the first probe, or a vertex, below -TOL_EIG), None
+    (marginal) at VERTEX_CAP.  interval: upper is the least eigenvalue seen
+    plus allowance; on a witness lower is 1 - sqrt(sum_i |M_i|^2) - allowance.
+
+    allowance = 128 eps * scale, where scale = 1 + sum |entries of M| bounds
+    |Delta(1 + w.sigma)| for |w| <= 1 and the Lipschitz constant of g.  It
+    covers 64 eps * scale for building an image and eigvalsh (backward
+    stable: Higham, Accuracy and Stability of Numerical Algorithms, ch. 10);
+    8 eps * scale for cones the leaf triangles miss (a rounded midpoint lies
+    within 8 eps of the plane of its edge, and a neighbour keeping the edge
+    covers the gap); 32 eps * scale for the norms, centroids, <c, v_j> and
+    the division, on bounds that pass only below 2.  A positive operator
+    has |M_i| <= 1 (to TOL_EIG): there scale <= 25, allowance < 1e-12.
     """
-    yield _probe_directions(induced_qmap(d))
-    rng = sampling.generator(seed)
-    for start in range(0, samples, CHUNK):
-        yield sampling.sphere_points(rng, min(CHUNK, samples - start))
+    M = channel.basis_images(d)
+    allowance = 128.0 * float(np.finfo(float).eps) * (1.0 + float(np.abs(M).sum()))
+    W = _probe_directions(induced_qmap(d))
+    mins = _minima(d, W).ravel()  # (w, +), (w, -), ...
+    seen = float(mins.min())
+    bad = np.nonzero(mins < -TOL_EIG)[0]
+    if bad.size:
+        first = int(bad[0])
+        w = W[first // 2] if first % 2 == 0 else -W[first // 2]
+        return _refuted(M, allowance, Witness(w=w, min_eigenvalue=float(mins[first])), seen)
+    if not d.b.any() and not d.T.any():
+        bound = operator_norm3(d.B1) + operator_norm3(d.B2) + allowance
+        if 1.0 - bound >= -TOL_EIG:
+            return PositivityVerdict(True, seen, interval=(1.0 - bound, seen + allowance))
+    return _branch_and_bound(d, M, allowance, seen)
 
 
-def _clears(X: np.ndarray, t: float, floor: float) -> np.ndarray:
-    """Rows of the Hermitian stack X whose eigvalsh spectrum is certainly above t.
+# perfbench traces and patches the check by its former name (tracing.py
+# TARGETS, its tests), so the CLI calls it by that name.  ROADMAP item 6.
+check_positivity_sampled = check_positivity
 
-    A row clears when every pivot of the LDL^H factorisation of
-    X - (t + floor) I, read from the lower triangle as eigvalsh reads it,
-    exceeds floor.  With floor >= 256 eps * s, where s bounds ||X|| and |t|
-    (derived in check_positivity_sampled), every eigenvalue eigvalsh
-    computes for a cleared row is above t: a row whose eigvalsh minimum is
-    at or below t never clears.
-    A NaN pivot does not clear.  Once a row fails, its multipliers are
-    zero; while it clears, its pivots above floor bound every multiplier by
-    ||X|| / floor, so no entry overflows for ||X|| up to about 1e200.
+
+def _refuted(M: np.ndarray, allowance: float, witness: Witness, seen: float) -> PositivityVerdict:
+    """Nonpositive verdict; its lower end from g(u) <= |u.M| <= sqrt(sum_i |M_i|^2) for unit u."""
+    reach = float(np.linalg.norm(np.linalg.norm(M, 2, axis=(1, 2))))
+    return PositivityVerdict(False, seen, witness, (1.0 - reach - allowance, seen + allowance))
+
+
+def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, seen: float) -> PositivityVerdict:
+    """Stage 3 of check_positivity: bound g on spherical triangles, splitting the open ones.
+
+    g is sublinear, so u = sum_j mu_j v_j (mu_j >= 0) in the cone of a
+    triangle with vertices v_j and unit centroid c has g(u) <= sum_j mu_j
+    g(v_j) and 1 >= <c, u> >= sum_j mu_j min_j <c, v_j>: g(u) <= max(0,
+    max_j g(v_j)) / min_j <c, v_j>.  One solve per vertex v gives g(+-v),
+    so a face and its antipode share one bound, plus allowance; open faces
+    split in four at their edge midpoints.  The first vertex batch with an
+    eigenvalue below -TOL_EIG gives the witness, its most negative one.
     """
-    n = len(X)
-    A = np.ascontiguousarray(X.transpose(1, 2, 0))  # A[i, k] holds entry (i, k) of every row
-    ok = np.ones(n, dtype=bool)
-    for j in range(4):
-        d = A[j, j].real - (t + floor)
-        ok &= d > floor
-        if j == 3:
-            return ok
-        r = np.divide(1.0, d, out=np.zeros(n), where=ok)
-        for i in range(j + 1, 4):
-            l = A[i, j] * r
-            for k in range(j + 1, i + 1):
-                A[i, k] -= l * A[k, j].conj()
-
-
-def check_positivity_sampled(d: DeltaCoefficients, samples: int, seed: int) -> PositivityVerdict:
-    """Sampled positivity oracle over the positive boundary inputs 1 + w.sigma.
-
-    Scans the deterministic probes first (sphere violations of
-    sphere-preserving operators occur at the quadratic coefficient
-    directions) and, only when they all pass, `samples` seeded sphere
-    directions.  Each direction w is scanned as +w, then -w, from one
-    eigen solve: Delta(1) = 1(x)1, so Delta(1 - w.sigma) =
-    2*1(x)1 - Delta(1 + w.sigma), whose smallest eigenvalue is 2 minus the
-    largest of Delta(1 + w.sigma).  Interior inputs are dominated and not
-    scanned: lambda_min(Delta(1 + r u.sigma)) =
-    (1-r) + r*lambda_min(Delta(1 + u.sigma)) for 0 <= r <= 1.  Stops at
-    the first eigenvalue below -TOL_EIG; positivity is scale-invariant, so
-    w0 = 1 inputs suffice.  Raises ValueError when an image has a
-    non-finite entry, because no verdict can be read from it.
-
-    Screen, then solve: most directions can change neither the verdict, the
-    witness nor the minimum, so they get a sign test instead of an eigen
-    solve.  The probes and the first CHUNK sphere directions are solved
-    with eigvalsh, which seeds the running minimum m.  Every later chunk
-    goes through _clears at t = max(-TOL_EIG, m - margin) on both signs
-    (the image of -w is 2*1(x)1 - X), and only the directions that do not
-    clear are solved, in sample order.  Both minima of a cleared direction
-    are above t, so it is not a witness and lowers the minimum by less
-    than margin: verdict and witness are those of solving every direction,
-    and min_eigenvalue_seen is within margin of that exhaustive minimum,
-    byte-identical to it unless the minimum is flat to rounding (as on the
-    |B| = 1/2 linear operators, where it is 0 in every direction).
-
-    The constants, with scale = 1 + sum |entries of basis_images(d)|, which
-    bounds ||X|| for every image X since |w_i| <= 1:
-      margin = 1e-12 * scale.
-      floor = 256 eps * scale.  When every computed pivot of
-        X - (t + floor) I exceeds floor > 0, the computed factors are an
-        exact LDL^H factorisation, with positive pivots, of
-        X - (t + floor) I + E, so lambda_min(X) > t + floor - ||E||.  The
-        backward error is ||E|| <= n gamma_{n+1} ||X - (t + floor) I||
-        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10):
-        about 10 eps in real arithmetic for n = 4, a few times that in
-        complex, so below 32 eps * 2 scale, as -TOL_EIG <= t <= 1 (m <= 1,
-        since lambda_min + 2 - lambda_max <= 2).  eigvalsh is backward
-        stable; for 4x4 it misplaces no eigenvalue by more than
-        64 eps * scale.  floor covers the sum twice over, so every
-        eigenvalue eigvalsh computes for a cleared image is above t.
-    """
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
-    scale = 1.0 + float(np.abs(channel.basis_images(d)).sum())
-    margin = 1e-12 * scale
-    floor = 256.0 * np.finfo(float).eps * scale
-    min_seen = np.inf
-    for k, W in enumerate(_batches(d, samples, seed)):
-        images = channel.bloch_images(d, W)
-        if not np.isfinite(images).all():
-            raise ValueError("operator images overflow double precision; positivity cannot be decided")
-        rows = np.arange(len(W))
-        if k >= 2:  # the probes and the first sphere chunk are solved in full
-            t = max(-TOL_EIG, min_seen - margin)
-            cleared = _clears(images, t, floor) & _clears(2.0 * np.eye(4) - images, t, floor)
-            rows = rows[~cleared]
-            if not rows.size:
-                continue
-        vals = np.linalg.eigvalsh(images[rows])
-        mins = np.column_stack([vals[:, 0], 2.0 - vals[:, -1]]).ravel()  # (w, +), (w, -), ...
-        bad = np.nonzero(mins < -TOL_EIG)[0]
-        if bad.size:
-            first = int(bad[0])
-            w = W[rows[first // 2]] if first % 2 == 0 else -W[rows[first // 2]]
-            return PositivityVerdict(
-                verdict=False,
-                min_eigenvalue_seen=min(min_seen, float(mins[: first + 1].min())),
-                witness=Witness(w=w, min_eigenvalue=float(mins[first])),
-            )
-        min_seen = min(min_seen, float(mins.min()))
-    return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_seen)
+    V, F, g, fresh, settled_top = ICOSAHEDRON, FACES, np.empty((0, 2)), ICOSAHEDRON, 0.0
+    while True:
+        minima = _minima(d, fresh)
+        seen = min(seen, float(minima.min()))
+        if (minima < -TOL_EIG).any():
+            k = int(np.argmin(minima))
+            w = fresh[k // 2] if k % 2 == 0 else -fresh[k // 2]
+            return _refuted(M, allowance, Witness(w=w, min_eigenvalue=float(minima.flat[k])), seen)
+        g = np.vstack([g, 1.0 - minima])  # g(-v), g(v)
+        c = V[F].sum(axis=1)
+        cos = np.einsum("kd,kjd->kj", c / np.linalg.norm(c, axis=1, keepdims=True), V[F]).min(axis=1)
+        bound = (np.maximum(0.0, g[F].max(axis=(1, 2))) + allowance) / cos
+        settled = 1.0 - bound >= -TOL_EIG  # NaN stays open
+        settled_top = max(settled_top, float(bound[settled].max(initial=0.0)))
+        F = F[~settled]
+        if not len(F):
+            return PositivityVerdict(True, seen, interval=(1.0 - settled_top, seen + allowance))
+        edges = np.sort(F[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+        pairs, slot = np.unique(edges, axis=0, return_inverse=True)
+        if len(V) + len(pairs) > VERTEX_CAP:
+            top = max(settled_top, float(bound[~settled].max()))
+            return PositivityVerdict(None, seen, interval=(1.0 - top, seen + allowance))
+        fresh = V[pairs[:, 0]] + V[pairs[:, 1]]
+        fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
+        corners = np.column_stack([F, len(V) + slot.reshape(-1, 3)])  # p, q, r, m_pq, m_qr, m_rp
+        F = corners[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]].reshape(-1, 3)
+        V = np.vstack([V, fresh])
 
 
 def theorem_witness_eigs(v: QuadraticMapCoeffs) -> dict:
@@ -228,7 +227,7 @@ def theorem_witness_eigs(v: QuadraticMapCoeffs) -> dict:
     For a sphere-preserving trace-state map the image of 1 + a.sigma has
     eigenvalues -<c,a>-<b,a>, <c,a>+<b,a>, 2 +- sqrt((<b,a>-<c,a>)^2 + <B,a>^2),
     and analogously for b (with Gamma) and c (with A).  One of the first
-    two is always <= 0, which is what the sampled oracle rediscovers.
+    two is always <= 0, which is what the probes of check_positivity find.
     """
     if not is_haar_form(v):
         raise NotHaarFormError("witness spectra require a map without linear terms")

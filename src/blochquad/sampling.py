@@ -1,4 +1,4 @@
-"""Seeded samplers for the unit sphere and ball.
+"""Seeded sampler for the unit sphere.
 
 Streams come from a counter-based generator keyed by the seed, so results
 for a given (seed, count) are reproducible and independent of how callers
@@ -22,9 +22,3 @@ def sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
     norms[norms < 1e-12] = 1.0
     return g / norms[:, None]
 
-
-def ball_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform in the closed unit ball (cube-root radial law)."""
-    directions = sphere_points(rng, n)
-    radii = rng.uniform(0.0, 1.0, size=n) ** (1.0 / 3.0)
-    return directions * radii[:, None]

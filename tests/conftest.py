@@ -51,15 +51,22 @@ def rotation_matrix(axis, angle):
 
 
 def conjugate_qmap(v, R):
-    """Coefficients of f -> R^T V(R f) for a map without linear terms.
+    """Coefficients of f -> R^T V(R f) for a map without linear terms."""
+    R = np.asarray(R, dtype=float)
+    return rotate_qmap(v, R.T, R)
+
+
+def rotate_qmap(v, R1, R2):
+    """Coefficients of f -> R1 V(R2 f) for a map without linear terms.
 
     Coefficient vectors are extracted from evaluations at basis points,
     which pins a homogeneous quadratic uniquely.
     """
-    R = np.asarray(R, dtype=float)
+    R1 = np.asarray(R1, dtype=float)
+    R2 = np.asarray(R2, dtype=float)
 
     def image(f):
-        return R.T @ evaluate(v, R @ np.asarray(f, dtype=float))
+        return R1 @ evaluate(v, R2 @ np.asarray(f, dtype=float))
 
     e1, e2, e3 = np.eye(3)
     a, b, c = image(e1), image(e2), image(e3)

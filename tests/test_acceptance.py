@@ -6,8 +6,11 @@ tolerance is pinned here, nothing is deferred to later calibration.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochquad import (
     PauliElement,
@@ -16,7 +19,7 @@ from blochquad import (
     check_haar_conditions,
     check_linear_isometry,
     check_linear_positivity,
-    check_positivity_sampled,
+    check_positivity,
     check_sphere_conditions,
     delta0,
     delta1,
@@ -31,11 +34,14 @@ from blochquad import (
     monte_carlo_sphere,
     operator_norm3,
     simple_form_eigs,
+    theorem_witness_eigs,
     verify_collapse,
 )
+from blochquad import positivity
 from blochquad.channel import DeltaCoefficients
+from blochquad.positivity import _probe_directions
 from blochquad.sampling import generator, sphere_points
-from conftest import rotation_matrix
+from conftest import delta_from_qmap, rotate_qmap, rotation_matrix
 from test_positivity import simple_form_matrix
 from test_purity import scaled
 
@@ -61,16 +67,44 @@ def test_criterion_1_benchmark_q_purity():
 
 
 def test_criterion_2_impossibility_at_probes():
-    d0 = check_positivity_sampled(delta0(), samples=0, seed=0)
-    d1 = check_positivity_sampled(delta1((0, 0, 1)), samples=0, seed=0)
+    d0 = check_positivity(delta0())
+    d1 = check_positivity(delta1((0, 0, 1)))
     witness_gap = abs(d0.witness.min_eigenvalue - (-2.0)) if d0.witness else math.inf
-    ok = (not d0.verdict) and (not d1.verdict) and witness_gap <= 1e-9
+    ok = d0.verdict is False and d1.verdict is False and witness_gap <= 1e-9
     _record(
         2,
         ok,
-        "probe-only verdicts "
+        "proof verdicts "
         f"{d0.verdict}/{d1.verdict}, witness eigenvalue gap {witness_gap:.2e}",
     )
+
+
+rotations = st.builds(
+    rotation_matrix,
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda axis: np.linalg.norm(axis) > 0.1),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["delta0", "delta1"]), rotations, rotations)
+def test_criterion_2_rotated_theorem_operators_fail_at_a_probe(name, R1, R2):
+    # f -> R1 V(R2 f) is q-pure with a Haar state, like V itself: the proof
+    # must refute positivity at a quadratic probe, with the closed-form
+    # probe spectrum of theorem_witness_eigs.
+    base = induced_qmap(delta0() if name == "delta0" else delta1((0, 0, 1)))
+    v = rotate_qmap(base, R1, R2)
+    result = check_positivity(delta_from_qmap(v))
+    assert result.verdict is False
+    w = result.witness.w
+    probes = _probe_directions(v)[:3]
+    hits = [(k, sign) for k in range(3) for sign in (1.0, -1.0) if np.array_equal(w, sign * probes[k])]
+    assert hits, f"witness {w} is not a quadratic probe"
+    k, sign = hits[0]
+    spectrum = theorem_witness_eigs(v)["abc"[k]]
+    expected = spectrum.min() if sign > 0 else (2.0 - spectrum).min()
+    gap = abs(result.witness.min_eigenvalue - expected)
+    _record(2, gap <= 1e-9, f"{name} rotated: probe {'+-'[sign < 0]}{'abc'[k]}, witness gap {gap:.2e}")
 
 
 def test_criterion_3_linear_dichotomy():
@@ -80,8 +114,8 @@ def test_criterion_3_linear_dichotomy():
         raw = rng.standard_normal((3, 3))
         B = raw * (rng.uniform(0.0, 1.0) / operator_norm3(raw))
         criterion = check_linear_positivity(B).verdict
-        oracle = check_positivity_sampled(linear_family(B), samples=1000, seed=7).verdict
-        disagreements += int(criterion != oracle)
+        proof = check_positivity(linear_family(B)).verdict
+        disagreements += int(criterion is not proof)
 
     axis = rng.standard_normal(3)
     half_rotation = rotation_matrix(axis, rng.uniform(0.0, 2.0 * math.pi)) / 2.0
@@ -94,6 +128,19 @@ def test_criterion_3_linear_dichotomy():
         f"{disagreements} disagreements over 100 random blocks; "
         f"half-rotation isometry {isometry_ok}, positivity {positive_ok}",
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotations)
+def test_criterion_3_half_rotations_are_positive_by_the_closed_form(R):
+    # A half-rotation is q-pure and linear, so positive: the closed form must
+    # prove it, with the minimum 0 inside the certified interval.
+    B = R / 2.0
+    with mock.patch.object(positivity, "_branch_and_bound", side_effect=AssertionError("branch and bound ran")):
+        result = check_positivity(linear_family(B))
+    lower, upper = result.interval
+    ok = check_linear_isometry(B).verdict and result.verdict is True and lower <= 0.0 <= upper
+    _record(3, ok, f"half-rotation: verdict {result.verdict}, interval [{lower:.2e}, {upper:.2e}]")
 
 
 def test_criterion_4_closed_form_eigenvalues():

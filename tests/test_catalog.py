@@ -5,7 +5,7 @@ from blochquad import (
     check_haar_conditions,
     check_linear_isometry,
     check_linear_positivity,
-    check_positivity_sampled,
+    check_positivity,
     check_sphere_conditions,
     delta0,
     delta1,
@@ -71,7 +71,7 @@ def test_linear_family_cases():
     assert not check_linear_positivity(bad).verdict
 
     zero = linear_family(np.zeros((3, 3)))
-    assert check_positivity_sampled(zero, samples=200, seed=1).verdict
+    assert check_positivity(zero).verdict is True
     assert not check_sphere_conditions(induced_qmap(zero)).verdict
 
 
@@ -87,7 +87,7 @@ def test_sphere_preserving_entries_are_not_positive():
     for name in ("delta0", "delta1"):
         entry = catalog.get(name)
         assert check_haar_conditions(induced_qmap(entry.delta)).verdict
-        assert not check_positivity_sampled(entry.delta, samples=0, seed=0).verdict
+        assert check_positivity(entry.delta).verdict is False
 
 
 def test_catalog_get_unknown():

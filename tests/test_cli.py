@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blochquad import catalog, check_positivity_sampled, monte_carlo_sphere, induced_qmap
+from blochquad import catalog, check_positivity, monte_carlo_sphere, induced_qmap
 from blochquad.cli import ConfigError, config_dict, dumps_report, main, parse_config
 
 
@@ -155,8 +155,8 @@ def test_inspect_matches_library_verdicts(tmp_path, capsys):
     d = catalog.get("delta0").delta
     dev, _ = monte_carlo_sphere(induced_qmap(d), samples=2000, seed=7)
     assert report["q_purity"]["monte_carlo"]["max_deviation"] == dev
-    pos = check_positivity_sampled(d, samples=2000, seed=7)
-    assert report["positivity"]["min_eigenvalue"] == pos.min_eigenvalue_seen
+    pos = check_positivity(d)
+    assert report["positivity"]["min_eigenvalue"] == list(pos.interval)
 
 
 def test_inspect_is_deterministic(tmp_path, capsys):
@@ -227,6 +227,27 @@ def test_certify_expectations(tmp_path, capsys):
     assert run_cli(capsys, "certify", str(linear), "--expect", "positive", "--samples", "500")[0] == 0
     assert run_cli(capsys, "certify", str(linear), "--expect", "pure", "--samples", "100")[0] == 0
     assert run_cli(capsys, "certify", str(linear), "--expect", "impure", "--samples", "100")[0] == 2
+
+
+def test_marginal_positivity_in_reports(tmp_path, capsys):
+    # g(u) = 0.6 |(u1, u2)| + 0.8 |u3| reaches 1 on a whole circle: the proof
+    # runs out of vertices.  inspect reports a null verdict and the interval;
+    # certify exits 2 whatever it expected and says why on stderr.
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"B1": np.diag([0.6, 0.6, 0.0]).tolist(), "B2": np.diag([0.0, 0.0, 0.8]).tolist()}))
+    code, out, _ = run_cli(capsys, "inspect", str(path), "--samples", "100")
+    assert code == 0
+    positivity = json.loads(out)["positivity"]
+    assert positivity["verdict"] is None and "witness" not in positivity
+    lower, upper = positivity["min_eigenvalue"]
+    assert lower <= 0.0 <= upper
+    for expect in ("positive", "nonpositive"):
+        code, out, err = run_cli(capsys, "certify", str(path), "--expect", expect)
+        assert code == 2
+        detail = json.loads(out)
+        assert detail["actual"] == "marginal" and detail["verdict"] is None
+        assert detail["min_eigenvalue"] == [lower, upper]
+        assert "vertex cap" in err
 
 
 def test_catalog_listing_and_unknown(capsys):

@@ -8,13 +8,11 @@ from blochquad import (
     NotHaarFormError,
     NotHermitianError,
     PauliElement,
-    PositivityVerdict,
-    Witness,
     apply,
     channel,
     check_haar_conditions,
     check_linear_positivity,
-    check_positivity_sampled,
+    check_positivity,
     delta0,
     delta1,
     eigvals_hermitian4,
@@ -24,13 +22,14 @@ from blochquad import (
     simple_form_eigs,
     theorem_witness_eigs,
 )
-from blochquad import sampling
+from blochquad import positivity, sampling
 from blochquad.pauli import ID2, SIGMAS
 from blochquad.channel import basis_images
-from blochquad.positivity import CHUNK, TOL_EIG, _clears, _probe_directions
+from blochquad.positivity import TOL_EIG, VERTEX_CAP, _probe_directions
 from blochquad.qmap import COEFFICIENT_LIMIT
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, delta_from_qmap, random_delta, rotation_matrix
+from sampled_oracle import CHUNK, _clears, check_positivity_exhaustive, check_positivity_sampled
 
 
 def simple_form_matrix(w0, w, r):
@@ -164,8 +163,8 @@ def test_sphere_preserving_trace_state_operators_are_not_positive():
     for v in rotated_benchmarks():
         assert check_haar_conditions(v).verdict
         d = delta_from_qmap(v)
-        result = check_positivity_sampled(d, samples=0, seed=0)
-        assert not result.verdict
+        result = check_positivity(d)
+        assert result.verdict is False
 
 
 def test_theorem_witness_eigs_examples():
@@ -195,32 +194,6 @@ def test_theorem_witness_requires_haar_form():
     v = induced_qmap(linear_family(np.eye(3) / 2))
     with pytest.raises(NotHaarFormError):
         theorem_witness_eigs(v)
-
-
-def check_positivity_exhaustive(d, samples, seed):
-    """Reference oracle: one eigvalsh over the probes, then one over every sphere point.
-
-    The screened oracle must reach the same verdict and witness, and a
-    minimum within 1e-12 * scale of this one.
-    """
-    batches = [_probe_directions(induced_qmap(d))]
-    if samples > 0:
-        batches.append(sphere_points(generator(seed), samples))
-    min_seen = np.inf
-    for W in batches:
-        vals = np.linalg.eigvalsh(channel.bloch_images(d, W))
-        mins = np.column_stack([vals[:, 0], 2.0 - vals[:, -1]]).ravel()  # (w, +), (w, -), ...
-        bad = np.nonzero(mins < -TOL_EIG)[0]
-        if bad.size:
-            first = int(bad[0])
-            w = W[first // 2] if first % 2 == 0 else -W[first // 2]
-            return PositivityVerdict(
-                verdict=False,
-                min_eigenvalue_seen=min(min_seen, float(mins[: first + 1].min())),
-                witness=Witness(w=w, min_eigenvalue=float(mins[first])),
-            )
-        min_seen = min(min_seen, float(mins.min()))
-    return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_seen)
 
 
 def oracle_scale(d):
@@ -442,3 +415,132 @@ def test_sampled_oracle_refuses_overflowing_images(monkeypatch):
     monkeypatch.setattr(channel, "bloch_images", overflowing_images)
     with pytest.raises(ValueError, match="overflow"):
         check_positivity_sampled(delta0(), samples=0, seed=0)
+    with pytest.raises(ValueError, match="overflow"):
+        check_positivity(delta0())
+
+
+# ------------------------------------------------------------------ the proof
+
+
+def refuse_branch_and_bound(*args):
+    raise AssertionError("branch and bound ran")
+
+
+def count_solves(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return solved
+
+
+def test_proof_on_the_catalog_operators(monkeypatch):
+    # delta0 and delta1 fail at the probes, with the sampled oracle's witnesses;
+    # linear(I/2), whose minimum 0 is attained on the whole sphere, is proved
+    # by the closed form.
+    for d, w in ((delta0(), [0.0, 1.0, 0.0]), (delta1((0, 0, 1)), [0.0, 0.0, 1.0])):
+        result = check_positivity(d)
+        reference = check_positivity_sampled(d, samples=0, seed=0)
+        assert result.verdict is False
+        assert np.array_equal(result.witness.w, w) and np.array_equal(result.witness.w, reference.witness.w)
+        assert result.witness.min_eigenvalue == reference.witness.min_eigenvalue == pytest.approx(-2.0, abs=1e-12)
+        lower, upper = result.interval
+        assert lower <= result.witness.min_eigenvalue <= upper
+    monkeypatch.setattr(positivity, "_branch_and_bound", refuse_branch_and_bound)
+    result = check_positivity(linear_family(np.eye(3) / 2))
+    assert result.verdict is True and result.witness is None
+    lower, upper = result.interval
+    assert lower <= 0.0 <= upper
+    assert upper - lower < 1e-11
+
+
+def sphere_max_g(d, samples=20000):
+    """Largest g(u) = lambda_max(u.M) over +-samples seeded sphere directions."""
+    vals = np.linalg.eigvalsh(np.tensordot(sphere_points(generator(1), samples), basis_images(d), axes=1))
+    return max(float(vals[:, -1].max()), float(-vals[:, 0].min()))
+
+
+def linear_operator(s1, s2, top):
+    """T = 0, b = 0 with B1 = R1 diag(s1) Q^T and B2 = R2 diag(s2) Q^T, Q's first column +-top."""
+    q, _ = np.linalg.qr(np.column_stack([top, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    B1 = rotation_matrix((1, 2, 3), 0.7) @ np.diag(s1) @ q.T
+    B2 = rotation_matrix((3, 1, 2), 0.4) @ np.diag(s2) @ q.T
+    return DeltaCoefficients.trace_preserving(B1=B1, B2=B2)
+
+
+def boundary_operators():
+    """(operator, ratio): random operators with and without b, at ratio times the positivity boundary.
+
+    g scales with the coefficients, so d / sphere_max_g(d) sits on the
+    boundary (to the sampling's resolution).
+    """
+    rng = np.random.default_rng(606)
+    ops = []
+    for trace_preserving in (True, False):
+        for ratio in (0.3, 0.9, 0.99, 1.01, 1.1, 5.0):
+            d = random_delta(rng, trace_preserving=trace_preserving)
+            ops.append((rescaled(d, ratio / sphere_max_g(d)), ratio))
+    # T = 0, b = 0, where g(u) = |B1 u| + |B2 u|: proved by |B1| + |B2| <= 1,
+    # or refuted off every axis by the branch and bound.
+    top = np.array([2.0, -1.0, 2.0]) / 3.0
+    ops.append((linear_operator([0.45, 0.2, 0.1], [0.4, 0.3, 0.2], top), 0.85))
+    ops.append((linear_operator([0.6, 0.2, 0.1], [0.6, 0.2, 0.1], top), 1.2))
+    ops.append((linear_operator([0.3, 0.2, 0.1], [0.75, 0.3, 0.2], top), 1.05))
+    ops.append((narrow_cap_operator(0.5 / (1.0 - 2e-4), sphere_points(generator(5), 1)[0]), 1.0 / (1.0 - 2e-4)))
+    return ops
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e100, 1e150])
+def test_proof_agrees_with_the_exhaustive_oracle(s):
+    # Scale s multiplies every coefficient, capped at the admission bound.
+    for i, (d, ratio) in enumerate(boundary_operators()):
+        top = max(float(np.abs(block).max()) for block in (d.b, d.B1, d.B2, d.T))
+        d = rescaled(d, min(s, COEFFICIENT_LIMIT / top))
+        proof = check_positivity(d)
+        reference = check_positivity_exhaustive(d, 20000, seed=i)
+        lower, upper = proof.interval
+        assert lower <= upper
+        if reference.witness is not None:
+            assert proof.verdict is not True
+        if proof.verdict is True:
+            assert lower <= reference.min_eigenvalue_seen
+        if proof.witness is not None:
+            assert proof.verdict is False
+            redone = eigvals_hermitian4(apply(d, PauliElement(1.0, proof.witness.w)))[0]
+            assert redone < -TOL_EIG
+            assert lower <= proof.min_eigenvalue_seen <= min(upper, proof.witness.min_eigenvalue)
+        if s == 1.0:
+            assert proof.verdict is (ratio < 1.0)
+
+
+def test_branch_and_bound_spends_few_solves(monkeypatch):
+    # Trace-state operators at half to nine tenths of Weyl's bound
+    # sum_i |Delta(sigma_i)| <= 1, as the benchmark draws them.
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        d = DeltaCoefficients.trace_preserving(T=rng.normal(size=(3, 3, 3)))
+        norms = sum(np.abs(np.linalg.eigvalsh(m)).max() for m in basis_images(d))
+        d = rescaled(d, rng.uniform(0.45, 0.9) / norms)
+        solved = count_solves(monkeypatch)
+        assert check_positivity(d).verdict is True
+        monkeypatch.undo()
+        assert sum(solved) <= 200
+
+
+def test_flat_maximum_is_marginal(monkeypatch):
+    # g(u) = 0.6 |(u1, u2)| + 0.8 |u3| is 1 on a whole circle: no vertex bound
+    # closes the gap there, and |B1| + |B2| = 1.4 fails the closed form.
+    d = DeltaCoefficients.trace_preserving(B1=np.diag([0.6, 0.6, 0.0]), B2=np.diag([0.0, 0.0, 0.8]))
+    solved = count_solves(monkeypatch)
+    result = check_positivity(d)
+    monkeypatch.undo()
+    assert result.verdict is None and result.witness is None
+    lower, upper = result.interval
+    assert lower <= 0.0 <= upper
+    assert sum(solved) <= VERTEX_CAP + len(_probe_directions(induced_qmap(d)))
+    # Just inside, the same operator is proved.
+    assert check_positivity(rescaled(d, 1.0 - 1e-4)).verdict is True

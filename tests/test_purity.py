@@ -14,7 +14,7 @@ from blochquad import (
     linear_family,
     monte_carlo_sphere,
 )
-from blochquad.sampling import ball_points, generator
+from blochquad.sampling import generator, sphere_points
 from conftest import rotation_matrix
 
 
@@ -129,8 +129,9 @@ def test_isometry_implies_sphere_oracle_passes():
 
 
 def test_certified_maps_preserve_ball():
+    # 10000 points uniform in the ball: sphere directions at cube-root radii
     rng = generator(11)
-    points = ball_points(rng, 10000)
+    points = sphere_points(rng, 10000) * rng.uniform(0.0, 1.0, size=(10000, 1)) ** (1.0 / 3.0)
     for v in [v0(), v1()] + isometric_linear_maps():
         assert check_sphere_conditions(v).verdict
         norms = np.linalg.norm(evaluate(v, points), axis=1)
