@@ -2,8 +2,9 @@
 
 Represents unital maps from 2x2 matrices into their tensor square by real
 coefficient blocks, certifies whether the induced quadratic Bloch map
-preserves the unit sphere (with independent Monte-Carlo arbitration),
-certifies positivity (closed forms plus a sampled eigenvalue oracle with
+preserves the unit sphere (an exact residual certificate, and a certified
+interval around the largest sphere deviation), proves or refutes
+positivity (closed forms and a branch and bound on the sphere, with
 negativity witnesses), and simulates the induced nonlinear dynamics.
 """
 
@@ -63,6 +64,7 @@ from .purity import (
     check_linear_isometry,
     check_sphere_conditions,
     monte_carlo_sphere,
+    sphere_deviation,
 )
 from .qmap import (
     QuadraticMapCoeffs,
@@ -121,6 +123,7 @@ __all__ = [
     "operator_norm3",
     "recompose",
     "simple_form_eigs",
+    "sphere_deviation",
     "split",
     "state_eval",
     "swap_conjugate",

@@ -86,8 +86,8 @@ def apply(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
 def bloch_images(d: DeltaCoefficients, W) -> np.ndarray:
     """Stack of matrices Delta(1 + w.sigma) for the rows w of W.
 
-    These are the images of the positive boundary elements probed by the
-    sampled positivity oracle.
+    These are the images of the positive boundary elements on which
+    positivity.check_positivity decides.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     return np.eye(4) + np.tensordot(W, basis_images(d), axes=1)

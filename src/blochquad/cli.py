@@ -8,10 +8,10 @@ Subcommands:
     conjugacy  residual of the circle-to-logistic conjugacy identity
 
 Operator configs are JSON objects {"b": [3], "B1": [3x3], "B2": [3x3],
-"T": [3x3x3]} with any field omissible (zeros).  All randomness enters
-through an explicit --seed flag; reports are byte-identical for identical
-inputs and seed.  Numbers are printed with 17 significant digits so they
-round-trip exactly.
+"T": [3x3x3]} with any field omissible (zeros).  Every verdict is a proof
+and nothing is sampled, so reports are byte-identical for identical
+inputs.  Numbers are printed with 17 significant digits so they round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -142,10 +142,9 @@ def dumps_report(obj) -> str:
 # ------------------------------------------------------------------ commands
 
 
-def inspection_report(d: DeltaCoefficients, samples: int, seed: int, tol: float) -> dict:
+def inspection_report(d: DeltaCoefficients, tol: float) -> dict:
     v = induced_qmap(d)
     certificate = purity.check_sphere_conditions(v, tol=tol)
-    max_deviation, _ = purity.monte_carlo_sphere(v, samples=samples, seed=seed)
     pos = positivity.check_positivity_sampled(d)  # check_positivity, by the name perfbench traces
     report = {
         "trace_preserving": is_trace_preserving(d, tol=tol),
@@ -158,11 +157,7 @@ def inspection_report(d: DeltaCoefficients, samples: int, seed: int, tol: float)
                 "worst_condition": certificate.worst_condition,
                 "residuals": dict(certificate.residuals),
             },
-            "monte_carlo": {
-                "max_deviation": max_deviation,
-                "samples": samples,
-                "seed": seed,
-            },
+            "sphere_deviation": purity.sphere_deviation(v),
         },
         "positivity": {
             "verdict": pos.verdict,
@@ -179,7 +174,7 @@ def inspection_report(d: DeltaCoefficients, samples: int, seed: int, tol: float)
 
 def _cmd_inspect(args) -> int:
     d = load_config(args.path)
-    report = inspection_report(d, samples=args.samples, seed=args.seed, tol=args.tol)
+    report = inspection_report(d, tol=args.tol)
     sys.stdout.write(dumps_report(report))
     return 0
 
@@ -280,17 +275,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify, certify and simulate quadratic qubit channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("inspect", help="full classification report as JSON")
-    p.add_argument("path", help="operator config JSON file")
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=100000,
-        help="sphere points for the Monte-Carlo purity check; the positivity check is a "
-        "proof and draws no samples",
+    # inspect and certify once ran sampled checks; they still accept the
+    # sampling flags, and ignore them, so existing command lines keep working.
+    ignored = argparse.ArgumentParser(add_help=False)
+    ignored.add_argument(
+        "--samples", type=int, help="ignored, kept for existing command lines: every check is a proof"
     )
-    p.add_argument("--seed", type=int, default=42, help="seed of the Monte-Carlo purity check's sample")
+    ignored.add_argument("--seed", type=int, help="ignored, like --samples")
+
+    p = sub.add_parser("inspect", parents=[ignored], help="full classification report as JSON")
+    p.add_argument("path", help="operator config JSON file")
     p.add_argument("--tol", type=float, default=1e-9, help="classifier/certificate tolerance")
     p.set_defaults(func=_cmd_inspect)
 
@@ -301,21 +295,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="trajectory CSV file (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("certify", help="assert an expected verdict via exit code")
+    p = sub.add_parser("certify", parents=[ignored], help="assert an expected verdict via exit code")
     p.add_argument("path", help="operator config JSON file")
     p.add_argument(
         "--expect",
         required=True,
         choices=("pure", "impure", "positive", "nonpositive"),
     )
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=100000,
-        help="ignored: the positivity check is a proof and --expect pure/impure uses the "
-        "exact certificate, so certify draws no samples",
-    )
-    p.add_argument("--seed", type=int, default=42, help="ignored, like --samples")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("catalog", help="list built-in operators or print one")

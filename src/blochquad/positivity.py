@@ -74,6 +74,7 @@ class PositivityVerdict:
 def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVerdict:
     """Positivity of the purely linear operator with common block B: |B| <= 1/2.
 
+    Accepts when 1 - 2|B| >= -tol, the acceptance line of check_positivity.
     When the criterion fails, the top right-singular direction w of B is a
     witness: the image of 1 + w.sigma has smallest eigenvalue 1 - 2|Bw| < 0.
     """
@@ -81,7 +82,7 @@ def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVe
     vals, vecs = np.linalg.eigh(B.T @ B)
     norm = float(np.sqrt(max(vals[-1], 0.0)))
     min_eig = 1.0 - 2.0 * norm
-    if norm <= 0.5 + tol:
+    if min_eig >= -tol:
         return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_eig)
     w = vecs[:, -1]
     nonzero = np.nonzero(np.abs(w) > 1e-12)[0]

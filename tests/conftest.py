@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from blochquad import DeltaCoefficients, QuadraticMapCoeffs, evaluate
 
@@ -48,6 +51,30 @@ def rotation_matrix(axis, angle):
         ]
     )
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+rotations = st.builds(
+    rotation_matrix,
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda axis: np.linalg.norm(axis) > 0.1),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+def admission_bound_config(pattern):
+    """Operator config with every entry at +-1e150, the largest admitted magnitude.
+
+    pattern "plus" or "minus" gives every entry that sign, "random" seeded signs.
+    """
+    shapes = {"b": (3,), "B1": (3, 3), "B2": (3, 3), "T": (3, 3, 3)}
+    rng = np.random.default_rng(7)
+    config = {}
+    for name, shape in shapes.items():
+        if pattern == "random":
+            signs = rng.choice([-1.0, 1.0], size=shape)
+        else:
+            signs = np.full(shape, 1.0 if pattern == "plus" else -1.0)
+        config[name] = (1e150 * signs).tolist()
+    return config
 
 
 def conjugate_qmap(v, R):

@@ -34,14 +34,16 @@ from blochquad import (
     monte_carlo_sphere,
     operator_norm3,
     simple_form_eigs,
+    sphere_deviation,
     theorem_witness_eigs,
     verify_collapse,
 )
 from blochquad import positivity
 from blochquad.channel import DeltaCoefficients
 from blochquad.positivity import _probe_directions
+from blochquad.purity import MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION
 from blochquad.sampling import generator, sphere_points
-from conftest import delta_from_qmap, rotate_qmap, rotation_matrix
+from conftest import delta_from_qmap, rotate_qmap, rotation_matrix, rotations
 from test_positivity import simple_form_matrix
 from test_purity import scaled
 
@@ -58,7 +60,7 @@ def test_criterion_1_benchmark_q_purity():
     max_residual = report.max_residual
     deviation, _ = monte_carlo_sphere(v, samples=100000, seed=42)
     elapsed = time.time() - start
-    ok = max_residual <= 1e-12 and deviation <= 1e-9 and elapsed < 1.0
+    ok = max_residual <= 1e-12 and deviation <= MC_PASS_DEVIATION and elapsed < 1.0
     _record(
         1,
         ok,
@@ -77,13 +79,6 @@ def test_criterion_2_impossibility_at_probes():
         "proof verdicts "
         f"{d0.verdict}/{d1.verdict}, witness eigenvalue gap {witness_gap:.2e}",
     )
-
-
-rotations = st.builds(
-    rotation_matrix,
-    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda axis: np.linalg.norm(axis) > 0.1),
-    st.floats(0.0, 2.0 * math.pi),
-)
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,10 +104,14 @@ def test_criterion_2_rotated_theorem_operators_fail_at_a_probe(name, R1, R2):
 
 def test_criterion_3_linear_dichotomy():
     rng = generator(20240811)
-    disagreements = 0
+    blocks = []
     for _ in range(100):
         raw = rng.standard_normal((3, 3))
-        B = raw * (rng.uniform(0.0, 1.0) / operator_norm3(raw))
+        blocks.append(raw * (rng.uniform(0.0, 1.0) / operator_norm3(raw)))
+    # 1 - 2|B| = -1.4e-9, between the proof's acceptance line -TOL_EIG and -2 TOL_EIG
+    blocks.append((0.5 + 7e-10) * np.eye(3))
+    disagreements = 0
+    for B in blocks:
         criterion = check_linear_positivity(B).verdict
         proof = check_positivity(linear_family(B)).verdict
         disagreements += int(criterion is not proof)
@@ -125,7 +124,7 @@ def test_criterion_3_linear_dichotomy():
     _record(
         3,
         ok,
-        f"{disagreements} disagreements over 100 random blocks; "
+        f"{disagreements} disagreements over 100 random blocks and one at |B| = 0.5 + 7e-10; "
         f"half-rotation isometry {isometry_ok}, positivity {positive_ok}",
     )
 
@@ -197,6 +196,8 @@ def test_criterion_7_trivial_dynamics():
 
 
 def test_criterion_8_certificate_oracle_equivalence():
+    # The certificate, the certified sphere-deviation interval and the
+    # Monte-Carlo oracle must agree on every map.
     passing = [induced_qmap(delta0()), induced_qmap(delta1((0, 0, 1)))]
     for axis, angle in (((0, 0, 1), 0.9), ((1, 1, 0), 2.2), ((1, -2, 3), 0.4)):
         passing.append(induced_qmap(linear_family(rotation_matrix(axis, angle) / 2.0)))
@@ -204,7 +205,8 @@ def test_criterion_8_certificate_oracle_equivalence():
     for v in passing:
         cert = check_sphere_conditions(v).verdict
         dev, _ = monte_carlo_sphere(v, samples=100000, seed=42)
-        crossed += int(not (cert and dev <= 1e-9))
+        _, upper = sphere_deviation(v)
+        crossed += int(not (cert and dev <= MC_PASS_DEVIATION and upper <= MC_PASS_DEVIATION))
 
     rng = generator(88)
     fields = ("a", "b", "c", "A", "Gamma")
@@ -214,7 +216,9 @@ def test_criterion_8_certificate_oracle_equivalence():
         candidate = scaled(v0, field, float(rng.uniform(1.05, 1.5)))
         report = check_sphere_conditions(candidate)
         dev, _ = monte_carlo_sphere(candidate, samples=100000, seed=k)
-        crossed += int(not ((not report.verdict) and report.max_residual > 1e-3 and dev > 1e-3))
+        lower, _ = sphere_deviation(candidate)
+        refuted = report.max_residual > MC_VIOLATION_DEVIATION and lower > MC_VIOLATION_DEVIATION
+        crossed += int(not ((not report.verdict) and refuted and dev > MC_VIOLATION_DEVIATION))
     ok = crossed == 0
     _record(8, ok, f"{crossed} crossed verdicts over 5 passing + 50 perturbed maps")
 

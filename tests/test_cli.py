@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from blochquad import catalog, check_positivity, monte_carlo_sphere, induced_qmap
+from blochquad import catalog, check_positivity, induced_qmap, sampling, sphere_deviation
 from blochquad.cli import ConfigError, config_dict, dumps_report, main, parse_config
+from blochquad.purity import MC_PASS_DEVIATION
+from conftest import admission_bound_config
 
 
 def run_cli(capsys, *argv):
@@ -60,7 +62,8 @@ def test_inspect_delta0(tmp_path, capsys):
     assert report["symmetric"] is True
     assert report["haar_trace"] is True
     assert report["q_purity"]["certificate"]["verdict"] is True
-    assert report["q_purity"]["monte_carlo"]["max_deviation"] <= 1e-9
+    lower, upper = report["q_purity"]["sphere_deviation"]
+    assert lower == 0.0 and upper <= MC_PASS_DEVIATION
     assert report["positivity"]["verdict"] is False
     assert report["positivity"]["witness"]["min_eigenvalue"] == pytest.approx(-2.0)
 
@@ -121,17 +124,8 @@ def test_inspect_refuses_non_finite_report_fields(tmp_path, capsys):
 @pytest.mark.parametrize("pattern", ["plus", "minus", "random"])
 def test_inspect_and_certify_at_the_admission_bound(tmp_path, capsys, pattern):
     # every entry at +-1e150: each check runs to a verdict without a RuntimeWarning
-    shapes = {"b": (3,), "B1": (3, 3), "B2": (3, 3), "T": (3, 3, 3)}
-    rng = np.random.default_rng(7)
-    config = {}
-    for name, shape in shapes.items():
-        if pattern == "random":
-            signs = rng.choice([-1.0, 1.0], size=shape)
-        else:
-            signs = np.full(shape, 1.0 if pattern == "plus" else -1.0)
-        config[name] = (1e150 * signs).tolist()
     path = tmp_path / "bound.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(admission_bound_config(pattern)))
     runs = [("inspect",)] + [("certify", "--expect", e) for e in ("pure", "positive")]
     for command in runs:
         code, out, _ = run_cli(capsys, command[0], str(path), *command[1:], "--samples", "200")
@@ -150,20 +144,35 @@ def test_dumps_report_names_non_finite_field():
 def test_inspect_matches_library_verdicts(tmp_path, capsys):
     # round-trip: exported config reproduces the in-memory verdicts
     path = write_catalog_config(tmp_path, capsys, "delta0")
-    code, out, _ = run_cli(capsys, "inspect", str(path), "--samples", "2000", "--seed", "7")
+    code, out, _ = run_cli(capsys, "inspect", str(path))
     report = json.loads(out)
     d = catalog.get("delta0").delta
-    dev, _ = monte_carlo_sphere(induced_qmap(d), samples=2000, seed=7)
-    assert report["q_purity"]["monte_carlo"]["max_deviation"] == dev
+    assert report["q_purity"]["sphere_deviation"] == list(sphere_deviation(induced_qmap(d)))
     pos = check_positivity(d)
     assert report["positivity"]["min_eigenvalue"] == list(pos.interval)
 
 
 def test_inspect_is_deterministic(tmp_path, capsys):
+    # --samples and --seed are accepted and ignored: the report depends on the config alone
     path = write_catalog_config(tmp_path, capsys, "delta0")
-    _, first, _ = run_cli(capsys, "inspect", str(path), "--samples", "500")
-    _, second, _ = run_cli(capsys, "inspect", str(path), "--samples", "500")
-    assert first == second
+    _, first, _ = run_cli(capsys, "inspect", str(path), "--seed", "1")
+    _, second, _ = run_cli(capsys, "inspect", str(path), "--seed", "2", "--samples", "5")
+    _, plain, _ = run_cli(capsys, "inspect", str(path))
+    assert first == second == plain
+
+
+def test_commands_draw_no_random_numbers(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random number generator was built")
+
+    monkeypatch.setattr(sampling, "generator", refuse)
+    for entry in catalog.entries():
+        path = write_catalog_config(tmp_path, capsys, entry.name)
+        code, out, _ = run_cli(capsys, "inspect", str(path), "--samples", "100", "--seed", "3")
+        assert code == 0
+        json.loads(out)
+        for expect in ("pure", "positive"):
+            assert run_cli(capsys, "certify", str(path), "--expect", expect, "--seed", "3")[0] in (0, 2)
 
 
 def test_simulate_target_map(tmp_path, capsys):

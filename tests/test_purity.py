@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochquad import (
     NotHaarFormError,
@@ -13,9 +15,14 @@ from blochquad import (
     induced_qmap,
     linear_family,
     monte_carlo_sphere,
+    sphere_deviation,
 )
+from blochquad.channel import DeltaCoefficients
+from blochquad.purity import _FORMS, _FOURTH_POWERS, _MONOMIALS, MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION
 from blochquad.sampling import generator, sphere_points
-from conftest import rotation_matrix
+from conftest import admission_bound_config, rotate_qmap, rotation_matrix, rotations
+
+FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 
 
 def v0():
@@ -27,7 +34,7 @@ def v1(t=(0, 0, 1)):
 
 
 def scaled(v, field, factor):
-    values = {name: getattr(v, name) for name in ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")}
+    values = {name: getattr(v, name) for name in FIELDS}
     values[field] = values[field] * factor
     return QuadraticMapCoeffs(**values)
 
@@ -103,7 +110,7 @@ def test_oracle_agreement_soundness():
     for v in [v0(), v1(), v1((1, 0, 0))] + isometric_linear_maps():
         assert check_sphere_conditions(v).verdict
         dev, _ = monte_carlo_sphere(v, samples=100000, seed=42)
-        assert dev <= 1e-9
+        assert dev <= MC_PASS_DEVIATION
 
 
 def test_oracle_agreement_violations(rng):
@@ -114,9 +121,9 @@ def test_oracle_agreement_violations(rng):
         candidate = scaled(v0(), field, factor)
         report = check_sphere_conditions(candidate)
         assert not report.verdict
-        assert report.max_residual > 1e-3
+        assert report.max_residual > MC_VIOLATION_DEVIATION
         dev, _ = monte_carlo_sphere(candidate, samples=10000, seed=int(k))
-        assert dev > 1e-3
+        assert dev > MC_VIOLATION_DEVIATION
 
 
 def test_isometry_implies_sphere_oracle_passes():
@@ -125,7 +132,7 @@ def test_isometry_implies_sphere_oracle_passes():
     rows = 2.0 * B.T
     v = QuadraticMapCoeffs(d=rows[0], e=rows[1], g=rows[2])
     dev, _ = monte_carlo_sphere(v, samples=100000, seed=5)
-    assert dev <= 1e-9
+    assert dev <= MC_PASS_DEVIATION
 
 
 def test_certified_maps_preserve_ball():
@@ -136,3 +143,87 @@ def test_certified_maps_preserve_ball():
         assert check_sphere_conditions(v).verdict
         norms = np.linalg.norm(evaluate(v, points), axis=1)
         assert norms.max() <= 1.0 + 1e-9
+
+
+# Coefficient rows at scales 1e-4 .. 1e4, and pure maps perturbed by up to 1e-3.
+random_maps = st.builds(
+    lambda entries, exponent: QuadraticMapCoeffs(**dict(zip(FIELDS, np.reshape(entries, (9, 3)) * 10.0**exponent))),
+    st.lists(st.floats(-1.0, 1.0), min_size=27, max_size=27),
+    st.integers(-4, 4),
+)
+perturbed_pure_maps = st.builds(
+    lambda R1, R2, field, factor: scaled(rotate_qmap(induced_qmap(delta0()), R1, R2), field, factor),
+    rotations,
+    rotations,
+    st.sampled_from(("a", "b", "c", "A", "B", "Gamma")),
+    st.floats(1.0 - 1e-3, 1.0 + 1e-3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_maps, st.integers(0, 2**31 - 1))
+def test_deviation_forms_reproduce_the_sphere_deviation(v, seed):
+    # the 25 coefficients upper sums are those of |V(f)|^2 - 1 on the sphere
+    rows = v.coefficient_rows()
+    coefficients = _FORMS @ (rows @ rows.T).ravel() - _FOURTH_POWERS
+    points = sphere_points(generator(seed), 200)
+    forms = np.prod(points[:, None, :] ** _MONOMIALS, axis=2) @ coefficients
+    direct = (evaluate(v, points) ** 2).sum(axis=1) - 1.0
+    scale = 1.0 + np.abs(rows).sum()
+    assert np.abs(forms - direct).max() <= 1e-13 * scale**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_maps, perturbed_pure_maps))
+def test_sphere_deviation_interval_is_ordered(v):
+    lower, upper = sphere_deviation(v)
+    assert 0.0 <= lower <= upper < np.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_maps, perturbed_pure_maps), st.integers(0, 2**31 - 1))
+def test_sphere_deviation_bounds_every_sampled_point(v, seed):
+    points = sphere_points(generator(seed), 10000)
+    deviations = np.abs((evaluate(v, points) ** 2).sum(axis=1) - 1.0)
+    assert deviations.max() <= sphere_deviation(v)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotations, rotations)
+def test_sphere_deviation_vanishes_on_certified_pure_maps(R1, R2):
+    maps = [rotate_qmap(v, R1, R2) for v in (v0(), v1())] + [induced_qmap(linear_family(R1 / 2.0))]
+    for v in maps:
+        assert check_sphere_conditions(v).verdict
+        lower, upper = sphere_deviation(v)
+        assert lower == 0.0 and upper <= 1e-12
+
+
+def test_sphere_deviation_on_benchmarks():
+    # delta0's coefficient sum is exactly 0 while a vertex rounds to 2.2e-16:
+    # only the allowance keeps the interval ordered
+    assert sphere_deviation(v0()) == (0.0, 16.0 * np.finfo(float).eps * 8.0**2)
+    lower, upper = sphere_deviation(scaled(v0(), "a", 1.1))
+    assert MC_VIOLATION_DEVIATION < lower <= monte_carlo_sphere(scaled(v0(), "a", 1.1), 10000, 42)[0] <= upper
+
+
+@pytest.mark.parametrize("pattern", ["plus", "minus", "random"])
+def test_sphere_deviation_is_finite_at_the_admission_bound(pattern):
+    config = admission_bound_config(pattern)
+    maps = [induced_qmap(DeltaCoefficients(**config))]
+    sign = {"plus": 1.0, "minus": -1.0, "random": 1.0}[pattern]
+    maps.append(QuadraticMapCoeffs(**{name: np.full(3, sign * 2e150) for name in FIELDS}))
+    for v in maps:
+        lower, upper = sphere_deviation(v)
+        assert 0.0 < lower <= upper < np.inf
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_sphere_deviation_fails_closed_on_non_finite_rows(bad):
+    # rows set past admission, which refuses both; inf * 0 in the Gram matrix
+    # makes numpy warn before the check refuses the NaN it yields
+    v = QuadraticMapCoeffs()
+    rows = np.zeros((9, 3))
+    rows[3, 1] = bad
+    object.__setattr__(v, "_rows", rows)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+        sphere_deviation(v)
