@@ -17,6 +17,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -269,7 +270,13 @@ def _cmd_conjugacy(args) -> int:
     return 0 if residual <= 1e-10 else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call and reused.
+
+    Parsing leaves the parser unchanged, so every later call, also one after
+    a rejected command line, parses as a fresh parser would.
+    """
     parser = argparse.ArgumentParser(
         prog="blochquad",
         description="Classify, certify and simulate quadratic qubit channels.",

@@ -10,6 +10,7 @@ the full-height logistic parabola.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,17 +81,64 @@ def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:
     return worst
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Solutions s of (J - I) s = -r for a batch: jac (n, 3, 3), residual (n, 3).
+
+    Returns the steps as a (3, n) array of components.  Each system is
+    solved in closed form by Cramer's rule, with M = J - I = [c0 c1 c2] and
+    det M = c0 . (c1 x c2):
+
+        s = -(r . (c1 x c2), c2 . (c0 x r), -c1 . (c0 x r)) / det M,
+
+    where every operation is a length-n vector operation on one matrix
+    entry.  A row whose determinant is 0 or not finite, or whose step is
+    not finite, takes the pseudo-inverse step (np.linalg.pinv) instead;
+    that is how an overflow in the closed form is caught, so it raises no
+    warning.
+    """
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = jac.reshape(-1, 9).T - np.eye(3).reshape(9, 1)
+    r0, r1, r2 = residual.T
+    u0, u1, u2 = m4 * m8 - m7 * m5, m7 * m2 - m1 * m8, m1 * m5 - m4 * m2  # c1 x c2
+    q0, q1, q2 = m3 * r2 - m6 * r1, m6 * r0 - m0 * r2, m0 * r1 - m3 * r0  # c0 x r
+    det = m0 * u0 + m3 * u1 + m6 * u2
+    solvable = np.isfinite(det) & (det != 0.0)
+    step = np.array(
+        [
+            r0 * u0 + r1 * u1 + r2 * u2,
+            m2 * q0 + m5 * q1 + m8 * q2,
+            -(m1 * q0 + m4 * q1 + m7 * q2),
+        ]
+    ) / -np.where(solvable, det, 1.0)
+    fallback = np.flatnonzero(~(solvable & np.isfinite(step).all(axis=0)))
+    if fallback.size:
+        system = jac[fallback] - np.eye(3)
+        step[:, fallback] = -(np.linalg.pinv(system) @ residual[fallback, :, None])[..., 0].T
+    return step
+
+
+@functools.cache
+def _seed_grid(grid_density: int) -> np.ndarray:
+    """Read-only (3, n) seeds: a polar x azimuthal grid on the unit sphere."""
+    theta = np.linspace(0.0, np.pi, grid_density)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * grid_density, endpoint=False)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    seeds = np.array([(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()])
+    seeds.setflags(write=False)
+    return seeds
+
+
 def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     """Fixed points of V on the unit sphere.
 
     Seeds a polar x azimuthal grid (grid_density x 2*grid_density) and runs
     at most 60 damped Newton steps on V(f) - f = 0.  Each step solves
-    (J - I) s = -(V(f) - f) for all active seeds in one batched LAPACK
-    solve; when some seed's system is exactly singular, that iteration
-    takes the pseudo-inverse step (np.linalg.pinv) for every active seed
-    instead.  Steps longer than 0.5 are cut to 0.5.  A seed stops
-    iterating (its row freezes) when its update is rejected, because the
-    new point is non-finite or has norm >= 10: f is unchanged, so every
+    (J - I) s = -(V(f) - f) for all active seeds at once in closed form
+    (_newton_steps); a seed whose system is exactly singular, or whose
+    closed-form step is not finite, takes the pseudo-inverse step
+    (np.linalg.pinv) alone.  Steps longer than 0.5 are cut to 0.5.  A seed
+    stops iterating (its row freezes) when its update is rejected, because
+    the new point is non-finite or has norm >= 10: f is unchanged, so every
     later step would repeat the rejected one.  It also freezes once its
     step is at most 1e-15 * max(1, |f|_inf), i.e. it has converged to
     rounding.  Converged points with residual <= 1e-9 that lie within 1e-6
@@ -100,40 +148,36 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     """
     if grid_density < 1:
         raise ValueError("grid_density must be >= 1")
-    theta = np.linspace(0.0, np.pi, grid_density)
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * grid_density, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    f = np.column_stack(
-        [
-            (np.sin(tt) * np.cos(pp)).ravel(),
-            (np.sin(tt) * np.sin(pp)).ravel(),
-            np.cos(tt).ravel(),
-        ]
-    )
-    eye = np.eye(3)
-    active = np.arange(len(f))
+    # f holds the seeds as columns; x the columns still iterating, at the
+    # indices `active`.  A column is written back to f once, when it freezes.
+    f = _seed_grid(grid_density).copy()
+    x = f
+    active = np.arange(f.shape[1])
     for _ in range(60):
         if not active.size:
             break
-        x = f[active]
-        residual = (evaluate(v, x) - x)[..., None]
-        system = jacobian(v, x) - eye
-        try:
-            step = -np.linalg.solve(system, residual)[..., 0]
-        except np.linalg.LinAlgError:
-            step = -(np.linalg.pinv(system) @ residual)[..., 0]
-        lengths = np.linalg.norm(step, axis=1, keepdims=True)
-        step = step * np.where(lengths > 0.5, 0.5 / np.maximum(lengths, 1e-300), 1.0)
-        x_new = x + step
-        ok = np.isfinite(x_new).all(axis=1) & (np.linalg.norm(x_new, axis=1) < 10.0)
-        f[active[ok]] = x_new[ok]
-        moving = np.abs(step).max(axis=1) > 1e-15 * np.maximum(1.0, np.abs(x).max(axis=1))
-        active = active[ok & moving]
+        step = _newton_steps(jacobian(v, x.T), evaluate(v, x.T) - x.T)
+        # Norms and maxima over the three components, written out per
+        # component: the same values as np.linalg.norm(axis=1) and .max(axis=1).
+        s0, s1, s2 = step
+        length = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
+        step *= np.where(length > 0.5, 0.5 / np.maximum(length, 1e-300), 1.0)  # s0, s1, s2 too
+        n0, n1, n2 = x_new = x + step
+        ok = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) < 10.0  # False for NaN and inf too
+        size = np.maximum(np.maximum(np.abs(x[0]), np.abs(x[1])), np.abs(x[2]))
+        moving = np.maximum(np.maximum(np.abs(s0), np.abs(s1)), np.abs(s2)) > 1e-15 * np.maximum(1.0, size)
+        x = np.where(ok, x_new, x)
+        going = ok & moving
+        if not going.all():
+            f[:, active[~going]] = x[:, ~going]
+            x, active = x.compress(going, axis=1), active.compress(going)
+    f[:, active] = x
 
-    residuals = np.linalg.norm(evaluate(v, f) - f, axis=1)
-    on_sphere = np.abs(np.linalg.norm(f, axis=1) - 1.0) <= 1e-6
+    points = f.T
+    residuals = np.linalg.norm(evaluate(v, points) - points, axis=1)
+    on_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-6
     keep = np.isfinite(residuals) & (residuals <= 1e-9) & on_sphere
-    candidates = f[keep]
+    candidates = points[keep]
     candidates = candidates[np.lexsort(candidates.T[::-1])]
 
     found: list[np.ndarray] = []

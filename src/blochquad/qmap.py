@@ -46,6 +46,11 @@ def real_array(value, shape: tuple, name: str, limit: float) -> np.ndarray:
     return arr
 
 
+# d2V/df_m df_j as coefficient vectors, m-major: 2a, A, Gamma / A, 2b, B / Gamma, B, 2c.
+_HESSIAN_ROWS = np.array([0, 3, 5, 3, 1, 4, 5, 4, 2])
+_HESSIAN_WEIGHTS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])[:, None]
+
+
 @dataclass(frozen=True)
 class QuadraticMapCoeffs:
     """Coefficient vectors in the fixed order (a, b, c, A, B, Gamma, d, e, g)."""
@@ -65,8 +70,13 @@ class QuadraticMapCoeffs:
             value = real_array(getattr(self, name), (3,), name, 2.0 * COEFFICIENT_LIMIT)
             object.__setattr__(self, name, value)
         rows = np.stack([getattr(self, name) for name in _FIELDS])
-        rows.setflags(write=False)
-        object.__setattr__(self, "_rows", rows)
+        # _hessian[m, 3 i + j] is d2 V_i / df_m df_j, so f @ _hessian + _linear
+        # is the Jacobian flattened row-major.
+        hessian = (rows[_HESSIAN_ROWS] * _HESSIAN_WEIGHTS).reshape(3, 3, 3).transpose(0, 2, 1).reshape(3, 9)
+        linear = rows[6:].T.ravel()
+        for name, value in (("_rows", rows), ("_hessian", hessian), ("_linear", linear)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def coefficient_rows(self) -> np.ndarray:
         """The read-only 9x3 stack of coefficient vectors, row order as in _FIELDS.
@@ -76,13 +86,14 @@ class QuadraticMapCoeffs:
         return self._rows
 
 
+_LEFT = np.array([0, 1, 2, 0, 1, 0])
+_RIGHT = np.array([0, 1, 2, 1, 2, 2])
+
+
 def _features(f: np.ndarray) -> np.ndarray:
+    """(f1^2, f2^2, f3^2, f1 f2, f2 f3, f1 f3, f1, f2, f3) along the last axis."""
     f = np.asarray(f, dtype=float)
-    f1, f2, f3 = f[..., 0], f[..., 1], f[..., 2]
-    return np.stack(
-        [f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3],
-        axis=-1,
-    )
+    return np.concatenate([f[..., _LEFT] * f[..., _RIGHT], f], axis=-1)
 
 
 def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
@@ -106,10 +117,10 @@ def is_haar_form(v: QuadraticMapCoeffs, tol: float = TOL_ALG) -> bool:
 
 
 def jacobian(v: QuadraticMapCoeffs, f) -> np.ndarray:
-    """dV/df at f; broadcasts over a leading batch."""
+    """dV/df at f, entry [..., i, j] = dV_i/df_j; broadcasts over a leading batch.
+
+    Column j is the sum over m of f_m d2V/df_m df_j plus column j of
+    linear_part(v): one product with the 3x9 Hessian table built with v.
+    """
     f = np.asarray(f, dtype=float)
-    f1, f2, f3 = f[..., 0:1], f[..., 1:2], f[..., 2:3]
-    col1 = 2.0 * f1 * v.a + f2 * v.A + f3 * v.Gamma + v.d
-    col2 = 2.0 * f2 * v.b + f1 * v.A + f3 * v.B + v.e
-    col3 = 2.0 * f3 * v.c + f2 * v.B + f1 * v.Gamma + v.g
-    return np.stack([col1, col2, col3], axis=-1)
+    return (f @ v._hessian + v._linear).reshape(f.shape[:-1] + (3, 3))

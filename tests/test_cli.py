@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blochquad import catalog, check_positivity, induced_qmap, sampling, sphere_deviation
-from blochquad.cli import ConfigError, config_dict, dumps_report, main, parse_config
+from blochquad.cli import ConfigError, _build_parser, config_dict, dumps_report, main, parse_config
 from blochquad.purity import MC_PASS_DEVIATION
 from conftest import admission_bound_config
 
@@ -275,3 +275,47 @@ def test_conjugacy_command(capsys):
     code, out, _ = run_cli(capsys, "conjugacy", "--grid", "2")
     assert code == 0
     assert json.loads(out)["residual"] == 0.0
+
+
+def test_main_builds_one_parser(capsys):
+    _build_parser.cache_clear()
+    run_cli(capsys, "catalog")
+    run_cli(capsys, "conjugacy", "--grid", "2")
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_rejected_command_line_leaves_the_parser_unchanged(tmp_path, capsys):
+    path = write_catalog_config(tmp_path, capsys, "delta1")
+    valid = ("simulate", str(path), "--f0", "0.6,0,0.8", "--steps", "3")
+    _build_parser.cache_clear()
+    fresh = run_cli(capsys, *valid)  # on a newly built parser
+    rejected = [
+        ("simulate", str(path)),  # missing --f0
+        ("simulate", str(path), "--f0", "1,0,0", "--steps", "x"),
+        ("certify", str(path), "--expect", "sure"),
+        ("nosuch",),
+        (),
+    ]
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: blochquad")
+        assert run_cli(capsys, *valid) == fresh
+
+
+def help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [[], ["inspect"], ["simulate"], ["certify"], ["catalog"], ["conjugacy"]])
+def test_help_text_matches_a_fresh_parser(capsys, command):
+    argv = [*command, "--help"]
+    fresh = help_text(capsys, _build_parser.__wrapped__().parse_args, argv)
+    assert fresh.startswith("usage: blochquad")
+    assert help_text(capsys, main, argv) == fresh
+    assert help_text(capsys, main, argv) == fresh

@@ -20,8 +20,8 @@ from blochquad import (
     logistic_conjugacy_residual,
     verify_collapse,
 )
-from blochquad.dynamics import write_trajectory_csv
-from blochquad.qmap import jacobian
+from blochquad.dynamics import _newton_steps, write_trajectory_csv
+from blochquad.qmap import COEFFICIENT_LIMIT, jacobian
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, rotation_matrix
 
@@ -144,12 +144,14 @@ def fixed_points_sphere_reference(v, grid_density):
     return found
 
 
-def assert_matches_reference_search(v, grid):
-    points = fixed_points_sphere(v, grid)
-    reference = fixed_points_sphere_reference(v, grid)
+def assert_same_points(points, reference):
     assert len(points) == len(reference)
     for p, q in zip(points, reference):
         assert np.abs(p - q).max() <= 1e-9
+
+
+def assert_matches_reference_search(v, grid):
+    assert_same_points(fixed_points_sphere(v, grid), fixed_points_sphere_reference(v, grid))
 
 
 @pytest.mark.parametrize("grid", [1, 2, 3, 4, 8, 32])
@@ -161,16 +163,57 @@ def test_fixed_points_match_reference_search(grid):
     assert_matches_reference_search(induced_qmap(linear_family(0.3 * np.eye(3))), grid)
 
 
-def test_fixed_points_fall_back_to_pinv(monkeypatch):
-    # the identity map makes every J - I exactly zero, which LAPACK's solve refuses
+def test_fixed_points_fall_back_to_pinv_row_by_row(monkeypatch):
+    # the identity map makes every J - I exactly zero: every row takes the pinv step
     assert_matches_reference_search(induced_qmap(linear_family(0.5 * np.eye(3))), 4)
 
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # d = e1 - Gamma zeroes the first column of J - I at the pole (0, 0, 1), which
+    # the 2 * grid seeds of the first polar ring hit exactly; the other seeds'
+    # systems are regular and keep the closed-form step
+    v = v0()
+    v = QuadraticMapCoeffs(a=v.a, b=v.b, c=v.c, A=v.A, B=v.B, Gamma=v.Gamma, d=np.array([1.0, 0.0, 0.0]) - v.Gamma)
+    pinv = np.linalg.pinv
+    batches = []
 
-    # with every solve refused, the search runs on pinv steps alone
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    assert_matches_reference_search(v0(), 8)
+    def recording_pinv(a, *args, **kwargs):
+        batches.append(len(a))
+        return pinv(a, *args, **kwargs)
+
+    for grid in (4, 8, 32):
+        batches.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "pinv", recording_pinv)
+            points = fixed_points_sphere(v, grid)
+        assert batches and batches[0] == 2 * grid
+        reference = fixed_points_sphere_reference(v, grid)
+        assert len(reference) == 1
+        assert_same_points(points, reference)
+
+
+def well_conditioned_systems(rng, n):
+    """n random 3x3 matrices Q1 diag(s) Q2 with singular values s in [0.5, 2]."""
+    q1 = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    return (q1 * rng.uniform(0.5, 2.0, size=(n, 1, 3))) @ q2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e150])
+def test_newton_steps_match_lapack_solve(rng, scale):
+    # at 1e150, det(J - I) overflows: those rows must reach the pinv step without a
+    # warning, also when the numerator stays finite and would give a zero step
+    jac = scale * well_conditioned_systems(rng, 500) + np.eye(3)
+    for residual in (rng.normal(size=(500, 3)), scale * rng.normal(size=(500, 3))):
+        expected = -np.linalg.solve(jac - np.eye(3), residual[..., None])[..., 0]
+        steps = _newton_steps(jac, residual).T
+        assert np.all(np.abs(steps - expected) <= 1e-12 * np.abs(expected).max(axis=1, keepdims=True))
+
+
+def test_fixed_points_at_the_admission_bound():
+    # the largest admitted coefficients: no RuntimeWarning, the reference's points
+    rng = generator(11)
+    for _ in range(3):
+        v = QuadraticMapCoeffs(*(2.0 * COEFFICIENT_LIMIT * rng.choice([-1.0, 1.0], size=(9, 3))))
+        assert_matches_reference_search(v, 8)
 
 
 def test_circle_restriction_step_values():

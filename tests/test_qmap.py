@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blochquad import (
     DeltaCoefficients,
@@ -14,7 +15,7 @@ from blochquad import (
     is_haar_form,
     linear_part,
 )
-from blochquad.qmap import COEFFICIENT_LIMIT
+from blochquad.qmap import COEFFICIENT_LIMIT, _features, jacobian
 from conftest import random_delta
 
 
@@ -118,3 +119,70 @@ def test_linear_part_of_linear_family(rng):
     d = random_delta(rng, symmetric=True)
     v = induced_qmap(d)
     assert np.allclose(linear_part(v), 2.0 * d.B1.T)
+
+
+def jacobian_by_columns(v, f):
+    """dV/df from its three columns written out term by term."""
+    f = np.asarray(f, dtype=float)
+    f1, f2, f3 = f[..., 0:1], f[..., 1:2], f[..., 2:3]
+    col1 = 2.0 * f1 * v.a + f2 * v.A + f3 * v.Gamma + v.d
+    col2 = 2.0 * f2 * v.b + f1 * v.A + f3 * v.B + v.e
+    col3 = 2.0 * f3 * v.c + f2 * v.B + f1 * v.Gamma + v.g
+    return np.stack([col1, col2, col3], axis=-1)
+
+
+def test_jacobian_matches_central_differences(rng):
+    # V is quadratic, so central differences are exact up to rounding
+    h = 1e-5
+    for _ in range(20):
+        v = QuadraticMapCoeffs(*rng.normal(size=(9, 3)))
+        f = rng.uniform(-1, 1, size=3)
+        numeric = np.column_stack([(evaluate(v, f + h * e) - evaluate(v, f - h * e)) / (2 * h) for e in np.eye(3)])
+        assert np.abs(jacobian(v, f) - numeric).max() <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 4, 3)])
+def test_jacobian_matches_the_column_formula(rng, shape):
+    for _ in range(10):
+        v = QuadraticMapCoeffs(*rng.normal(size=(9, 3)))
+        f = rng.uniform(-2, 2, size=shape)
+        expected = jacobian_by_columns(v, f)
+        got = jacobian(v, f)
+        assert got.shape == shape[:-1] + (3, 3)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_jacobian_at_the_admission_bound(rng):
+    # coefficients of magnitude 2e150 at points up to norm 10 (the Newton search's
+    # bound): every entry finite, no RuntimeWarning
+    for _ in range(5):
+        v = QuadraticMapCoeffs(*(2.0 * COEFFICIENT_LIMIT * rng.choice([-1.0, 1.0], size=(9, 3))))
+        f = rng.uniform(-5.7, 5.7, size=(50, 3))
+        expected = jacobian_by_columns(v, f)
+        got = jacobian(v, f)
+        assert np.isfinite(got).all()
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_jacobian_tables_are_read_only(rng):
+    v = QuadraticMapCoeffs(*rng.normal(size=(9, 3)))
+    for table in (v._hessian, v._linear):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+point_batches = st.one_of(
+    st.just((3,)),
+    st.tuples(st.integers(1, 6), st.just(3)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(3)),
+).flatmap(lambda shape: arrays(float, shape, elements=st.floats(-1e150, 1e150)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_batches)
+def test_features_are_the_nine_products(f):
+    f1, f2, f3 = f[..., 0], f[..., 1], f[..., 2]
+    expected = np.stack([f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3], axis=-1)
+    features = _features(f)
+    assert features.shape == expected.shape
+    assert features.tobytes() == expected.tobytes()  # bit for bit, signs of zero included
