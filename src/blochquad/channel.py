@@ -16,21 +16,31 @@ Blocks are admitted with entries up to qmap.COEFFICIENT_LIMIT (1e150) in
 magnitude, so the largest product any check forms from them, an 8x8
 coassociativity entry (about 2.6e302), stays below the double maximum of
 1.8e308; the structural checks compare as `residual <= tol`.
+
+An operator's basis images and its induced map are built on first use and
+kept with it, read-only, so every check of one operator shares them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli
 from .errors import NotHaarFormError, NotSelfAdjointError, NotSymmetricError
-from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, kron, swap_conjugate
+from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, kron
 from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, evaluate, real_array
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
 TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])
+# The tensor swap on the product basis indices (1,2,3,4) -> (1,3,2,4).
+_SWAP = np.array([0, 2, 1, 3])
+# sum_l kron(X_l, e_l) = X @ _LIFT_RIGHT and sum_m kron(e_m, Y_m) = Y @ _LIFT_LEFT
+# for four 4x4 matrices X_l (Y_m) flattened to one row of 64; the products
+# come out as flattened 8x8 matrices.
+_LIFT_RIGHT = np.einsum("ap,bq,lcd->labpcqd", np.eye(4), np.eye(4), np.array(BASIS)).reshape(64, 64)
+_LIFT_LEFT = np.einsum("mab,cp,dq->mcdapbq", np.array(BASIS), np.eye(4), np.eye(4)).reshape(64, 64)
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,27 @@ class DeltaCoefficients:
         """Constructor that pins the constant block to zero."""
         return cls(b=None, B1=B1, B2=B2, T=T)
 
+    @functools.cached_property
+    def _basis_images(self) -> np.ndarray:
+        images = np.einsum("iml,mlab->iab", _basis_coefficients(self), TENSOR_BASIS)
+        images.setflags(write=False)
+        return images
+
+    @functools.cached_property
+    def _induced_qmap(self) -> QuadraticMapCoeffs:
+        T, S = self.T, self.B1 + self.B2
+        return QuadraticMapCoeffs(
+            a=T[0, 0],
+            b=T[1, 1],
+            c=T[2, 2],
+            A=T[0, 1] + T[1, 0],
+            B=T[1, 2] + T[2, 1],
+            Gamma=T[0, 2] + T[2, 0],
+            d=S[0],
+            e=S[1],
+            g=S[2],
+        )
+
 
 def _basis_coefficients(d: DeltaCoefficients) -> np.ndarray:
     """c[i, m, l]: weight of sigma_m (x) sigma_l in Delta(sigma_i), sigma_0 = 1."""
@@ -73,9 +104,10 @@ def _basis_coefficients(d: DeltaCoefficients) -> np.ndarray:
 def basis_images(d: DeltaCoefficients) -> np.ndarray:
     """The three 4x4 matrices Delta(sigma_i), stacked along the first axis.
 
-    With Delta(1) = 1(x)1 they determine Delta on all of M_2(C).
+    With Delta(1) = 1(x)1 they determine Delta on all of M_2(C).  Built on
+    the first call for d; every later call returns the same read-only array.
     """
-    return np.einsum("iml,mlab->iab", _basis_coefficients(d), TENSOR_BASIS)
+    return d._basis_images
 
 
 def apply(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
@@ -150,11 +182,22 @@ def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     return float(np.linalg.norm(d.b)) <= tol
 
 
+def _symmetry_residual(d: DeltaCoefficients) -> float:
+    """Largest entry of |U Delta(sigma_i) U - Delta(sigma_i)|, U the tensor swap."""
+    images = basis_images(d)
+    return float(np.abs(images[:, _SWAP[:, None], _SWAP] - images).max())
+
+
 def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Invariance under the tensor swap, checked on every basis image."""
-    images = basis_images(d)
-    swapped = np.array([swap_conjugate(m) for m in images])
-    return bool(np.abs(swapped - images).max() <= tol)
+    return _symmetry_residual(d) <= tol
+
+
+def _haar_trace_residual(d: DeltaCoefficients) -> float:
+    """Largest entry of the right and left normalized partial traces of the Delta(sigma_i)."""
+    m = basis_images(d).reshape(3, 2, 2, 2, 2)  # [i, left row, right row, left column, right column]
+    traces = np.stack([m[:, :, 0, :, 0] + m[:, :, 1, :, 1], m[:, 0, :, 0] + m[:, 1, :, 1]])
+    return 0.5 * float(np.abs(traces).max())
 
 
 def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
@@ -164,8 +207,7 @@ def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     image Delta(sigma_i) must vanish, which for trace-preserving operators
     is the same as B1 = B2 = 0.
     """
-    traces = [(pauli.partial_trace_right(m), pauli.partial_trace_left(m)) for m in basis_images(d)]
-    return bool(np.abs(traces).max() <= tol)
+    return _haar_trace_residual(d) <= tol
 
 
 def dual_pair(d: DeltaCoefficients, phi: BlochState, psi: BlochState) -> np.ndarray:
@@ -195,18 +237,28 @@ def split(d: DeltaCoefficients, lam: float) -> tuple:
     return d1, d2
 
 
+def _coassociativity_residual(d: DeltaCoefficients) -> float:
+    """Largest entry of |(Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)|.
+
+    With c[i, m, l] the weight of sigma_m (x) sigma_l in Delta(sigma_i), the
+    left side is sum_l kron(X_l, sigma_l) for X_l = sum_m c[i, m, l] Delta(sigma_m),
+    the right side sum_m kron(sigma_m, Y_m) for Y_m = sum_l c[i, m, l] Delta(sigma_l)
+    (Delta(sigma_0) = 1(x)1): two matrix products per side.
+    """
+    c = _basis_coefficients(d)
+    images = np.concatenate([np.eye(4)[None], basis_images(d)]).reshape(4, 16)
+    lhs = (c.transpose(0, 2, 1) @ images).reshape(3, 64) @ _LIFT_RIGHT
+    rhs = (c @ images).reshape(3, 64) @ _LIFT_LEFT
+    return float(np.abs(lhs - rhs).max())
+
+
 def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Compare (Delta (x) id) Delta and (id (x) Delta) Delta on the basis.
 
-    Both sides are built as 8x8 matrices by expanding each basis image in
-    the tensor-Pauli basis and lifting one leg through Delta again.
+    Both sides are 8x8 matrices: each basis image expanded in the
+    tensor-Pauli basis, with one leg lifted through Delta again.
     """
-    c = _basis_coefficients(d)
-    images = np.concatenate([np.eye(4)[None], basis_images(d)])  # Delta(sigma_m), m = 0..3
-    basis = np.array(BASIS)
-    lhs = np.einsum("iml,mab,lcd->iacbd", c, images, basis).reshape(3, 8, 8)
-    rhs = np.einsum("iml,mab,lcd->iacbd", c, basis, images).reshape(3, 8, 8)
-    return bool(np.abs(lhs - rhs).max() <= tol)
+    return _coassociativity_residual(d) <= tol
 
 
 def induced_qmap(d: DeltaCoefficients) -> QuadraticMapCoeffs:
@@ -214,20 +266,10 @@ def induced_qmap(d: DeltaCoefficients) -> QuadraticMapCoeffs:
 
     Quadratic vectors are read off the tensor block; the linear part is the
     (B1 + B2)-action, which reduces to twice the common block for
-    symmetric operators.
+    symmetric operators.  Built on the first call for d; every later call
+    returns the same map.
     """
-    T, S = d.T, d.B1 + d.B2
-    return QuadraticMapCoeffs(
-        a=T[0, 0],
-        b=T[1, 1],
-        c=T[2, 2],
-        A=T[0, 1] + T[1, 0],
-        B=T[1, 2] + T[2, 1],
-        Gamma=T[0, 2] + T[2, 0],
-        d=S[0],
-        e=S[1],
-        g=S[2],
-    )
+    return d._induced_qmap
 
 
 def pair_eval(d: DeltaCoefficients, phi: BlochState, psi: BlochState, x: PauliElement) -> complex:

@@ -40,17 +40,34 @@ def _reject_nonfinite(token: str):
     raise ConfigError(f"non-finite number {token!r} is not allowed")
 
 
-def _check_numbers(value, path: str, dims: int):
+class _Misplaced(Exception):
+    """A value that does not fit where it stands; the walk back up prepends each place to path."""
+
+    def __init__(self, problem: str, path: str = ""):
+        super().__init__(problem)
+        self.problem, self.path = problem, path
+
+
+def _check_numbers(value, dims: int):
+    """Whether value nests dims levels of 3-lists of finite numbers; raises _Misplaced if not."""
     if dims == 0:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: non-finite number")
+            raise _Misplaced(f"expected a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the double range
+            raise _Misplaced("number beyond the double range") from None
+        if not finite:
+            raise _Misplaced("non-finite number")
         return
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{path}: expected a list of 3 entries")
+        raise _Misplaced("expected a list of 3 entries")
     for k, item in enumerate(value):
-        _check_numbers(item, f"{path}[{k}]", dims - 1)
+        try:
+            _check_numbers(item, dims - 1)
+        except _Misplaced as exc:
+            exc.path = f"[{k}]{exc.path}"
+            raise
 
 
 _FIELD_DIMS = {"b": 1, "B1": 2, "B2": 2, "T": 3}
@@ -69,7 +86,10 @@ def parse_config(text: str) -> DeltaCoefficients:
             raise ConfigError(f"unknown field {key!r}; expected one of b, B1, B2, T")
     for key, dims in _FIELD_DIMS.items():
         if key in raw:
-            _check_numbers(raw[key], key, dims)
+            try:
+                _check_numbers(raw[key], dims)
+            except _Misplaced as exc:
+                raise ConfigError(f"{key}{exc.path}: {exc.problem}") from None
     return DeltaCoefficients(
         b=raw.get("b"), B1=raw.get("B1"), B2=raw.get("B2"), T=raw.get("T")
     )
@@ -98,37 +118,48 @@ def config_dict(d: DeltaCoefficients) -> dict:
 
 # --------------------------------------------------------------- JSON output
 
+# What json.dumps gives for a str, without its dispatch.
+_quote = json.encoder.encode_basestring_ascii
 
-def _fmt(value, indent: int, path: str = "") -> str:
-    pad = "  " * indent
+
+def _fmt(value, indent: int) -> str:
+    if isinstance(value, (float, np.floating)):  # first: most leaves are floats
+        if not math.isfinite(value):
+            raise _Misplaced(f"is {float(value)}, which JSON cannot hold")
+        return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
         return "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"report field {path or '/'} is {float(value)}, which JSON cannot hold")
-        return format(float(value), ".17g")
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
+    pad = "  " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_fmt(v, indent + 1, f'{path}/{k}')}" for k, v in value.items()
-        )
+        body = ",\n".join(f"{pad}  {_quote(k)}: {text}" for k, text in _members(value.items(), indent + 1))
         return "{\n" + body + "\n" + pad + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
         if not items:
             return "[]"
         if all(isinstance(x, (int, float, np.integer, np.floating)) for x in items):
-            return "[" + ", ".join(_fmt(x, 0, f"{path}/{i}") for i, x in enumerate(items)) + "]"
-        body = ",\n".join(f"{pad}  {_fmt(x, indent + 1, f'{path}/{i}')}" for i, x in enumerate(items))
+            return "[" + ", ".join(text for _, text in _members(enumerate(items), 0)) + "]"
+        body = ",\n".join(f"{pad}  {text}" for _, text in _members(enumerate(items), indent + 1))
         return "[\n" + body + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _members(pairs, indent: int):
+    """(key, formatted value) of each container member; a failing member's key joins the path."""
+    for key, member in pairs:
+        try:
+            yield key, _fmt(member, indent)
+        except _Misplaced as exc:
+            exc.path = f"/{key}{exc.path}"
+            raise
 
 
 def dumps_report(obj) -> str:
@@ -137,7 +168,10 @@ def dumps_report(obj) -> str:
     Raises ValueError naming the field (as a /-separated key path) when a
     float is infinite or NaN, which JSON has no literal for.
     """
-    return _fmt(obj, 0) + "\n"
+    try:
+        return _fmt(obj, 0) + "\n"
+    except _Misplaced as exc:
+        raise ValueError(f"report field {exc.path or '/'} {exc.problem}") from None
 
 
 # ------------------------------------------------------------------ commands

@@ -40,20 +40,26 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
 
     Norms are taken with math.hypot, which scales instead of squaring, so
     they stay accurate far below the 1e-154 where squared components underflow.
+    Raises ValueError at the first iterate that is not finite: a map that
+    leaves the ball can grow doubly exponentially and overflow, and no
+    later point of the orbit means anything.
     """
     f = np.array(f0, dtype=float)
     if np.linalg.norm(f) > 1.0 + TOL_STATE:
         raise ValueError(f"start point norm {np.linalg.norm(f)} exceeds 1")
     points, norms = [f], [math.hypot(*f)]
-    for _ in range(steps):
-        f = evaluate(v, f)
-        norm = math.hypot(*f)
-        if norm < UNDERFLOW_FLUSH:
-            points.append(np.zeros(3))
-            norms.append(0.0)
-            break
-        points.append(f)
-        norms.append(norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the norm test
+        for n in range(1, steps + 1):
+            f = evaluate(v, f)
+            norm = math.hypot(*f)
+            if not math.isfinite(norm):
+                raise ValueError(f"the orbit overflows double precision at step {n} (norm {norms[-1]:.3e} at step {n - 1})")
+            if norm < UNDERFLOW_FLUSH:
+                points.append(np.zeros(3))
+                norms.append(0.0)
+                break
+            points.append(f)
+            norms.append(norm)
     return Trajectory(points=np.array(points), norms=np.array(norms))
 
 

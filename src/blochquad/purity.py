@@ -56,6 +56,11 @@ def _report(pairs, tol: float) -> CertificateReport:
     return CertificateReport(verdict=verdict, residuals=tuple(pairs), worst_condition=worst)
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x| for a real vector: the sqrt(x . x) np.linalg.norm takes, without its dispatch."""
+    return math.sqrt(x @ x)
+
+
 def check_sphere_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> CertificateReport:
     """Full sphere-preservation certificate for a general quadratic map.
 
@@ -70,7 +75,7 @@ def check_sphere_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> Cer
     a, b, c = v.a, v.b, v.c
     A, B, G = v.A, v.B, v.Gamma
     d, e, g = v.d, v.e, v.g
-    n = np.linalg.norm
+    n = _norm
     pairs = [
         ("i.1", abs(n(a) ** 2 + n(d) ** 2 - 1.0)),
         ("i.2", abs(n(b) ** 2 + n(e) ** 2 - 1.0)),
@@ -111,7 +116,7 @@ def check_haar_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> Certi
         raise NotHaarFormError("map carries linear terms; use check_sphere_conditions")
     a, b, c = v.a, v.b, v.c
     A, B, G = v.A, v.B, v.Gamma
-    n = np.linalg.norm
+    n = _norm
     pairs = [
         ("i.1", abs(n(a) - 1.0)),
         ("i.2", abs(n(b) - 1.0)),

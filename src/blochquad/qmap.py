@@ -46,6 +46,9 @@ def real_array(value, shape: tuple, name: str, limit: float) -> np.ndarray:
     return arr
 
 
+_MAP_LIMIT = 2.0 * COEFFICIENT_LIMIT
+_ZERO = (0.0, 0.0, 0.0)
+
 # d2V/df_m df_j as coefficient vectors, m-major: 2a, A, Gamma / A, 2b, B / Gamma, B, 2c.
 _HESSIAN_ROWS = np.array([0, 3, 5, 3, 1, 4, 5, 4, 2])
 _HESSIAN_WEIGHTS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])[:, None]
@@ -66,10 +69,17 @@ class QuadraticMapCoeffs:
     g: np.ndarray = None
 
     def __post_init__(self):
-        for name in _FIELDS:
-            value = real_array(getattr(self, name), (3,), name, 2.0 * COEFFICIENT_LIMIT)
-            object.__setattr__(self, name, value)
-        rows = np.stack([getattr(self, name) for name in _FIELDS])
+        values = [getattr(self, name) for name in _FIELDS]
+        try:
+            rows = np.array([_ZERO if value is None else value for value in values], dtype=float)
+            admitted = rows.shape == (9, 3) and bool((np.abs(rows) <= _MAP_LIMIT).all())
+        except (TypeError, ValueError):  # ragged or not numbers
+            admitted = False
+        if not admitted:  # walk the fields: the first offending one raises, by name
+            rows = np.stack([real_array(value, (3,), name, _MAP_LIMIT) for name, value in zip(_FIELDS, values)])
+        rows.setflags(write=False)  # before the fields take their row views
+        for name, row in zip(_FIELDS, rows):
+            object.__setattr__(self, name, row)
         # _hessian[m, 3 i + j] is d2 V_i / df_m df_j, so f @ _hessian + _linear
         # is the Jacobian flattened row-major.
         hessian = (rows[_HESSIAN_ROWS] * _HESSIAN_WEIGHTS).reshape(3, 3, 3).transpose(0, 2, 1).reshape(3, 9)
@@ -81,7 +91,8 @@ class QuadraticMapCoeffs:
     def coefficient_rows(self) -> np.ndarray:
         """The read-only 9x3 stack of coefficient vectors, row order as in _FIELDS.
 
-        Built once with the instance; every evaluate() call reads it.
+        Admitted once with the instance, whose fields are its rows; every
+        evaluate() call reads it.
         """
         return self._rows
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,18 @@ from blochquad import (
     linear_family,
     split,
 )
-from blochquad.channel import HaarEntries, bloch_images, pair_eval
-from blochquad.pauli import BASIS
+from blochquad.channel import (
+    HaarEntries,
+    _basis_coefficients,
+    _coassociativity_residual,
+    _haar_trace_residual,
+    _symmetry_residual,
+    basis_images,
+    bloch_images,
+    pair_eval,
+)
+from blochquad.pauli import BASIS, partial_trace_left, partial_trace_right, swap_conjugate
+from blochquad.qmap import COEFFICIENT_LIMIT
 from conftest import random_delta
 
 
@@ -279,3 +291,109 @@ def test_tensor_basis_enumeration():
     for m in range(4):
         for l in range(4):
             assert np.abs(TENSOR_BASIS[m, l] - np.kron(BASIS[m], BASIS[l])).max() == 0
+
+
+# Per-matrix references for the structural checks, which channel.py runs as
+# array operations on the stack of basis images: the swap and the partial
+# traces one image at a time, and both coassociativity lifts as one
+# three-operand einsum each.
+
+
+def reference_symmetry_residual(d):
+    images = basis_images(d)
+    swapped = np.array([swap_conjugate(m) for m in images])
+    return float(np.abs(swapped - images).max())
+
+
+def reference_haar_trace_residual(d):
+    traces = [(partial_trace_right(m), partial_trace_left(m)) for m in basis_images(d)]
+    return float(np.abs(traces).max())
+
+
+def reference_coassociativity_residual(d):
+    c = _basis_coefficients(d)
+    images = np.concatenate([np.eye(4)[None], basis_images(d)])  # Delta(sigma_m), m = 0..3
+    basis = np.array(BASIS)
+    lhs = np.einsum("iml,mab,lcd->iacbd", c, images, basis).reshape(3, 8, 8)
+    rhs = np.einsum("iml,mab,lcd->iacbd", c, basis, images).reshape(3, 8, 8)
+    return float(np.abs(lhs - rhs).max())
+
+
+def structural_cases():
+    """Operators on both sides of every structural check, up to the admission bound."""
+    rng = np.random.default_rng(2024)
+    cases = [
+        delta0(),
+        delta1((0, 0, 1)),
+        linear_family(np.eye(3) / 2),
+        DeltaCoefficients(),
+        DeltaCoefficients.trace_preserving(B2=np.eye(3)),
+    ]
+    for _ in range(30):
+        cases.append(random_delta(rng, trace_preserving=False))  # b != 0
+        cases.append(random_delta(rng, haar=True))
+        T = rng.normal(size=(3, 3, 3))
+        B = rng.normal(size=(3, 3))
+        near = 1e-10 * rng.normal(size=(3, 3, 3))  # symmetric up to about the tolerance
+        cases.append(DeltaCoefficients(B1=B, B2=B + near[0], T=0.5 * (T + T.transpose(1, 0, 2)) + near))
+    shapes = {"b": (3,), "B1": (3, 3), "B2": (3, 3), "T": (3, 3, 3)}
+    cases.append(DeltaCoefficients(**{k: np.full(v, COEFFICIENT_LIMIT) for k, v in shapes.items()}))
+    cases.append(DeltaCoefficients(**{k: COEFFICIENT_LIMIT * rng.choice([-1.0, 1.0], size=v) for k, v in shapes.items()}))
+    return cases
+
+
+def test_structural_residuals_match_the_per_matrix_references():
+    eps = float(np.finfo(float).eps)
+    verdicts = set()
+    for d in structural_cases():
+        # a permutation, and sums of two entries halved: the same bits
+        assert _symmetry_residual(d) == reference_symmetry_residual(d)
+        assert _haar_trace_residual(d) == reference_haar_trace_residual(d)
+        # the lifts sum in another order: equal up to rounding in entries of size (1 + S)^2
+        scale = 1.0 + float(np.abs(_basis_coefficients(d)).sum())
+        reference = reference_coassociativity_residual(d)
+        assert abs(_coassociativity_residual(d) - reference) <= 64.0 * eps * scale * scale
+        verdicts.add((is_symmetric(d), has_haar_trace(d), check_coassociativity(d)))
+        # every verdict is the reference's at the default tolerance
+        assert is_symmetric(d) == (reference_symmetry_residual(d) <= 1e-9)
+        assert has_haar_trace(d) == (reference_haar_trace_residual(d) <= 1e-9)
+        assert check_coassociativity(d) == (reference <= 1e-9)
+    # and the cases reach both verdicts of each check
+    assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {v[2] for v in verdicts} == {True, False}
+
+
+def test_images_and_map_are_built_once_per_operator(rng):
+    d = random_delta(rng)
+    assert basis_images(d) is basis_images(d)
+    assert induced_qmap(d) is induced_qmap(d)
+    fresh = DeltaCoefficients(b=d.b, B1=d.B1, B2=d.B2, T=d.T)
+    assert basis_images(fresh) is not basis_images(d)
+    assert np.array_equal(basis_images(fresh), basis_images(d))
+
+
+def test_cached_images_and_map_are_read_only(rng):
+    d = random_delta(rng)
+    with pytest.raises(ValueError):
+        basis_images(d)[0, 0, 0] = 1.0
+    v = induced_qmap(d)
+    for name in ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g"):
+        with pytest.raises(ValueError):
+            getattr(v, name)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d._basis_images = np.zeros((3, 4, 4))
+
+
+def test_derived_operators_get_fresh_images(rng):
+    d = random_delta(rng)
+    images, v = basis_images(d).copy(), induced_qmap(d)
+    T = rng.normal(size=(3, 3, 3))
+    replaced = dataclasses.replace(d, T=T)
+    rebuilt = DeltaCoefficients(b=d.b, B1=d.B1, B2=d.B2, T=T)
+    assert np.array_equal(basis_images(replaced), basis_images(rebuilt))
+    assert not np.array_equal(basis_images(replaced), images)
+    assert np.array_equal(induced_qmap(replaced).coefficient_rows(), induced_qmap(rebuilt).coefficient_rows())
+    for part in split(d, 0.3):
+        rebuilt = DeltaCoefficients(b=part.b, B1=part.B1, B2=part.B2, T=part.T)
+        assert np.array_equal(basis_images(part), basis_images(rebuilt))
+        assert np.array_equal(induced_qmap(part).coefficient_rows(), induced_qmap(rebuilt).coefficient_rows())
+    assert np.array_equal(basis_images(d), images) and induced_qmap(d) is v

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from blochquad import catalog, check_positivity, induced_qmap, sampling, sphere_deviation
-from blochquad.cli import ConfigError, _build_parser, config_dict, dumps_report, main, parse_config
+from blochquad.channel import basis_images
+from blochquad.cli import ConfigError, _build_parser, config_dict, dumps_report, inspection_report, main, parse_config
 from blochquad.purity import MC_PASS_DEVIATION
 from conftest import admission_bound_config
 
@@ -51,6 +52,45 @@ def test_parse_config_diagnostics():
     with pytest.raises(ConfigError, match=r"T\[0\]\[0\]"):
         parse_config('{"T": [[[0,0],[0,0,0],[0,0,0]],'
                      '[[0,0,0],[0,0,0],[0,0,0]],[[0,0,0],[0,0,0],[0,0,0]]]}')
+
+
+def config_error(text):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    return str(exc.value)
+
+
+def test_parse_config_names_the_offending_entry():
+    # JSON true is a bool, which float() would take as 1.0
+    assert config_error('{"b": [true, 0, 0]}') == "b[0]: expected a number, got True"
+    T = np.zeros((3, 3, 3)).tolist()
+    T[2][1][0] = "x"
+    assert config_error(json.dumps({"T": T})) == "T[2][1][0]: expected a number, got 'x'"
+    T[2][1][0] = [0]
+    assert config_error(json.dumps({"T": T})) == "T[2][1][0]: expected a number, got [0]"
+    assert config_error('{"B1": [[0, 0, 0], [0, 0, 1%s], [0, 0, 0]]}' % ("0" * 400)) == (
+        "B1[1][2]: number beyond the double range"
+    )
+    assert config_error('{"B2": [[0, 0, 0], 0, [0, 0, 0]]}') == "B2[1]: expected a list of 3 entries"
+    assert config_error('{"b": [0, 0]}') == "b: expected a list of 3 entries"
+
+
+def test_inspect_names_the_offending_entry(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text('{"b": [true, 0, 0]}')
+    assert run_cli(capsys, "inspect", str(path)) == (1, "", f"error: {path}: b[0]: expected a number, got True\n")
+
+
+def test_inspection_report_does_not_depend_on_the_cache(tmp_path, capsys):
+    # the report of an operator whose images, map and verdicts were already
+    # derived equals the report of a fresh one, and a second report the first
+    for entry in catalog.entries():
+        text = dumps_report(config_dict(entry.delta))
+        fresh = dumps_report(inspection_report(parse_config(text), tol=1e-9))
+        warm = parse_config(text)
+        basis_images(warm), induced_qmap(warm), check_positivity(warm)
+        assert dumps_report(inspection_report(warm, tol=1e-9)) == fresh
+        assert dumps_report(inspection_report(warm, tol=1e-9)) == fresh
 
 
 def test_inspect_delta0(tmp_path, capsys):
@@ -216,6 +256,29 @@ def test_simulate_absorbing_circle(tmp_path, capsys):
     rows = out.splitlines()[1:]
     for row in rows[1:]:
         assert row.split(",")[1:4] == ["0", "-1", "0"]
+
+
+@pytest.mark.parametrize(
+    "config, f0, steps, step",
+    [
+        (None, "0.6,0.8,0", "70", 65),  # delta0 off its invariant circle, after float drift
+        ({"T": [[[2, 0, 0], [0, 0, 0], [0, 0, 0]], [[0] * 3] * 3, [[0] * 3] * 3]}, "0.9,0,0", "20", 11),
+    ],
+)
+def test_simulate_fails_closed_on_an_overflowing_orbit(tmp_path, capsys, config, f0, steps, step):
+    # exit 1 with the step named, no CSV row and no RuntimeWarning (pytest would raise one)
+    if config is None:
+        path = write_catalog_config(tmp_path, capsys, "delta0")
+    else:
+        path = tmp_path / "grow.json"
+        path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--f0", f0, "--steps", steps)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"at step {step} " in err
+    assert "Warning" not in err and err.count("\n") == 1
+    out_csv = tmp_path / "orbit.csv"
+    code, out, err = run_cli(capsys, "simulate", str(path), "--f0", f0, "--steps", steps, "--out", str(out_csv))
+    assert (code, out) == (1, "") and not out_csv.exists()
 
 
 def test_simulate_rejects_bad_start(tmp_path, capsys):

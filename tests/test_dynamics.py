@@ -37,6 +37,17 @@ def test_iterate_sends_sphere_to_fixed_target():
     assert np.allclose(traj.points[4], [1, 0, 0])
 
 
+def test_iterate_fails_closed_at_the_first_non_finite_iterate():
+    # delta0 drifts off its invariant circle and leaves the ball; the 64 steps
+    # before the overflow stay finite and are returned in full
+    start = [0.6, 0.8, 0.0]
+    assert np.isfinite(iterate(v0(), start, 64).points).all()
+    with pytest.raises(ValueError, match=r"at step 65 \(norm 1\.242e\+191 at step 64\)"):
+        iterate(v0(), start, 70)
+    with pytest.raises(ValueError, match="at step 11 "):
+        iterate(QuadraticMapCoeffs(a=[2.0, 0.0, 0.0]), [0.9, 0.0, 0.0], 20)
+
+
 def test_iterate_f1_zero_circle_is_absorbed():
     traj = iterate(v0(), [0, 0.6, 0.8], 3)
     assert np.abs(traj.points[1] - np.array([0, -1, 0])).max() < 1e-12

@@ -85,6 +85,31 @@ def test_coefficient_validation():
         QuadraticMapCoeffs(a=(np.inf, 0, 0))
 
 
+def test_admission_names_the_first_offending_field():
+    # the nine vectors are admitted as one array; a refusal still names its field
+    with pytest.raises(ValueError, match="^a: .*overflow"):
+        QuadraticMapCoeffs(a=[np.nan, 0, 0], Gamma=[np.inf, 0, 0])
+    with pytest.raises(ValueError, match="^Gamma: .*overflow"):
+        QuadraticMapCoeffs(a=[1, 0, 0], Gamma=[np.inf, 0, 0])
+    with pytest.raises(ValueError, match=r"^B: expected shape \(3,\), got \(2,\)$"):
+        QuadraticMapCoeffs(a=[1, 0, 0], B=(1, 2))
+    with pytest.raises(ValueError, match=r"^a: expected shape \(3,\), got \(1, 3\)$"):
+        QuadraticMapCoeffs(**{name: [[1.0, 2.0, 3.0]] for name in ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")})
+
+
+def test_fields_are_rows_of_one_admitted_copy(rng):
+    source = rng.normal(size=(9, 3))
+    v = QuadraticMapCoeffs(*source)
+    rows = v.coefficient_rows()
+    assert all(np.shares_memory(getattr(v, name), rows) for name in ("a", "Gamma", "g"))
+    assert not np.shares_memory(rows, source)
+    source[0, 0] += 1.0
+    assert v.a[0] != source[0, 0]
+    expected = np.zeros((9, 3))
+    expected[1] = [1, 2, 3]
+    assert np.array_equal(QuadraticMapCoeffs(b=[1, 2, 3]).coefficient_rows(), expected)  # None is zeros
+
+
 ADMITTED = [
     (QuadraticMapCoeffs, "Gamma", (3,), 2.0 * COEFFICIENT_LIMIT),
     (DeltaCoefficients, "b", (3,), COEFFICIENT_LIMIT),
