@@ -88,7 +88,9 @@ def test_inspection_report_does_not_depend_on_the_cache(tmp_path, capsys):
         text = dumps_report(config_dict(entry.delta))
         fresh = dumps_report(inspection_report(parse_config(text), tol=1e-9))
         warm = parse_config(text)
-        basis_images(warm), induced_qmap(warm), check_positivity(warm)
+        basis_images(warm)
+        induced_qmap(warm)
+        check_positivity(warm)
         assert dumps_report(inspection_report(warm, tol=1e-9)) == fresh
         assert dumps_report(inspection_report(warm, tol=1e-9)) == fresh
 

@@ -2,10 +2,10 @@
 
 tests/golden/ holds the operator configs (the catalog entries as `catalog
 NAME` prints them, and the configs the other CLI tests build), and for each
-command line the exit code, stdout and stderr the CLI gave when the files
-were written.  Any change to a report, a verdict, a number's last digit or
-a trajectory row fails here.  After a deliberate output change, rewrite the
-files with
+command line the stdout (CASE.out) and the exit code and stderr
+(status.json) the CLI gave when the files were written.  Any change to a
+report, a verdict, a number's last digit or a trajectory row fails here.
+After a deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -37,10 +37,10 @@ def _built_configs() -> dict:
 
 
 def cases() -> list:
-    """(case name, config name, argv after the config path)."""
+    """(case name, argv) of every golden command line."""
     names = list(CATALOG) + sorted(_built_configs())
-    out = [(f"{name}.{'-'.join(c[0::2])}", name, list(c[1:])) for name in names for c in CHECKS]
-    out.append(("delta0.simulate", "delta0", ["--f0", "0.6,0.8,0"]))
+    out = [(f"{name}.{'-'.join(c[0::2])}", [c[0], str(GOLDEN / f"{name}.json"), *c[1:]]) for name in names for c in CHECKS]
+    out.append(("delta0.simulate", ["simulate", str(GOLDEN / "delta0.json"), "--f0", "0.6,0.8,0"]))
     return out
 
 
@@ -53,8 +53,8 @@ def run(capsys, argv: list) -> tuple:
 
 
 def _expected(case: str) -> tuple:
-    rc = json.loads((GOLDEN / "exit_codes.json").read_text())[case]
-    return rc, (GOLDEN / f"{case}.out").read_text(), (GOLDEN / f"{case}.err").read_text()
+    status = json.loads((GOLDEN / "status.json").read_text())[case]
+    return status["exit"], (GOLDEN / f"{case}.out").read_text(), status["stderr"]
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -62,10 +62,9 @@ def test_catalog_config_is_unchanged(capsys, name):
     assert run(capsys, ["catalog", name]) == (0, (GOLDEN / f"{name}.json").read_text(), "")
 
 
-@pytest.mark.parametrize("case,config,tail", cases(), ids=[c[0] for c in cases()])
-def test_cli_output_is_unchanged(capsys, case, config, tail):
-    command = case.split(".")[1].split("-")[0]
-    assert run(capsys, [command, str(GOLDEN / f"{config}.json"), *tail]) == _expected(case)
+@pytest.mark.parametrize("case,argv", cases(), ids=[c[0] for c in cases()])
+def test_cli_output_is_unchanged(capsys, case, argv):
+    assert run(capsys, argv) == _expected(case)
 
 
 def write() -> None:
@@ -88,13 +87,12 @@ def write() -> None:
         (GOLDEN / f"{name}.json").write_text(out)
     for name, config in _built_configs().items():
         (GOLDEN / f"{name}.json").write_text(json.dumps(config) + "\n")
-    codes = {}
-    for case, config, tail in cases():
-        command = case.split(".")[1].split("-")[0]
-        codes[case], out, err = capture([command, str(GOLDEN / f"{config}.json"), *tail])
+    status = {}
+    for case, argv in cases():
+        code, out, err = capture(argv)
         (GOLDEN / f"{case}.out").write_text(out)
-        (GOLDEN / f"{case}.err").write_text(err)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+        status[case] = {"exit": code, "stderr": err}
+    (GOLDEN / "status.json").write_text(json.dumps(status, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
