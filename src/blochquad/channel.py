@@ -24,6 +24,7 @@ kept with it, read-only, so every check of one operator shares them.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, evaluate, real_array
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
 TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 # The tensor swap on the product basis indices (1,2,3,4) -> (1,3,2,4).
 _SWAP = np.array([0, 2, 1, 3])
 # sum_l kron(X_l, e_l) = X @ _LIFT_RIGHT and sum_m kron(e_m, Y_m) = Y @ _LIFT_LEFT
@@ -41,6 +44,16 @@ _SWAP = np.array([0, 2, 1, 3])
 # come out as flattened 8x8 matrices.
 _LIFT_RIGHT = np.einsum("ap,bq,lcd->labpcqd", np.eye(4), np.eye(4), np.array(BASIS)).reshape(64, 64)
 _LIFT_LEFT = np.einsum("mab,cp,dq->mcdapbq", np.array(BASIS), np.eye(4), np.eye(4)).reshape(64, 64)
+
+
+# Field name, shape, and place in the admitted copy of all 48 block entries.
+_BLOCKS = (
+    ("b", (3,), slice(0, 3)),
+    ("B1", (3, 3), slice(3, 12)),
+    ("B2", (3, 3), slice(12, 21)),
+    ("T", (3, 3, 3), slice(21, 48)),
+)
+_ZEROS = {shape: np.zeros(shape) for _, shape, _ in _BLOCKS}
 
 
 @dataclass(frozen=True)
@@ -60,9 +73,26 @@ class DeltaCoefficients:
     T: np.ndarray = None
 
     def __post_init__(self):
-        for name, shape in (("b", (3,)), ("B1", (3, 3)), ("B2", (3, 3)), ("T", (3, 3, 3))):
-            value = real_array(getattr(self, name), shape, name, COEFFICIENT_LIMIT)
-            object.__setattr__(self, name, value)
+        values = [getattr(self, name) for name, _, _ in _BLOCKS]
+        try:
+            blocks = [
+                _ZEROS[shape] if value is None else np.asarray(value, dtype=float)
+                for value, (_, shape, _) in zip(values, _BLOCKS)
+            ]
+            flat = np.concatenate(blocks, axis=None)  # one copy, and one bound check on it
+            admitted = all(block.shape == shape for block, (_, shape, _) in zip(blocks, _BLOCKS))
+            admitted = admitted and bool((np.abs(flat) <= COEFFICIENT_LIMIT).all())
+        except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or an integer beyond the double range
+            admitted = False
+        if admitted:
+            flat.setflags(write=False)  # before the fields take their views
+            blocks = [flat[place].reshape(shape) for _, shape, place in _BLOCKS]
+        else:  # walk the blocks: the first offending one raises, by name
+            blocks = [
+                real_array(value, shape, name, COEFFICIENT_LIMIT) for value, (name, shape, _) in zip(values, _BLOCKS)
+            ]
+        for (name, _, _), block in zip(_BLOCKS, blocks):
+            object.__setattr__(self, name, block)
 
     @classmethod
     def trace_preserving(cls, B1=None, B2=None, T=None) -> "DeltaCoefficients":
@@ -121,8 +151,8 @@ def bloch_images(d: DeltaCoefficients, W) -> np.ndarray:
     These are the images of the positive boundary elements on which
     positivity.check_positivity decides.
     """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    return np.eye(4) + np.tensordot(W, basis_images(d), axes=1)
+    W = np.asarray(W, dtype=float)  # np.dot: the product tensordot forms, without its reshaping
+    return _EYE4 + np.dot(W, basis_images(d).reshape(3, 16)).reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -179,7 +209,7 @@ def apply_haar_closed_form(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
 
 def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """True iff the constant block vanishes."""
-    return float(np.linalg.norm(d.b)) <= tol
+    return math.sqrt(d.b @ d.b) <= tol  # the bits of np.linalg.norm on a real vector
 
 
 def _symmetry_residual(d: DeltaCoefficients) -> float:

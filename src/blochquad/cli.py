@@ -48,23 +48,28 @@ class _Misplaced(Exception):
         self.problem, self.path = problem, path
 
 
+def _check_number(value):
+    """Raises _Misplaced unless value is a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Misplaced(f"expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the double range
+        raise _Misplaced("number beyond the double range") from None
+    if not finite:
+        raise _Misplaced("non-finite number")
+
+
 def _check_numbers(value, dims: int):
-    """Whether value nests dims levels of 3-lists of finite numbers; raises _Misplaced if not."""
-    if dims == 0:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _Misplaced(f"expected a number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the double range
-            raise _Misplaced("number beyond the double range") from None
-        if not finite:
-            raise _Misplaced("non-finite number")
-        return
+    """Whether value nests dims >= 1 levels of 3-lists of finite numbers; raises _Misplaced if not."""
     if not isinstance(value, list) or len(value) != 3:
         raise _Misplaced("expected a list of 3 entries")
     for k, item in enumerate(value):
         try:
-            _check_numbers(item, dims - 1)
+            if dims > 1:
+                _check_numbers(item, dims - 1)
+            elif type(item) is not float or not math.isfinite(item):  # a finite float, most leaves, needs no call
+                _check_number(item)
         except _Misplaced as exc:
             exc.path = f"[{k}]{exc.path}"
             raise
@@ -208,6 +213,8 @@ def inspection_report(d: DeltaCoefficients, tol: float) -> dict:
 
 
 def _cmd_inspect(args) -> int:
+    if not 0.0 <= args.tol < math.inf:  # a NaN fails too: no verdict may pass by an infinite tolerance
+        raise ConfigError(f"--tol must be a finite number at least 0, got {args.tol}")
     d = load_config(args.path)
     report = inspection_report(d, tol=args.tol)
     sys.stdout.write(dumps_report(report))
@@ -367,3 +374,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -42,8 +42,10 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
     they stay accurate far below the 1e-154 where squared components underflow.
     Raises ValueError at the first iterate that is not finite: a map that
     leaves the ball can grow doubly exponentially and overflow, and no
-    later point of the orbit means anything.
+    later point of the orbit means anything.  Raises ValueError for steps < 0.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     f = np.array(f0, dtype=float)
     if np.linalg.norm(f) > 1.0 + TOL_STATE:
         raise ValueError(f"start point norm {np.linalg.norm(f)} exceeds 1")

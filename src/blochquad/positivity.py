@@ -9,6 +9,7 @@ images of sphere-preserving trace-state operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from .pauli import TOL_ALG
 from .qmap import QuadraticMapCoeffs, is_haar_form
 
 TOL_EIG = 1e-9
+_EPS = float(np.finfo(float).eps)
 # Vertices the branch and bound may solve before it gives up as marginal.
 VERTEX_CAP = 20000
 
@@ -47,9 +49,12 @@ def simple_form_eigs(w0: float, w, r) -> np.ndarray:
     return np.array([w0 - nr + nw, w0 - nr - nw, w0 + nr + nw, w0 + nr - nw])
 
 
-def operator_norm3(B: np.ndarray) -> float:
-    """Largest singular value of a real 3x3 matrix."""
-    return float(np.linalg.norm(np.asarray(B, dtype=float), 2))
+def operator_norm3(B: np.ndarray):
+    """Largest singular value of a real 3x3 matrix, or of each in a stack (..., 3, 3).
+
+    One batched LAPACK call; it returns the singular values in descending order.
+    """
+    return np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -95,14 +100,18 @@ def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVe
     )
 
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
+
 def _probe_directions(v: QuadraticMapCoeffs) -> np.ndarray:
     """Deterministic probe directions: a, b, c (normalized), then e1, e2, e3."""
     quadratic = []
     for vec in (v.a, v.b, v.c):
-        norm = np.linalg.norm(vec)
+        norm = math.sqrt(vec @ vec)  # the bits of np.linalg.norm on a real vector
         if norm > 1e-12:
             quadratic.append(vec / norm)
-    return np.vstack(quadratic + [np.eye(3)])
+    return np.vstack(quadratic + [_EYE3])
 
 
 def _minima(d: DeltaCoefficients, W: np.ndarray) -> np.ndarray:
@@ -113,8 +122,9 @@ def _minima(d: DeltaCoefficients, W: np.ndarray) -> np.ndarray:
     images = channel.bloch_images(d, W)
     if not np.isfinite(images).all():
         raise ValueError("operator images overflow double precision; positivity cannot be decided")
-    vals = np.linalg.eigvalsh(images)
-    return np.column_stack([vals[:, 0], 2.0 - vals[:, -1]])
+    minima = np.linalg.eigvalsh(images)[:, ::3]  # lambda_min, lambda_max: a view of a fresh array
+    minima[:, 1] = 2.0 - minima[:, 1]
+    return minima
 
 
 def _icosahedron() -> tuple:
@@ -126,7 +136,17 @@ def _icosahedron() -> tuple:
     return V / np.linalg.norm(V, axis=1, keepdims=True), faces[[tuple(c) > tuple(-c) for c in V[faces].sum(axis=1)]]
 
 
+def _face_cos(V: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """min_j <c, v_j> of each face (row of F) with vertices v_j in V and unit centroid c."""
+    corners = V[F]
+    c = corners.sum(axis=1)
+    return np.einsum("kd,kjd->kj", c / np.linalg.norm(c, axis=1, keepdims=True), corners).min(axis=1)
+
+
 ICOSAHEDRON, FACES = _icosahedron()
+FACE_COS = _face_cos(ICOSAHEDRON, FACES)
+for _table in (ICOSAHEDRON, FACES, FACE_COS):
+    _table.setflags(write=False)
 
 
 def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
@@ -138,7 +158,9 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
     Stages: (1) the probes, each scanned as +w, then -w, where
     sphere-preserving operators fail; (2) for T = 0, b = 0,
     g(u) = |B1 u| + |B2 u| <= |B1| + |B2|, which proves flat maxima such as
-    linear(I/2)'s that no vertex bound can; (3) _branch_and_bound.
+    linear(I/2)'s that no vertex bound can; (3) _branch_and_bound, whose
+    faces carry their geometry min_j <c, v_j> from where they are created
+    (FACE_COS, computed at import, for the 10 icosahedron face pairs).
     verdict: True when the certified minimum is at least -TOL_EIG, False
     with a witness (the first probe, or a vertex, below -TOL_EIG), None
     (marginal) at VERTEX_CAP.  interval: upper is the least eigenvalue seen
@@ -155,17 +177,18 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
     has |M_i| <= 1 (to TOL_EIG): there scale <= 25, allowance < 1e-12.
     """
     M = channel.basis_images(d)
-    allowance = 128.0 * float(np.finfo(float).eps) * (1.0 + float(np.abs(M).sum()))
+    allowance = 128.0 * _EPS * (1.0 + float(np.abs(M).sum()))
     W = _probe_directions(induced_qmap(d))
     mins = _minima(d, W).ravel()  # (w, +), (w, -), ...
     seen = float(mins.min())
-    bad = np.nonzero(mins < -TOL_EIG)[0]
+    bad = (mins < -TOL_EIG).nonzero()[0]
     if bad.size:
         first = int(bad[0])
         w = W[first // 2] if first % 2 == 0 else -W[first // 2]
         return _refuted(M, allowance, Witness(w=w, min_eigenvalue=float(mins[first])), seen)
     if not d.b.any() and not d.T.any():
-        bound = operator_norm3(d.B1) + operator_norm3(d.B2) + allowance
+        norm1, norm2 = operator_norm3(np.stack([d.B1, d.B2]))
+        bound = float(norm1) + float(norm2) + allowance
         if 1.0 - bound >= -TOL_EIG:
             return PositivityVerdict(True, seen, interval=(1.0 - bound, seen + allowance))
     return _branch_and_bound(d, M, allowance, seen)
@@ -178,7 +201,8 @@ check_positivity_sampled = check_positivity
 
 def _refuted(M: np.ndarray, allowance: float, witness: Witness, seen: float) -> PositivityVerdict:
     """Nonpositive verdict; its lower end from g(u) <= |u.M| <= sqrt(sum_i |M_i|^2) for unit u."""
-    reach = float(np.linalg.norm(np.linalg.norm(M, 2, axis=(1, 2))))
+    s = np.linalg.svd(M, compute_uv=False)[:, 0]  # |M_i|: the values come sorted descending
+    reach = math.sqrt(s @ s)
     return PositivityVerdict(False, seen, witness, (1.0 - reach - allowance, seen + allowance))
 
 
@@ -190,36 +214,40 @@ def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, see
     g(v_j) and 1 >= <c, u> >= sum_j mu_j min_j <c, v_j>: g(u) <= max(0,
     max_j g(v_j)) / min_j <c, v_j>.  One solve per vertex v gives g(+-v),
     so a face and its antipode share one bound, plus allowance; open faces
-    split in four at their edge midpoints.  The first vertex batch with an
-    eigenvalue below -TOL_EIG gives the witness, its most negative one.
+    split in four at their edge midpoints.  min_j <c, v_j> is computed once
+    per face, where the face is created (FACE_COS for the icosahedron).  The
+    first vertex batch with an eigenvalue below -TOL_EIG gives the witness,
+    its most negative one.
     """
-    V, F, g, fresh, settled_top = ICOSAHEDRON, FACES, np.empty((0, 2)), ICOSAHEDRON, 0.0
+    V, F, cos, g, fresh, settled_top = ICOSAHEDRON, FACES, FACE_COS, np.empty((0, 2)), ICOSAHEDRON, 0.0
     while True:
         minima = _minima(d, fresh)
         seen = min(seen, float(minima.min()))
         if (minima < -TOL_EIG).any():
-            k = int(np.argmin(minima))
+            k = int(minima.argmin())
             w = fresh[k // 2] if k % 2 == 0 else -fresh[k // 2]
             return _refuted(M, allowance, Witness(w=w, min_eigenvalue=float(minima.flat[k])), seen)
         g = np.vstack([g, 1.0 - minima])  # g(-v), g(v)
-        c = V[F].sum(axis=1)
-        cos = np.einsum("kd,kjd->kj", c / np.linalg.norm(c, axis=1, keepdims=True), V[F]).min(axis=1)
         bound = (np.maximum(0.0, g[F].max(axis=(1, 2))) + allowance) / cos
         settled = 1.0 - bound >= -TOL_EIG  # NaN stays open
         settled_top = max(settled_top, float(bound[settled].max(initial=0.0)))
         F = F[~settled]
         if not len(F):
             return PositivityVerdict(True, seen, interval=(1.0 - settled_top, seen + allowance))
+        n = len(V)
         edges = np.sort(F[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
-        pairs, slot = np.unique(edges, axis=0, return_inverse=True)
-        if len(V) + len(pairs) > VERTEX_CAP:
+        # Keys p * n + q (p < q < n) sort as the pairs (p, q) do.
+        keys, slot = np.unique(edges[:, 0] * n + edges[:, 1], return_inverse=True)
+        if n + len(keys) > VERTEX_CAP:
             top = max(settled_top, float(bound[~settled].max()))
             return PositivityVerdict(None, seen, interval=(1.0 - top, seen + allowance))
-        fresh = V[pairs[:, 0]] + V[pairs[:, 1]]
+        p, q = np.divmod(keys, n)
+        fresh = V[p] + V[q]
         fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
-        corners = np.column_stack([F, len(V) + slot.reshape(-1, 3)])  # p, q, r, m_pq, m_qr, m_rp
+        corners = np.column_stack([F, n + slot.reshape(-1, 3)])  # p, q, r, m_pq, m_qr, m_rp
         F = corners[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]].reshape(-1, 3)
         V = np.vstack([V, fresh])
+        cos = _face_cos(V, F)
 
 
 def theorem_witness_eigs(v: QuadraticMapCoeffs) -> dict:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,16 @@ def test_parse_config_names_the_offending_entry():
     )
     assert config_error('{"B2": [[0, 0, 0], 0, [0, 0, 0]]}') == "B2[1]: expected a list of 3 entries"
     assert config_error('{"b": [0, 0]}') == "b: expected a list of 3 entries"
+
+
+def test_parse_config_leaf_diagnostics():
+    # finite floats skip the per-entry check; every other leaf still gets its message
+    assert config_error('{"B1": [[1e400, 0, 0], [0, 0, 0], [0, 0, 0]]}') == "B1[0][0]: non-finite number"
+    assert config_error('{"T": [[[0, 0, 0], [0, 0, 0], [0, 0, -1e400]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]],'
+                        ' [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]}') == "T[0][2][2]: non-finite number"
+    assert config_error('{"b": [0.5, null, 0]}') == "b[1]: expected a number, got None"
+    d = parse_config('{"B1": [[1, 0.5, 0], [0, 2, 0], [0, 0, -3]]}')  # integers are numbers
+    assert np.array_equal(d.B1, [[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -3.0]])
 
 
 def test_inspect_names_the_offending_entry(tmp_path, capsys):
@@ -281,6 +295,47 @@ def test_simulate_fails_closed_on_an_overflowing_orbit(tmp_path, capsys, config,
     out_csv = tmp_path / "orbit.csv"
     code, out, err = run_cli(capsys, "simulate", str(path), "--f0", f0, "--steps", steps, "--out", str(out_csv))
     assert (code, out) == (1, "") and not out_csv.exists()
+
+
+def test_simulate_refuses_a_negative_step_count(tmp_path, capsys):
+    path = write_catalog_config(tmp_path, capsys, "delta0")
+    code, out, err = run_cli(capsys, "simulate", str(path), "--f0", "0.6,0.8,0", "--steps", "-3")
+    assert (code, out, err) == (1, "", "error: steps must be at least 0, got -3\n")
+    out_csv = tmp_path / "orbit.csv"
+    code, out, err = run_cli(capsys, "simulate", str(path), "--f0", "0.6,0.8,0", "--steps", "-3", "--out", str(out_csv))
+    assert (code, out) == (1, "") and not out_csv.exists()
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--f0", "0.6,0.8,0", "--steps", "0")
+    assert code == 0 and out.splitlines() == ["n,f1,f2,f3,norm", "0,0.59999999999999998,0.80000000000000004,0,1"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_inspect_refuses_a_tolerance_that_is_not_finite_and_non_negative(tmp_path, capsys, tol):
+    # at --tol inf a broken operator would read trace-preserving, Haar-traced and q-pure
+    path = tmp_path / "op.json"
+    path.write_text('{"b": [0.1, 0, 0]}')
+    code, out, err = run_cli(capsys, "inspect", str(path), "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --tol ") and err.count("\n") == 1
+
+
+def test_inspect_accepts_a_zero_tolerance(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text('{"b": [0.1, 0, 0]}')
+    code, out, _ = run_cli(capsys, "inspect", str(path), "--tol", "0")
+    report = json.loads(out)
+    assert code == 0 and report["trace_preserving"] is False and report["haar_trace"] is False
+
+
+@pytest.mark.parametrize("module", ["blochquad", "blochquad.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    # no installed console script needed: the package runs from src/
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "catalog", "delta0"], env=env, capture_output=True, text=True, check=False
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (root / "tests" / "golden" / "delta0.json").read_text()
 
 
 def test_simulate_rejects_bad_start(tmp_path, capsys):

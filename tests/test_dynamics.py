@@ -48,6 +48,13 @@ def test_iterate_fails_closed_at_the_first_non_finite_iterate():
         iterate(QuadraticMapCoeffs(a=[2.0, 0.0, 0.0]), [0.9, 0.0, 0.0], 20)
 
 
+def test_iterate_refuses_a_negative_step_count():
+    with pytest.raises(ValueError, match="steps must be at least 0, got -3"):
+        iterate(v0(), [0.6, 0.8, 0.0], -3)
+    traj = iterate(v0(), [0.6, 0.8, 0.0], 0)
+    assert len(traj) == 1 and np.array_equal(traj.points, [[0.6, 0.8, 0.0]])
+
+
 def test_iterate_f1_zero_circle_is_absorbed():
     traj = iterate(v0(), [0, 0.6, 0.8], 3)
     assert np.abs(traj.points[1] - np.array([0, -1, 0])).max() < 1e-12

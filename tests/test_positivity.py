@@ -544,3 +544,137 @@ def test_flat_maximum_is_marginal(monkeypatch):
     assert sum(solved) <= VERTEX_CAP + len(_probe_directions(induced_qmap(d)))
     # Just inside, the same operator is proved.
     assert check_positivity(rescaled(d, 1.0 - 1e-4)).verdict is True
+
+
+# ------------------------------------------------ the proof's earlier numpy forms
+# check_positivity takes both closed-form norms from one batched SVD, the
+# refutation's reach from one SVD and math.sqrt, 1-D norms as math.sqrt(x @ x),
+# images by np.dot, face geometry once per face and edge keys as integers.
+# The forms it replaced are kept here, and must give the same bits.
+
+
+def reference_bloch_images(d, W):
+    return np.eye(4) + np.tensordot(np.atleast_2d(np.asarray(W, dtype=float)), basis_images(d), axes=1)
+
+
+def reference_minima(d, W):
+    vals = np.linalg.eigvalsh(reference_bloch_images(d, W))
+    return np.column_stack([vals[:, 0], 2.0 - vals[:, -1]])
+
+
+def reference_refuted(M, allowance, witness, seen):
+    reach = float(np.linalg.norm(np.linalg.norm(M, 2, axis=(1, 2))))
+    return positivity.PositivityVerdict(False, seen, witness, (1.0 - reach - allowance, seen + allowance))
+
+
+def reference_branch_and_bound(d, M, allowance, seen):
+    V, F, g, settled_top = positivity.ICOSAHEDRON, positivity.FACES, np.empty((0, 2)), 0.0
+    fresh = V
+    while True:
+        minima = reference_minima(d, fresh)
+        seen = min(seen, float(minima.min()))
+        if (minima < -TOL_EIG).any():
+            k = int(np.argmin(minima))
+            w = fresh[k // 2] if k % 2 == 0 else -fresh[k // 2]
+            return reference_refuted(M, allowance, positivity.Witness(w=w, min_eigenvalue=float(minima.flat[k])), seen)
+        g = np.vstack([g, 1.0 - minima])
+        c = V[F].sum(axis=1)
+        cos = np.einsum("kd,kjd->kj", c / np.linalg.norm(c, axis=1, keepdims=True), V[F]).min(axis=1)
+        bound = (np.maximum(0.0, g[F].max(axis=(1, 2))) + allowance) / cos
+        settled = 1.0 - bound >= -TOL_EIG
+        settled_top = max(settled_top, float(bound[settled].max(initial=0.0)))
+        F = F[~settled]
+        if not len(F):
+            return positivity.PositivityVerdict(True, seen, interval=(1.0 - settled_top, seen + allowance))
+        edges = np.sort(F[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+        pairs, slot = np.unique(edges, axis=0, return_inverse=True)
+        if len(V) + len(pairs) > VERTEX_CAP:
+            top = max(settled_top, float(bound[~settled].max()))
+            return positivity.PositivityVerdict(None, seen, interval=(1.0 - top, seen + allowance))
+        fresh = V[pairs[:, 0]] + V[pairs[:, 1]]
+        fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
+        corners = np.column_stack([F, len(V) + slot.reshape(-1, 3)])
+        F = corners[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]].reshape(-1, 3)
+        V = np.vstack([V, fresh])
+
+
+def reference_check_positivity(d):
+    M = basis_images(d)
+    allowance = 128.0 * float(np.finfo(float).eps) * (1.0 + float(np.abs(M).sum()))
+    v = induced_qmap(d)
+    quadratic = [vec / np.linalg.norm(vec) for vec in (v.a, v.b, v.c) if np.linalg.norm(vec) > 1e-12]
+    W = np.vstack(quadratic + [np.eye(3)])
+    mins = reference_minima(d, W).ravel()
+    seen = float(mins.min())
+    bad = np.nonzero(mins < -TOL_EIG)[0]
+    if bad.size:
+        first = int(bad[0])
+        w = W[first // 2] if first % 2 == 0 else -W[first // 2]
+        return reference_refuted(M, allowance, positivity.Witness(w=w, min_eigenvalue=float(mins[first])), seen)
+    if not d.b.any() and not d.T.any():
+        bound = float(np.linalg.norm(d.B1, 2)) + float(np.linalg.norm(d.B2, 2)) + allowance
+        if 1.0 - bound >= -TOL_EIG:
+            return positivity.PositivityVerdict(True, seen, interval=(1.0 - bound, seen + allowance))
+    return reference_branch_and_bound(d, M, allowance, seen)
+
+
+def hexed(values):
+    return tuple(float(x).hex() for x in np.ravel(values))
+
+
+def verdict_bits(result):
+    """Every field of a PositivityVerdict, floats as hex."""
+    witness = None if result.witness is None else (hexed(result.witness.w), hexed(result.witness.min_eigenvalue))
+    return result.verdict, hexed(result.min_eigenvalue_seen), hexed(result.interval), witness
+
+
+def bit_identity_operators():
+    """Operators on every path of the proof: probes, closed form, each branch-and-bound exit."""
+    rng = np.random.default_rng(1010)
+    flat = DeltaCoefficients.trace_preserving(B1=np.diag([0.6, 0.6, 0.0]), B2=np.diag([0.0, 0.0, 0.8]))
+    ops = [flat]  # tests/golden/flat.json: marginal at the vertex cap
+    for _ in range(4):
+        B1, B2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        for raw in (
+            random_delta(rng, trace_preserving=False),  # b != 0
+            DeltaCoefficients.trace_preserving(T=rng.normal(size=(3, 3, 3))),  # T != 0
+            DeltaCoefficients.trace_preserving(B1=B1, B2=B2),  # linear, B1 != B2
+            linear_family(B1),  # linear, B1 = B2
+        ):
+            boundary = 1.0 / sphere_max_g(raw, samples=2000)
+            ops.extend(rescaled(raw, ratio * boundary) for ratio in (0.5, 0.97, 0.999, 1.001, 1.03, 3.0))
+    shapes = {"b": (3,), "B1": (3, 3), "B2": (3, 3), "T": (3, 3, 3)}
+    ops.append(DeltaCoefficients(**{k: np.full(v, COEFFICIENT_LIMIT) for k, v in shapes.items()}))
+    ops.append(DeltaCoefficients(**{k: COEFFICIENT_LIMIT * rng.choice([-1.0, 1.0], size=v) for k, v in shapes.items()}))
+    return ops
+
+
+def test_proof_matches_its_earlier_numpy_forms_bit_for_bit():
+    ops = bit_identity_operators()
+    exits = set()
+    for d in ops:
+        result = check_positivity(d)
+        assert verdict_bits(result) == verdict_bits(reference_check_positivity(d))
+        exits.add(result.verdict)
+    assert exits == {True, False, None}
+    assert check_positivity(ops[0]).verdict is None  # the flat maximum reaches the vertex cap
+
+
+def test_batched_forms_match_the_per_call_forms(rng):
+    for d in bit_identity_operators()[::5]:
+        W = np.vstack([sphere_points(rng, 7), np.eye(3)])
+        assert np.array_equal(channel.bloch_images(d, W), reference_bloch_images(d, W))
+        assert np.array_equal(channel.bloch_images(d, W[0]), reference_bloch_images(d, W[0]))
+        norms = operator_norm3(np.stack([d.B1, d.B2]))
+        assert norms.tolist() == [float(np.linalg.norm(d.B1, 2)), float(np.linalg.norm(d.B2, 2))]
+        v = induced_qmap(d)
+        reference_probes = [vec / np.linalg.norm(vec) for vec in (v.a, v.b, v.c) if np.linalg.norm(vec) > 1e-12]
+        assert np.array_equal(_probe_directions(v), np.vstack(reference_probes + [np.eye(3)]))
+
+
+def test_face_geometry_is_the_per_level_value():
+    V, F = positivity.ICOSAHEDRON, positivity.FACES
+    c = V[F].sum(axis=1)
+    cos = np.einsum("kd,kjd->kj", c / np.linalg.norm(c, axis=1, keepdims=True), V[F]).min(axis=1)
+    assert np.array_equal(positivity.FACE_COS, cos)
+    assert len(F) == 10 and not positivity.FACE_COS.flags.writeable

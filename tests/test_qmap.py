@@ -110,6 +110,34 @@ def test_fields_are_rows_of_one_admitted_copy(rng):
     assert np.array_equal(QuadraticMapCoeffs(b=[1, 2, 3]).coefficient_rows(), expected)  # None is zeros
 
 
+def test_operator_admission_names_the_offending_block():
+    # the four blocks are admitted as one copy with one bound check; a refusal still names its block
+    with pytest.raises(ValueError, match=r"^T: expected shape \(3, 3, 3\), got \(3, 3\)$"):
+        DeltaCoefficients(T=np.zeros((3, 3)))
+    B2 = np.zeros((3, 3))
+    B2[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^B2: .*overflow"):
+        DeltaCoefficients(B2=B2, T=np.full((3, 3, 3), np.inf))
+    with pytest.raises(ValueError, match="^b: .*overflow"):
+        DeltaCoefficients(b=[2e150, 0, 0], B1=[[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^B1: expected shape"):
+        DeltaCoefficients(B1=[[1, 2], [3, 4]], T=np.full((3, 3, 3), np.nan))
+
+
+def test_operator_blocks_are_views_of_one_read_only_copy(rng):
+    source = {"b": rng.normal(size=3), "B1": rng.normal(size=(3, 3)), "T": rng.normal(size=(3, 3, 3))}
+    d = DeltaCoefficients(**source)
+    for name in ("b", "B1", "B2", "T"):
+        block = getattr(d, name)
+        assert block.base is d.b.base is not None
+        with pytest.raises(ValueError):
+            block.flat[0] = 1.0
+    for name, value in source.items():
+        assert np.array_equal(getattr(d, name), value) and not np.shares_memory(getattr(d, name), value)
+    assert np.array_equal(d.B2, np.zeros((3, 3)))  # None is zeros
+    assert np.array_equal(DeltaCoefficients(B1=[[1, 0, 0], [0, 2, 0], [0, 0, 3]]).B1, np.diag([1.0, 2.0, 3.0]))
+
+
 ADMITTED = [
     (QuadraticMapCoeffs, "Gamma", (3,), 2.0 * COEFFICIENT_LIMIT),
     (DeltaCoefficients, "b", (3,), COEFFICIENT_LIMIT),
