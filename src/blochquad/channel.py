@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHaarFormError, NotSelfAdjointError, NotSymmetricError
-from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, kron
+from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, checked_tol, kron
 from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, evaluate, real_array
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
@@ -209,7 +209,7 @@ def apply_haar_closed_form(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
 
 def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """True iff the constant block vanishes."""
-    return math.sqrt(d.b @ d.b) <= tol  # the bits of np.linalg.norm on a real vector
+    return math.sqrt(d.b @ d.b) <= checked_tol(tol)  # the bits of np.linalg.norm on a real vector
 
 
 def _symmetry_residual(d: DeltaCoefficients) -> float:
@@ -220,7 +220,7 @@ def _symmetry_residual(d: DeltaCoefficients) -> float:
 
 def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """Invariance under the tensor swap, checked on every basis image."""
-    return _symmetry_residual(d) <= tol
+    return _symmetry_residual(d) <= checked_tol(tol)
 
 
 def _haar_trace_residual(d: DeltaCoefficients) -> float:
@@ -237,7 +237,7 @@ def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     image Delta(sigma_i) must vanish, which for trace-preserving operators
     is the same as B1 = B2 = 0.
     """
-    return _haar_trace_residual(d) <= tol
+    return _haar_trace_residual(d) <= checked_tol(tol)
 
 
 def dual_pair(d: DeltaCoefficients, phi: BlochState, psi: BlochState) -> np.ndarray:
@@ -288,7 +288,7 @@ def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     Both sides are 8x8 matrices: each basis image expanded in the
     tensor-Pauli basis, with one leg lifted through Delta again.
     """
-    return _coassociativity_residual(d) <= tol
+    return _coassociativity_residual(d) <= checked_tol(tol)
 
 
 def induced_qmap(d: DeltaCoefficients) -> QuadraticMapCoeffs:

@@ -42,18 +42,22 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
     they stay accurate far below the 1e-154 where squared components underflow.
     Raises ValueError at the first iterate that is not finite: a map that
     leaves the ball can grow doubly exponentially and overflow, and no
-    later point of the orbit means anything.  Raises ValueError for steps < 0.
+    later point of the orbit means anything.  Raises ValueError for steps < 0
+    and for a start point outside the ball or with a NaN entry.  Each step
+    is one single-point evaluate(), so every row is what the map gives that
+    point alone.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     f = np.array(f0, dtype=float)
-    if np.linalg.norm(f) > 1.0 + TOL_STATE:
-        raise ValueError(f"start point norm {np.linalg.norm(f)} exceeds 1")
-    points, norms = [f], [math.hypot(*f)]
+    start = np.linalg.norm(f)
+    if not start <= 1.0 + TOL_STATE:  # a NaN fails too
+        raise ValueError(f"start point norm {start} exceeds 1")
+    points, norms = [f], [math.hypot(*f.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the norm test
         for n in range(1, steps + 1):
             f = evaluate(v, f)
-            norm = math.hypot(*f)
+            norm = math.hypot(*f.tolist())
             if not math.isfinite(norm):
                 raise ValueError(f"the orbit overflows double precision at step {n} (norm {norms[-1]:.3e} at step {n - 1})")
             if norm < UNDERFLOW_FLUSH:
@@ -89,7 +93,7 @@ def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:
     return worst
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Solutions s of (J - I) s = -r for a batch: jac (n, 3, 3), residual (n, 3).
 
@@ -100,25 +104,26 @@ def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
         s = -(r . (c1 x c2), c2 . (c0 x r), -c1 . (c0 x r)) / det M,
 
     where every operation is a length-n vector operation on one matrix
-    entry.  A row whose determinant is 0 or not finite, or whose step is
-    not finite, takes the pseudo-inverse step (np.linalg.pinv) instead;
-    that is how an overflow in the closed form is caught, so it raises no
-    warning.
+    entry, read in place from jac.  A row whose determinant is not finite,
+    or whose step is not finite (which a zero determinant makes it), takes
+    the pseudo-inverse step (np.linalg.pinv) instead; that is how an
+    overflow in the closed form is caught, so it raises no warning.
     """
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = jac.reshape(-1, 9).T - np.eye(3).reshape(9, 1)
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = jac.reshape(-1, 9).T
+    m0, m4, m8 = m0 - 1.0, m4 - 1.0, m8 - 1.0  # J - I; x - 0.0 is x, so the rest are read as they are
     r0, r1, r2 = residual.T
     u0, u1, u2 = m4 * m8 - m7 * m5, m7 * m2 - m1 * m8, m1 * m5 - m4 * m2  # c1 x c2
     q0, q1, q2 = m3 * r2 - m6 * r1, m6 * r0 - m0 * r2, m0 * r1 - m3 * r0  # c0 x r
     det = m0 * u0 + m3 * u1 + m6 * u2
-    solvable = np.isfinite(det) & (det != 0.0)
     step = np.array(
         [
             r0 * u0 + r1 * u1 + r2 * u2,
             m2 * q0 + m5 * q1 + m8 * q2,
             -(m1 * q0 + m4 * q1 + m7 * q2),
         ]
-    ) / -np.where(solvable, det, 1.0)
-    fallback = np.flatnonzero(~(solvable & np.isfinite(step).all(axis=0)))
+    ) / -det
+    finite = np.isfinite(step)
+    fallback = np.flatnonzero(~(np.isfinite(det) & finite[0] & finite[1] & finite[2]))
     if fallback.size:
         system = jac[fallback] - np.eye(3)
         step[:, fallback] = -(np.linalg.pinv(system) @ residual[fallback, :, None])[..., 0].T
@@ -165,15 +170,13 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
         if not active.size:
             break
         step = _newton_steps(jacobian(v, x.T), evaluate(v, x.T) - x.T)
-        # Norms and maxima over the three components, written out per
-        # component: the same values as np.linalg.norm(axis=1) and .max(axis=1).
-        s0, s1, s2 = step
-        length = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
-        step *= np.where(length > 0.5, 0.5 / np.maximum(length, 1e-300), 1.0)  # s0, s1, s2 too
-        n0, n1, n2 = x_new = x + step
-        ok = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) < 10.0  # False for NaN and inf too
-        size = np.maximum(np.maximum(np.abs(x[0]), np.abs(x[1])), np.abs(x[2]))
-        moving = np.maximum(np.maximum(np.abs(s0), np.abs(s1)), np.abs(s2)) > 1e-15 * np.maximum(1.0, size)
+        # Sums over the three components add them in order, so the norms are
+        # those of np.linalg.norm(axis=1); 0.5 / max(length, 0.5) is exactly 1
+        # for a step no longer than 0.5.
+        step *= 0.5 / np.maximum(np.sqrt((step * step).sum(axis=0)), 0.5)
+        x_new = x + step
+        ok = np.sqrt((x_new * x_new).sum(axis=0)) < 10.0  # False for NaN and inf too
+        moving = np.abs(step).max(axis=0) > 1e-15 * np.maximum(1.0, np.abs(x).max(axis=0))
         x = np.where(ok, x_new, x)
         going = ok & moving
         if not going.all():
@@ -263,9 +266,7 @@ def estimate_divergence_rate(f0_angle: float, steps: int, delta0: float) -> floa
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """CSV rows `n,f1,f2,f3,norm` with 17-significant-digit decimals."""
-    fh.write("n,f1,f2,f3,norm\n")
-    for n, (point, norm) in enumerate(zip(traj.points, traj.norms)):
-        fh.write(
-            f"{n},{point[0]:.17g},{point[1]:.17g},{point[2]:.17g},{norm:.17g}\n"
-        )
+    """CSV rows `n,f1,f2,f3,norm` with 17-significant-digit decimals, in one write."""
+    rows = enumerate(zip(traj.points.tolist(), traj.norms.tolist()))
+    lines = [f"{n},{f1:.17g},{f2:.17g},{f3:.17g},{norm:.17g}\n" for n, ((f1, f2, f3), norm) in rows]
+    fh.write("n,f1,f2,f3,norm\n" + "".join(lines))

@@ -8,6 +8,7 @@ phi(w0*1 + w.sigma) = w0 + <w, f>; pure states are exactly |f| = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,17 @@ from .errors import NotSelfAdjointError
 # Rounding-noise tolerances for closed-form arithmetic on unit-scale data.
 TOL_ALG = 1e-9
 TOL_STATE = 1e-9
+
+
+def checked_tol(tol: float) -> float:
+    """tol itself; ValueError unless it is a finite number at least 0.
+
+    Every library check that compares a residual with a caller's tol takes
+    it through here: at tol = inf, `residual <= tol` passes every operator.
+    """
+    if not 0.0 <= tol < math.inf:  # a NaN fails too
+        raise ValueError(f"tol must be a finite number at least 0, got {tol}")
+    return tol
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,7 +65,7 @@ class PauliElement:
         return max(abs(self.w0.imag), float(np.abs(self.w.imag).max()))
 
     def is_self_adjoint(self, tol: float = TOL_ALG) -> bool:
-        return self.self_adjoint_residue() <= tol
+        return self.self_adjoint_residue() <= checked_tol(tol)
 
     def conjugate(self) -> "PauliElement":
         """Coefficients of the adjoint x*: both w0 and w get conjugated."""

@@ -18,7 +18,7 @@ import numpy as np
 from . import channel
 from .channel import DeltaCoefficients, induced_qmap
 from .errors import NotHaarFormError, NotHermitianError
-from .pauli import TOL_ALG
+from .pauli import TOL_ALG, checked_tol
 from .qmap import QuadraticMapCoeffs, is_haar_form
 
 TOL_EIG = 1e-9
@@ -33,7 +33,7 @@ def eigvals_hermitian4(h: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
     defect = float(np.abs(h - h.conj().T).max())
-    if not defect <= tol:  # a NaN defect fails too
+    if not defect <= checked_tol(tol):  # a NaN defect fails too
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
 
@@ -87,7 +87,7 @@ def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVe
     vals, vecs = np.linalg.eigh(B.T @ B)
     norm = float(np.sqrt(max(vals[-1], 0.0)))
     min_eig = 1.0 - 2.0 * norm
-    if min_eig >= -tol:
+    if min_eig >= -checked_tol(tol):
         return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_eig)
     w = vecs[:, -1]
     nonzero = np.nonzero(np.abs(w) > 1e-12)[0]

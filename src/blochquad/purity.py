@@ -21,6 +21,7 @@ import numpy as np
 
 from . import sampling
 from .errors import NotHaarFormError
+from .pauli import checked_tol
 from .positivity import ICOSAHEDRON
 from .qmap import QuadraticMapCoeffs, evaluate, is_haar_form
 
@@ -51,6 +52,7 @@ class CertificateReport:
 
 
 def _report(pairs, tol: float) -> CertificateReport:
+    tol = checked_tol(tol)
     worst = max(pairs, key=lambda item: item[1])[0]
     verdict = all(r <= tol for _, r in pairs)
     return CertificateReport(verdict=verdict, residuals=tuple(pairs), worst_condition=worst)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import TOL_ALG
+from .pauli import TOL_ALG, checked_tol
 
 _FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 
@@ -103,13 +103,25 @@ _RIGHT = np.array([0, 1, 2, 1, 2, 2])
 
 def _features(f: np.ndarray) -> np.ndarray:
     """(f1^2, f2^2, f3^2, f1 f2, f2 f3, f1 f3, f1, f2, f3) along the last axis."""
-    f = np.asarray(f, dtype=float)
     return np.concatenate([f[..., _LEFT] * f[..., _RIGHT], f], axis=-1)
 
 
 def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
-    """V(f); broadcasts over a leading batch of input vectors."""
-    return _features(f) @ v.coefficient_rows()
+    """V(f); broadcasts over a leading batch of input vectors.
+
+    One point, shape (3,), builds its nine features from Python floats,
+    which round each product as numpy does, and keeps the (9,) @ (9, 3)
+    product.  A batch takes one (n, 9) @ (9, 3) product, which may round
+    the same point differently in the last bits; an orbit steps one point
+    at a time, so its rows do not depend on how the batch product rounds.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape == (3,):
+        f1, f2, f3 = f.tolist()
+        features = np.array([f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3])
+    else:
+        features = _features(f)
+    return features @ v.coefficient_rows()
 
 
 def homogeneous_part(v: QuadraticMapCoeffs) -> QuadraticMapCoeffs:
@@ -124,6 +136,7 @@ def linear_part(v: QuadraticMapCoeffs) -> np.ndarray:
 
 def is_haar_form(v: QuadraticMapCoeffs, tol: float = TOL_ALG) -> bool:
     """True when the map has no linear terms (d = e = g = 0)."""
+    tol = checked_tol(tol)
     return all(np.linalg.norm(vec) <= tol for vec in (v.d, v.e, v.g))
 
 

@@ -1,0 +1,81 @@
+"""The orbit path as it was before the single-point map step, kept as references.
+
+evaluate_reference forms the nine features by numpy gathers and one
+concatenate for any input shape; iterate_reference steps an orbit with it
+and takes norms with math.hypot on numpy scalars; write_trajectory_csv_reference
+writes one row per call; newton_steps_reference solves the Newton systems on
+a (9, n) copy of J - I.  The tests require blochquad's orbit rows and CSV text
+to equal these bit for bit, and its Newton steps to stay within 1e-12 of them.
+"""
+
+import math
+
+import numpy as np
+
+from blochquad.dynamics import UNDERFLOW_FLUSH, Trajectory
+from blochquad.pauli import TOL_STATE
+
+_LEFT = np.array([0, 1, 2, 0, 1, 0])
+_RIGHT = np.array([0, 1, 2, 1, 2, 2])
+
+
+def features_reference(f) -> np.ndarray:
+    """(f1^2, f2^2, f3^2, f1 f2, f2 f3, f1 f3, f1, f2, f3) along the last axis."""
+    f = np.asarray(f, dtype=float)
+    return np.concatenate([f[..., _LEFT] * f[..., _RIGHT], f], axis=-1)
+
+
+def evaluate_reference(v, f) -> np.ndarray:
+    return features_reference(f) @ v.coefficient_rows()
+
+
+def iterate_reference(v, f0, steps: int) -> Trajectory:
+    """Orbit f0, V(f0), ..., V^steps(f0); flushes to exact zero below 1e-300."""
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
+    f = np.array(f0, dtype=float)
+    if np.linalg.norm(f) > 1.0 + TOL_STATE:
+        raise ValueError(f"start point norm {np.linalg.norm(f)} exceeds 1")
+    points, norms = [f], [math.hypot(*f)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            f = evaluate_reference(v, f)
+            norm = math.hypot(*f)
+            if not math.isfinite(norm):
+                raise ValueError(f"the orbit overflows double precision at step {n} (norm {norms[-1]:.3e} at step {n - 1})")
+            if norm < UNDERFLOW_FLUSH:
+                points.append(np.zeros(3))
+                norms.append(0.0)
+                break
+            points.append(f)
+            norms.append(norm)
+    return Trajectory(points=np.array(points), norms=np.array(norms))
+
+
+def write_trajectory_csv_reference(traj: Trajectory, fh) -> None:
+    fh.write("n,f1,f2,f3,norm\n")
+    for n, (point, norm) in enumerate(zip(traj.points, traj.norms)):
+        fh.write(f"{n},{point[0]:.17g},{point[1]:.17g},{point[2]:.17g},{norm:.17g}\n")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def newton_steps_reference(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """(3, n) solutions of (J - I) s = -r by Cramer's rule, pinv where it fails."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = jac.reshape(-1, 9).T - np.eye(3).reshape(9, 1)
+    r0, r1, r2 = residual.T
+    u0, u1, u2 = m4 * m8 - m7 * m5, m7 * m2 - m1 * m8, m1 * m5 - m4 * m2
+    q0, q1, q2 = m3 * r2 - m6 * r1, m6 * r0 - m0 * r2, m0 * r1 - m3 * r0
+    det = m0 * u0 + m3 * u1 + m6 * u2
+    solvable = np.isfinite(det) & (det != 0.0)
+    step = np.array(
+        [
+            r0 * u0 + r1 * u1 + r2 * u2,
+            m2 * q0 + m5 * q1 + m8 * q2,
+            -(m1 * q0 + m4 * q1 + m7 * q2),
+        ]
+    ) / -np.where(solvable, det, 1.0)
+    fallback = np.flatnonzero(~(solvable & np.isfinite(step).all(axis=0)))
+    if fallback.size:
+        system = jac[fallback] - np.eye(3)
+        step[:, fallback] = -(np.linalg.pinv(system) @ residual[fallback, :, None])[..., 0].T
+    return step

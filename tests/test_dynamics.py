@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from blochquad import (
 from blochquad.dynamics import _newton_steps, write_trajectory_csv
 from blochquad.qmap import COEFFICIENT_LIMIT, jacobian
 from blochquad.sampling import generator, sphere_points
-from conftest import conjugate_qmap, rotation_matrix
+from conftest import conjugate_qmap, rotation_matrix, rotations
+from orbit_reference import iterate_reference, newton_steps_reference, write_trajectory_csv_reference
 
 
 def v0():
@@ -67,8 +69,12 @@ def test_iterate_interior_norms_square_each_step():
 
 
 def test_iterate_rejects_outside_ball():
-    with pytest.raises(ValueError):
-        iterate(v0(), [1.1, 0, 0], 3)
+    # a start with a NaN or infinite entry is no point of the ball either,
+    # also when the orbit takes no step
+    for start in ([1.1, 0, 0], [math.nan, 0, 0], [0, -math.inf, 0]):
+        for steps in (0, 3):
+            with pytest.raises(ValueError, match="start point norm"):
+                iterate(v0(), start, steps)
 
 
 def test_iterate_flushes_underflow():
@@ -97,6 +103,8 @@ def test_verify_collapse_rejects_unsuitable_maps():
         verify_collapse(broken, [0.5, 0, 0], 4)
     with pytest.raises(ValueError):
         verify_collapse(v0(), [1.0, 0, 0], 4)
+    with pytest.raises(ValueError, match="start point norm nan"):
+        verify_collapse(v0(), [math.nan, 0, 0], 4)
 
 
 def test_fixed_points_of_target_map():
@@ -226,6 +234,23 @@ def test_newton_steps_match_lapack_solve(rng, scale):
         assert np.all(np.abs(steps - expected) <= 1e-12 * np.abs(expected).max(axis=1, keepdims=True))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), *[st.sampled_from([1.0, 1e100, 1e150, 1e160])] * 2, st.integers(1, 300))
+def test_newton_steps_match_the_reference(seed, scale, residual_scale, n):
+    # from 1e150 det(J - I) overflows, also where the numerators stay finite, and
+    # those rows fall back to pinv; some rows are exactly singular (first column
+    # of J - I zero) or have no residual
+    rng = np.random.default_rng(seed)
+    jac = scale * rng.normal(size=(n, 3, 3)) + np.eye(3)
+    jac[rng.random(n) < 0.1, :, 0] = [1.0, 0.0, 0.0]
+    residual = residual_scale * rng.normal(size=(n, 3))
+    residual[rng.random(n) < 0.1] = 0.0
+    expected = newton_steps_reference(jac, residual)
+    steps = _newton_steps(jac, residual)
+    assert steps.shape == expected.shape == (3, n)
+    assert np.all(np.abs(steps - expected) <= 1e-12 * np.abs(expected).max(axis=0))
+
+
 def test_fixed_points_at_the_admission_bound():
     # the largest admitted coefficients: no RuntimeWarning, the reference's points
     rng = generator(11)
@@ -301,6 +326,51 @@ def test_sphere_orbit_per_step_defect_accumulation():
             f = evaluate(v, f)
             accumulated += abs(np.linalg.norm(f) - 1.0)
         assert accumulated <= 1e-9
+
+
+def _random_map(seed, scale):
+    return QuadraticMapCoeffs(*(scale * np.random.default_rng(seed).normal(size=(9, 3))))
+
+
+# Chaotic sphere orbits (rotated delta0), orbits that land on a fixed point
+# (delta1), and random maps that collapse, wander or overflow.
+orbit_maps = st.one_of(
+    st.builds(lambda R: conjugate_qmap(v0(), R), rotations),
+    st.builds(lambda t: induced_qmap(delta1(t / np.linalg.norm(t))), st.tuples(*[st.floats(0.1, 1.0)] * 3).map(np.array)),
+    st.builds(_random_map, st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0, 3.0])),
+)
+orbit_starts = st.one_of(
+    st.sampled_from([(0.6, 0.8, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (-0.0, 0.5, -0.0)]),
+    st.builds(
+        lambda u, r: r * np.array(u) / np.linalg.norm(u),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: np.linalg.norm(u) > 0.1),
+        st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    ),
+)
+
+
+def _orbit(iterate_fn, v, f0, steps):
+    try:
+        return iterate_fn(v, f0, steps)
+    except ValueError as exc:  # the overflow error, which must match too
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_maps, orbit_starts, st.integers(0, 80))
+def test_iterate_and_csv_match_the_reference_bit_for_bit(v, f0, steps):
+    # a chaotic orbit doubles any last-bit difference each step, so the rows
+    # must be the reference's exactly: same bytes, signs of zero included
+    traj, expected = _orbit(iterate, v, f0, steps), _orbit(iterate_reference, v, f0, steps)
+    if isinstance(expected, str):
+        assert traj == expected
+        return
+    assert traj.points.tobytes() == expected.points.tobytes()
+    assert traj.norms.tobytes() == expected.norms.tobytes()
+    text, expected_text = io.StringIO(), io.StringIO()
+    write_trajectory_csv(traj, text)
+    write_trajectory_csv_reference(expected, expected_text)
+    assert text.getvalue() == expected_text.getvalue()
 
 
 def test_trajectory_csv_format(tmp_path):

@@ -21,6 +21,17 @@ import pytest
 GOLDEN = Path(__file__).parent / "golden"
 CATALOG = ("delta0", "delta1", "linear")
 CHECKS = (("inspect",),) + tuple(("certify", "--expect", e) for e in ("pure", "impure", "positive", "nonpositive"))
+# (case, config, simulate arguments): a chaotic sphere orbit, an interior orbit
+# that flushes to zero and stops early, no step at all, an orbit that
+# overflows (exit 1), an orbit that lands on a fixed point and the identity map.
+SIMULATIONS = (
+    ("delta0.simulate", "delta0", ("--f0", "0.6,0.8,0")),
+    ("delta0.simulate-interior", "delta0", ("--f0", "0.5,0.3,0.1")),
+    ("delta0.simulate-steps0", "delta0", ("--f0", "0.6,0.8,0", "--steps", "0")),
+    ("delta0.simulate-overflow", "delta0", ("--f0", "0.6,0.8,0", "--steps", "70")),
+    ("delta1.simulate-sphere", "delta1", ("--f0", "0,1,0")),
+    ("linear.simulate", "linear", ("--f0", "0.3,-0.4,0.5")),
+)
 
 
 def _built_configs() -> dict:
@@ -40,7 +51,7 @@ def cases() -> list:
     """(case name, argv) of every golden command line."""
     names = list(CATALOG) + sorted(_built_configs())
     out = [(f"{name}.{'-'.join(c[0::2])}", [c[0], str(GOLDEN / f"{name}.json"), *c[1:]]) for name in names for c in CHECKS]
-    out.append(("delta0.simulate", ["simulate", str(GOLDEN / "delta0.json"), "--f0", "0.6,0.8,0"]))
+    out += [(case, ["simulate", str(GOLDEN / f"{name}.json"), *args]) for case, name, args in SIMULATIONS]
     return out
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from blochquad import (
     BlochState,
+    DeltaCoefficients,
     NotSelfAdjointError,
     PauliElement,
     decompose,
@@ -138,3 +141,30 @@ def test_partial_traces_on_product_matrices(rng):
     m = np.kron(a, b)
     assert np.abs(partial_trace_right(m) - a * np.trace(b) / 2).max() < 1e-14
     assert np.abs(partial_trace_left(m) - b * np.trace(a) / 2).max() < 1e-14
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_every_library_check_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # at tol = inf each of these passed the broken-trace operator b = (0.1, 0, 0)
+    from blochquad import channel, positivity, purity, qmap
+
+    d = DeltaCoefficients(b=(0.1, 0, 0))
+    v = channel.induced_qmap(d)
+    checks = [
+        lambda: channel.is_trace_preserving(d, tol=tol),
+        lambda: channel.is_symmetric(d, tol=tol),
+        lambda: channel.has_haar_trace(d, tol=tol),
+        lambda: channel.check_coassociativity(d, tol=tol),
+        lambda: purity.check_sphere_conditions(v, tol=tol),
+        lambda: purity.check_haar_conditions(v, tol=tol),
+        lambda: purity.check_linear_isometry(np.eye(3), tol=tol),
+        lambda: positivity.check_linear_positivity(np.eye(3) / 2, tol=tol),
+        lambda: positivity.eigvals_hermitian4(np.eye(4), tol=tol),
+        lambda: qmap.is_haar_form(v, tol=tol),
+        lambda: PauliElement(1.0, [0, 0, 0]).is_self_adjoint(tol),
+        lambda: is_positive_element(PauliElement(1.0, [0, 0, 0]), tol),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="tol must be a finite number at least 0"):
+            check()
+    assert channel.is_trace_preserving(d, tol=0.0) is False
