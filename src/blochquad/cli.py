@@ -122,61 +122,116 @@ def config_dict(d: DeltaCoefficients) -> dict:
 
 
 # --------------------------------------------------------------- JSON output
+#
+# One writer per report shape.  Each prints its known fields in a fixed
+# order, two spaces per level, lists of numbers on one line and floats with
+# 17 significant digits, so they round-trip exactly.  A NaN or +-inf, which
+# JSON has no literal for, raises ValueError naming the field as a
+# /-separated key path.
 
 # What json.dumps gives for a str, without its dispatch.
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _fmt(value, indent: int) -> str:
-    if isinstance(value, (float, np.floating)):  # first: most leaves are floats
-        if not math.isfinite(value):
-            raise _Misplaced(f"is {float(value)}, which JSON cannot hold")
-        return format(float(value), ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
+def _first_non_finite(members, path: str) -> ValueError:
+    """The error for the first (key, value) member whose value is NaN or +-inf, at field path + key."""
+    key, value = next((key, value) for key, value in members if not math.isfinite(value))
+    return ValueError(f"report field {path}{key} is {float(value)}, which JSON cannot hold")
+
+
+def _number(value, path: str) -> str:
+    """A finite float field with 17 significant digits."""
+    if not math.isfinite(value):
+        raise _first_non_finite([("", value)], path)
+    return f"{value:.17g}"
+
+
+def _numbers(values, path: str) -> str:
+    """A list of finite floats on one line, entry k at field path + k; null for None."""
+    if values is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return _quote(value)
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ",\n".join(f"{pad}  {_quote(k)}: {text}" for k, text in _members(value.items(), indent + 1))
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(isinstance(x, (int, float, np.integer, np.floating)) for x in items):
-            return "[" + ", ".join(text for _, text in _members(enumerate(items), 0)) + "]"
-        body = ",\n".join(f"{pad}  {text}" for _, text in _members(enumerate(items), indent + 1))
-        return "[\n" + body + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    if not all(map(math.isfinite, values)):
+        raise _first_non_finite(enumerate(values), path)
+    return "[" + ", ".join([f"{x:.17g}" for x in values]) + "]"
 
 
-def _members(pairs, indent: int):
-    """(key, formatted value) of each container member; a failing member's key joins the path."""
-    for key, member in pairs:
-        try:
-            yield key, _fmt(member, indent)
-        except _Misplaced as exc:
-            exc.path = f"/{key}{exc.path}"
-            raise
+def _flag(value) -> str:
+    """A bool, or null for None."""
+    return "null" if value is None else "true" if value else "false"
 
 
-def dumps_report(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats.
+def dumps_inspection(report: dict) -> str:
+    """The inspect report of inspection_report as JSON text."""
+    certificate = report["q_purity"]["certificate"]
+    pos = report["positivity"]
+    residuals = certificate["residuals"]
+    if not all(map(math.isfinite, residuals.values())):
+        raise _first_non_finite(residuals.items(), "/q_purity/certificate/residuals/")
+    residual_block = ",\n".join([f"        {_quote(name)}: {r:.17g}" for name, r in residuals.items()])
+    text = (
+        "{\n"
+        f'  "trace_preserving": {_flag(report["trace_preserving"])},\n'
+        f'  "symmetric": {_flag(report["symmetric"])},\n'
+        f'  "haar_trace": {_flag(report["haar_trace"])},\n'
+        f'  "coassociative": {_flag(report["coassociative"])},\n'
+        '  "q_purity": {\n'
+        '    "certificate": {\n'
+        f'      "verdict": {_flag(certificate["verdict"])},\n'
+        f'      "worst_condition": {_quote(certificate["worst_condition"])},\n'
+        f'      "residuals": {{\n{residual_block}\n      }}\n'
+        "    },\n"
+        f'    "sphere_deviation": {_numbers(report["q_purity"]["sphere_deviation"], "/q_purity/sphere_deviation/")}\n'
+        "  },\n"
+        '  "positivity": {\n'
+        f'    "verdict": {_flag(pos["verdict"])},\n'
+        f'    "min_eigenvalue": {_numbers(pos["min_eigenvalue"], "/positivity/min_eigenvalue/")}'
+    )
+    if "witness" in pos:
+        witness = pos["witness"]
+        text += (
+            ',\n    "witness": {\n'
+            f'      "w": {_numbers(witness["w"], "/positivity/witness/w/")},\n'
+            f'      "min_eigenvalue": {_number(witness["min_eigenvalue"], "/positivity/witness/min_eigenvalue")}\n'
+            "    }"
+        )
+    return text + "\n  }\n}\n"
 
-    Raises ValueError naming the field (as a /-separated key path) when a
-    float is infinite or NaN, which JSON has no literal for.
-    """
-    try:
-        return _fmt(obj, 0) + "\n"
-    except _Misplaced as exc:
-        raise ValueError(f"report field {exc.path or '/'} {exc.problem}") from None
+
+def dumps_certification(detail: dict) -> str:
+    """The certify detail as JSON text; the positivity check adds min_eigenvalue."""
+    interval = ""
+    if "min_eigenvalue" in detail:
+        interval = f'  "min_eigenvalue": {_numbers(detail["min_eigenvalue"], "/min_eigenvalue/")},\n'
+    return (
+        "{\n"
+        f'  "check": {_quote(detail["check"])},\n'
+        f'  "verdict": {_flag(detail["verdict"])},\n'
+        f"{interval}"
+        f'  "expected": {_quote(detail["expected"])},\n'
+        f'  "actual": {_quote(detail["actual"])},\n'
+        f'  "match": {_flag(detail["match"])}\n'
+        "}\n"
+    )
+
+
+def _matrix(rows, path: str, pad: str) -> str:
+    """A list of float lists, one list per line, indented by pad."""
+    body = ",\n".join([f"{pad}  {_numbers(row, f'{path}{k}/')}" for k, row in enumerate(rows)])
+    return "[\n" + body + "\n" + pad + "]"
+
+
+def dumps_config(config: dict) -> str:
+    """An operator config of config_dict as JSON text, which parse_config reads back exactly."""
+    b = _numbers(config["b"], "/b/")  # fields in document order: the first non-finite one is named
+    B1 = _matrix(config["B1"], "/B1/", "  ")
+    B2 = _matrix(config["B2"], "/B2/", "  ")
+    T = ",\n".join([f"    {_matrix(block, f'/T/{k}/', '    ')}" for k, block in enumerate(config["T"])])
+    return f'{{\n  "b": {b},\n  "B1": {B1},\n  "B2": {B2},\n  "T": [\n{T}\n  ]\n}}\n'
+
+
+def dumps_conjugacy(grid: int, residual: float) -> str:
+    """The conjugacy report as JSON text."""
+    return f'{{\n  "grid": {grid},\n  "residual": {_number(residual, "/residual")}\n}}\n'
 
 
 # ------------------------------------------------------------------ commands
@@ -217,7 +272,7 @@ def _cmd_inspect(args) -> int:
         raise ConfigError(f"--tol must be a finite number at least 0, got {args.tol}")
     d = load_config(args.path)
     report = inspection_report(d, tol=args.tol)
-    sys.stdout.write(dumps_report(report))
+    sys.stdout.write(dumps_inspection(report))
     return 0
 
 
@@ -242,8 +297,11 @@ def _cmd_simulate(args) -> int:
     v = induced_qmap(d)
     traj = dynamics.iterate(v, f0, steps=args.steps)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            dynamics.write_trajectory_csv(traj, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                dynamics.write_trajectory_csv(traj, fh)
+        except OSError as exc:
+            raise ValueError(f"{args.out}: {exc.strerror or exc}") from exc
         sink = sys.stdout
     else:
         dynamics.write_trajectory_csv(traj, sys.stdout)
@@ -284,7 +342,7 @@ def _cmd_certify(args) -> int:
     detail["expected"] = args.expect
     detail["actual"] = actual
     detail["match"] = actual == args.expect
-    sys.stdout.write(dumps_report(detail))
+    sys.stdout.write(dumps_certification(detail))
     return 0 if detail["match"] else 2
 
 
@@ -298,7 +356,7 @@ def _cmd_catalog(args) -> int:
     except KeyError:
         sys.stderr.write(f"unknown catalog entry {args.name!r}\n")
         return 1
-    sys.stdout.write(dumps_report(config_dict(entry.delta)))
+    sys.stdout.write(dumps_config(config_dict(entry.delta)))
     return 0
 
 
@@ -307,7 +365,7 @@ def _cmd_conjugacy(args) -> int:
         sys.stderr.write("--grid must be >= 2\n")
         return 1
     residual = dynamics.logistic_conjugacy_residual(args.grid)
-    sys.stdout.write(dumps_report({"grid": args.grid, "residual": residual}))
+    sys.stdout.write(dumps_conjugacy(args.grid, residual))
     return 0 if residual <= 1e-10 else 2
 
 

@@ -107,8 +107,9 @@ _EYE3.setflags(write=False)
 def _probe_directions(v: QuadraticMapCoeffs) -> np.ndarray:
     """Deterministic probe directions: a, b, c (normalized), then e1, e2, e3."""
     quadratic = []
-    for vec in (v.a, v.b, v.c):
-        norm = math.sqrt(vec @ vec)  # the bits of np.linalg.norm on a real vector
+    squares = v.gram.diagonal().tolist()
+    for vec, square in zip((v.a, v.b, v.c), squares):
+        norm = math.sqrt(square)  # the bits of np.linalg.norm on a real vector
         if norm > 1e-12:
             quadratic.append(vec / norm)
     return np.vstack(quadratic + [_EYE3])

@@ -63,6 +63,23 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x @ x)
 
 
+# Row (and column) of each coefficient vector in QuadraticMapCoeffs.gram.
+_a, _b, _c, _A, _B, _G, _d, _e, _g = range(9)
+
+
+def _cross_norm_pairs(v: QuadraticMapCoeffs, p: list) -> list:
+    """Group (ii), |A| = |a-b|, |Gamma| = |a-c|, |B| = |b-c|, from the Gram entries p.
+
+    The three differences are the only products the Gram matrix does not hold.
+    """
+    ab, ac, bc = v.a - v.b, v.a - v.c, v.b - v.c
+    return [
+        ("ii.1", abs(math.sqrt(p[_A][_A]) - _norm(ab))),
+        ("ii.2", abs(math.sqrt(p[_G][_G]) - _norm(ac))),
+        ("ii.3", abs(math.sqrt(p[_B][_B]) - _norm(bc))),
+    ]
+
+
 def check_sphere_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> CertificateReport:
     """Full sphere-preservation certificate for a general quadratic map.
 
@@ -73,37 +90,37 @@ def check_sphere_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> Cer
       (iv)  <a,Gamma> = <c,Gamma>, <b,B> = <c,B>, <a,A> = <b,A>
       (v)   nine mixed linear/quadratic orthogonality sums
       (vi)  four three-term sums
+
+    Every inner product <x,y> is the Gram entry v.gram[x, y], read as a
+    Python float, and every norm |x| its square root.
     """
-    a, b, c = v.a, v.b, v.c
-    A, B, G = v.A, v.B, v.Gamma
-    d, e, g = v.d, v.e, v.g
-    n = _norm
+    p = v.gram.tolist()
+    a, b, c, A, B, G, d, e, g = p
+    n = math.sqrt
     pairs = [
-        ("i.1", abs(n(a) ** 2 + n(d) ** 2 - 1.0)),
-        ("i.2", abs(n(b) ** 2 + n(e) ** 2 - 1.0)),
-        ("i.3", abs(n(c) ** 2 + n(g) ** 2 - 1.0)),
-        ("ii.1", abs(n(A) - n(a - b))),
-        ("ii.2", abs(n(G) - n(a - c))),
-        ("ii.3", abs(n(B) - n(b - c))),
-        ("iii.1", abs(a @ d)),
-        ("iii.2", abs(b @ e)),
-        ("iii.3", abs(c @ g)),
-        ("iv.1", abs(a @ G - c @ G)),
-        ("iv.2", abs(b @ B - c @ B)),
-        ("iv.3", abs(a @ A - b @ A)),
-        ("v.1", abs(c @ G + d @ g)),
-        ("v.2", abs(c @ B + e @ g)),
-        ("v.3", abs(c @ d + G @ g)),
-        ("v.4", abs(c @ e + B @ g)),
-        ("v.5", abs(b @ d + A @ e)),
-        ("v.6", abs(b @ A + d @ e)),
-        ("v.7", abs(b @ g + B @ e)),
-        ("v.8", abs(a @ e + A @ d)),
-        ("v.9", abs(a @ g + G @ d)),
-        ("vi.1", abs(a @ B - c @ B + A @ G)),
-        ("vi.2", abs(b @ G - c @ G + A @ B)),
-        ("vi.3", abs(A @ g + B @ d + G @ e)),
-        ("vi.4", abs(c @ A + d @ e + B @ G)),
+        ("i.1", abs(n(a[_a]) ** 2 + n(d[_d]) ** 2 - 1.0)),
+        ("i.2", abs(n(b[_b]) ** 2 + n(e[_e]) ** 2 - 1.0)),
+        ("i.3", abs(n(c[_c]) ** 2 + n(g[_g]) ** 2 - 1.0)),
+        *_cross_norm_pairs(v, p),
+        ("iii.1", abs(a[_d])),
+        ("iii.2", abs(b[_e])),
+        ("iii.3", abs(c[_g])),
+        ("iv.1", abs(a[_G] - c[_G])),
+        ("iv.2", abs(b[_B] - c[_B])),
+        ("iv.3", abs(a[_A] - b[_A])),
+        ("v.1", abs(c[_G] + d[_g])),
+        ("v.2", abs(c[_B] + e[_g])),
+        ("v.3", abs(c[_d] + G[_g])),
+        ("v.4", abs(c[_e] + B[_g])),
+        ("v.5", abs(b[_d] + A[_e])),
+        ("v.6", abs(b[_A] + d[_e])),
+        ("v.7", abs(b[_g] + B[_e])),
+        ("v.8", abs(a[_e] + A[_d])),
+        ("v.9", abs(a[_g] + G[_d])),
+        ("vi.1", abs(a[_B] - c[_B] + A[_G])),
+        ("vi.2", abs(b[_G] - c[_G] + A[_B])),
+        ("vi.3", abs(A[_g] + B[_d] + G[_e])),
+        ("vi.4", abs(c[_A] + d[_e] + B[_G])),
     ]
     return _report(pairs, tol)
 
@@ -112,29 +129,27 @@ def check_haar_conditions(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> Certi
     """Reduced certificate for maps without linear terms.
 
     Groups: (i) unit norms of a, b, c; (ii) cross-term norms as above;
-    (iii) three two-term sums; (iv) six plain orthogonalities.
+    (iii) three two-term sums; (iv) six plain orthogonalities.  Inner
+    products and norms come from v.gram as in check_sphere_conditions.
     """
     if not is_haar_form(v):
         raise NotHaarFormError("map carries linear terms; use check_sphere_conditions")
-    a, b, c = v.a, v.b, v.c
-    A, B, G = v.A, v.B, v.Gamma
-    n = _norm
+    p = v.gram.tolist()
+    a, b, c, A, B, G = p[:6]
     pairs = [
-        ("i.1", abs(n(a) - 1.0)),
-        ("i.2", abs(n(b) - 1.0)),
-        ("i.3", abs(n(c) - 1.0)),
-        ("ii.1", abs(n(A) - n(a - b))),
-        ("ii.2", abs(n(G) - n(a - c))),
-        ("ii.3", abs(n(B) - n(b - c))),
-        ("iii.1", abs(a @ B + A @ G)),
-        ("iii.2", abs(b @ G + A @ B)),
-        ("iii.3", abs(c @ A + B @ G)),
-        ("iv.1", abs(a @ A)),
-        ("iv.2", abs(a @ G)),
-        ("iv.3", abs(b @ A)),
-        ("iv.4", abs(b @ B)),
-        ("iv.5", abs(c @ G)),
-        ("iv.6", abs(c @ B)),
+        ("i.1", abs(math.sqrt(a[_a]) - 1.0)),
+        ("i.2", abs(math.sqrt(b[_b]) - 1.0)),
+        ("i.3", abs(math.sqrt(c[_c]) - 1.0)),
+        *_cross_norm_pairs(v, p),
+        ("iii.1", abs(a[_B] + A[_G])),
+        ("iii.2", abs(b[_G] + A[_B])),
+        ("iii.3", abs(c[_A] + B[_G])),
+        ("iv.1", abs(a[_A])),
+        ("iv.2", abs(a[_G])),
+        ("iv.3", abs(b[_A])),
+        ("iv.4", abs(b[_B])),
+        ("iv.5", abs(c[_G])),
+        ("iv.6", abs(c[_B])),
     ]
     return _report(pairs, tol)
 
@@ -207,12 +222,11 @@ def sphere_deviation(v: QuadraticMapCoeffs) -> tuple:
     never produce one: with every entry of the map at 2e150, upper is about
     1.2e303.
     """
-    rows = v.coefficient_rows()
-    coefficients = _FORMS @ (rows @ rows.T).ravel() - _FOURTH_POWERS
+    coefficients = _FORMS @ v.gram.ravel() - _FOURTH_POWERS
     at_vertices = np.abs((evaluate(v, ICOSAHEDRON) ** 2).sum(axis=1) - 1.0)
     if not (np.isfinite(coefficients).all() and np.isfinite(at_vertices).all()):
         raise ValueError("sphere deviation overflows double precision; purity cannot be bounded")
-    scale = 1.0 + float(np.abs(rows).sum())
+    scale = 1.0 + float(np.abs(v.coefficient_rows()).sum())
     allowance = 16.0 * float(np.finfo(float).eps) * scale * scale
     return max(0.0, float(at_vertices.max()) - allowance), math.fsum(np.abs(coefficients)) + allowance
 

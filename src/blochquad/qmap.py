@@ -17,6 +17,7 @@ sphere (about 1e303), stays below the double maximum of 1.8e308.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,19 @@ class QuadraticMapCoeffs:
         evaluate() call reads it.
         """
         return self._rows
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """The read-only 9x9 Gram matrix rows @ rows.T of the coefficient vectors.
+
+        Built on the first read and kept with the instance.  Each entry is
+        the per-pair product x @ y bit for bit (tests/test_purity.py holds
+        the certificates read from it to per-pair references); a Python sum
+        x0*y0 + x1*y1 + x2*y2 is not, as the BLAS kernels fuse multiply-adds.
+        """
+        gram = self._rows @ self._rows.T
+        gram.setflags(write=False)
+        return gram
 
 
 _LEFT = np.array([0, 1, 2, 0, 1, 0])

@@ -9,7 +9,17 @@ import pytest
 
 from blochquad import catalog, check_positivity, induced_qmap, sampling, sphere_deviation
 from blochquad.channel import basis_images
-from blochquad.cli import ConfigError, _build_parser, config_dict, dumps_report, inspection_report, main, parse_config
+from blochquad.cli import (
+    ConfigError,
+    _build_parser,
+    config_dict,
+    dumps_config,
+    dumps_conjugacy,
+    dumps_inspection,
+    inspection_report,
+    main,
+    parse_config,
+)
 from blochquad.purity import MC_PASS_DEVIATION
 from conftest import admission_bound_config
 
@@ -30,7 +40,7 @@ def write_catalog_config(tmp_path, capsys, name):
 
 def test_config_round_trip():
     for entry in catalog.entries():
-        text = dumps_report(config_dict(entry.delta))
+        text = dumps_config(config_dict(entry.delta))
         parsed = parse_config(text)
         assert np.array_equal(parsed.T, entry.delta.T)
         assert np.array_equal(parsed.B1, entry.delta.B1)
@@ -99,14 +109,14 @@ def test_inspection_report_does_not_depend_on_the_cache(tmp_path, capsys):
     # the report of an operator whose images, map and verdicts were already
     # derived equals the report of a fresh one, and a second report the first
     for entry in catalog.entries():
-        text = dumps_report(config_dict(entry.delta))
-        fresh = dumps_report(inspection_report(parse_config(text), tol=1e-9))
+        text = dumps_config(config_dict(entry.delta))
+        fresh = dumps_inspection(inspection_report(parse_config(text), tol=1e-9))
         warm = parse_config(text)
         basis_images(warm)
         induced_qmap(warm)
         check_positivity(warm)
-        assert dumps_report(inspection_report(warm, tol=1e-9)) == fresh
-        assert dumps_report(inspection_report(warm, tol=1e-9)) == fresh
+        assert dumps_inspection(inspection_report(warm, tol=1e-9)) == fresh
+        assert dumps_inspection(inspection_report(warm, tol=1e-9)) == fresh
 
 
 def test_inspect_delta0(tmp_path, capsys):
@@ -189,12 +199,18 @@ def test_inspect_and_certify_at_the_admission_bound(tmp_path, capsys, pattern):
         json.loads(out)
 
 
-def test_dumps_report_names_non_finite_field():
-    assert dumps_report({"x": [1.0, 2.5]}) == '{\n  "x": [1, 2.5]\n}\n'
-    with pytest.raises(ValueError, match="/x/1 is nan"):
-        dumps_report({"x": [1.0, float("nan")]})
-    with pytest.raises(ValueError, match="/r/s is -inf"):
-        dumps_report({"r": {"s": -np.inf}})
+def test_writers_name_a_non_finite_field():
+    assert dumps_conjugacy(3, 1.0) == '{\n  "grid": 3,\n  "residual": 1\n}\n'
+    assert dumps_conjugacy(3, 2.5) == '{\n  "grid": 3,\n  "residual": 2.5\n}\n'
+    with pytest.raises(ValueError, match="^report field /residual is nan, which JSON cannot hold$"):
+        dumps_conjugacy(3, float("nan"))
+    report = inspection_report(catalog.get("delta1").delta, tol=1e-9)
+    report["positivity"]["witness"]["w"] = [1.0, float("nan"), 0.0]
+    with pytest.raises(ValueError, match="^report field /positivity/witness/w/1 is nan, which JSON cannot hold$"):
+        dumps_inspection(report)
+    report["q_purity"]["certificate"]["residuals"]["v.3"] = -np.inf
+    with pytest.raises(ValueError, match="^report field /q_purity/certificate/residuals/v.3 is -inf, which JSON"):
+        dumps_inspection(report)
 
 
 def test_inspect_matches_library_verdicts(tmp_path, capsys):
@@ -234,7 +250,7 @@ def test_commands_draw_no_random_numbers(tmp_path, capsys, monkeypatch):
 def test_simulate_target_map(tmp_path, capsys):
     config = tmp_path / "d1.json"
     t = catalog.get("delta1").delta
-    config.write_text(dumps_report(config_dict(t)))
+    config.write_text(dumps_config(config_dict(t)))
     out_csv = tmp_path / "traj.csv"
     code, out, _ = run_cli(
         capsys, "simulate", str(config), "--f0", "0,1,0", "--steps", "5",
@@ -306,6 +322,15 @@ def test_simulate_refuses_a_negative_step_count(tmp_path, capsys):
     assert (code, out) == (1, "") and not out_csv.exists()
     code, out, _ = run_cli(capsys, "simulate", str(path), "--f0", "0.6,0.8,0", "--steps", "0")
     assert code == 0 and out.splitlines() == ["n,f1,f2,f3,norm", "0,0.59999999999999998,0.80000000000000004,0,1"]
+
+
+def test_simulate_reports_an_output_file_it_cannot_open(tmp_path, capsys):
+    # exit 1 with the path and the reason, as for a config that cannot be read, and no traceback
+    path = write_catalog_config(tmp_path, capsys, "delta0")
+    unopenable = ((tmp_path / "missing" / "orbit.csv", "No such file or directory"), (tmp_path, "Is a directory"))
+    for out_csv, reason in unopenable:
+        code, out, err = run_cli(capsys, "simulate", str(path), "--f0", "0.6,0.8,0", "--out", str(out_csv))
+        assert (code, out, err) == (1, "", f"error: {out_csv}: {reason}\n")
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,19 @@ from blochquad import (
     delta0,
     delta1,
     evaluate,
+    homogeneous_part,
     induced_qmap,
+    is_haar_form,
     linear_family,
     monte_carlo_sphere,
     sphere_deviation,
 )
 from blochquad.channel import DeltaCoefficients
+from blochquad.cli import load_config
 from blochquad.purity import _FORMS, _FOURTH_POWERS, _MONOMIALS, MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION
 from blochquad.sampling import generator, sphere_points
 from conftest import admission_bound_config, rotate_qmap, rotation_matrix, rotations
+from purity_reference import check_haar_conditions_reference, check_sphere_conditions_reference
 
 FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 
@@ -227,3 +233,64 @@ def test_sphere_deviation_fails_closed_on_non_finite_rows(bad):
     object.__setattr__(v, "_rows", rows)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="overflow"):
         sphere_deviation(v)
+
+
+def assert_same_certificate(report, reference):
+    assert report.verdict == reference.verdict
+    assert report.worst_condition == reference.worst_condition
+    assert [name for name, _ in report.residuals] == [name for name, _ in reference.residuals]
+    assert [float(r).hex() for _, r in report.residuals] == [float(r).hex() for _, r in reference.residuals]
+
+
+def assert_certificates_match_the_references(v):
+    assert_same_certificate(check_sphere_conditions(v), check_sphere_conditions_reference(v))
+    if is_haar_form(v):
+        assert_same_certificate(check_haar_conditions(v), check_haar_conditions_reference(v))
+
+
+def map_at_scale(entries, exponent, zero_rows, zero, haar):
+    """Rows entries * 10^exponent; rows in zero_rows, and d, e, g if haar, set to the signed zero."""
+    rows = np.reshape(entries, (9, 3)) * 10.0**exponent
+    rows[sorted(zero_rows)] = zero
+    if haar:
+        rows[6:] = zero
+    return QuadraticMapCoeffs(**dict(zip(FIELDS, rows)))
+
+
+# Entries up to 2e150, the admission bound, down to 1e-160, whose products are
+# subnormal or zero; whole rows of +0.0 or -0.0, and Haar-form maps.
+scaled_maps = st.builds(
+    map_at_scale,
+    st.lists(st.floats(-2.0, 2.0), min_size=27, max_size=27),
+    st.integers(-160, 150),
+    st.sets(st.integers(0, 8), max_size=4),
+    st.sampled_from((0.0, -0.0)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaled_maps)
+def test_gram_certificates_match_the_per_pair_references(v):
+    # every residual with the bits of the per-pair products, signed zeros included
+    assert_certificates_match_the_references(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotations, rotations, st.sampled_from(("a", "b", "c", "A", "B", "Gamma")), st.floats(0.5, 1.5))
+def test_gram_certificates_match_the_references_on_haar_form_maps(R1, R2, field, factor):
+    for v in (v0(), v1()):
+        rotated = rotate_qmap(v, R1, R2)
+        assert is_haar_form(rotated)
+        assert_certificates_match_the_references(rotated)
+        assert_certificates_match_the_references(scaled(rotated, field, factor))
+
+
+GOLDEN_CONFIGS = sorted(p for p in (Path(__file__).parent / "golden").glob("*.json") if p.name != "status.json")
+
+
+@pytest.mark.parametrize("path", GOLDEN_CONFIGS, ids=lambda p: p.name)
+def test_gram_certificates_match_the_references_on_the_golden_configs(path):
+    v = induced_qmap(load_config(path))
+    assert_certificates_match_the_references(v)
+    assert_certificates_match_the_references(homogeneous_part(v))

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from blochquad import (
     DeltaCoefficients,
     QuadraticMapCoeffs,
+    check_sphere_conditions,
     delta0,
     delta1,
     evaluate,
@@ -14,6 +15,7 @@ from blochquad import (
     induced_qmap,
     is_haar_form,
     linear_part,
+    sphere_deviation,
 )
 from blochquad.qmap import COEFFICIENT_LIMIT, _features, jacobian
 from conftest import random_delta
@@ -239,3 +241,16 @@ def test_features_are_the_nine_products(f):
     features = _features(f)
     assert features.shape == expected.shape
     assert features.tobytes() == expected.tobytes()  # bit for bit, signs of zero included
+
+
+def test_gram_is_read_only_and_built_once_per_map(rng):
+    v = induced_qmap(random_delta(rng))
+    gram = v.gram
+    rows = v.coefficient_rows()
+    assert np.array_equal(gram, rows @ rows.T)
+    with pytest.raises(ValueError):
+        gram[0, 1] = 1.0
+    check_sphere_conditions(v)
+    sphere_deviation(v)
+    assert v.gram is gram
+    assert homogeneous_part(v).gram is not gram
