@@ -60,6 +60,9 @@ def _check_number(value):
         raise _Misplaced("non-finite number")
 
 
+_DOUBLE_MAX = sys.float_info.max
+
+
 def _check_numbers(value, dims: int):
     """Whether value nests dims >= 1 levels of 3-lists of finite numbers; raises _Misplaced if not."""
     if not isinstance(value, list) or len(value) != 3:
@@ -69,7 +72,8 @@ def _check_numbers(value, dims: int):
             if dims > 1:
                 _check_numbers(item, dims - 1)
             elif type(item) is not float or not math.isfinite(item):  # a finite float, most leaves, needs no call
-                _check_number(item)
+                if type(item) is not int or not -_DOUBLE_MAX <= item <= _DOUBLE_MAX:  # nor an int (not a bool) in range
+                    _check_number(item)
         except _Misplaced as exc:
             exc.path = f"[{k}]{exc.path}"
             raise

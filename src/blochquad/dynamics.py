@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NotApplicableError, NotHaarFormError
 from .pauli import TOL_STATE
 from .purity import check_haar_conditions
-from .qmap import QuadraticMapCoeffs, evaluate, is_haar_form, jacobian
+from .qmap import QuadraticMapCoeffs, _feature_rows, evaluate, is_haar_form, jacobian
 
 UNDERFLOW_FLUSH = 1e-300
 
@@ -93,25 +93,25 @@ def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:
     return worst
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Solutions s of (J - I) s = -r for a batch: jac (n, 3, 3), residual (n, 3).
+def _newton_steps(m: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Solutions s of M s = -r for a batch, in components: m (9, n), residual (3, n).
 
-    Returns the steps as a (3, n) array of components.  Each system is
-    solved in closed form by Cramer's rule, with M = J - I = [c0 c1 c2] and
-    det M = c0 . (c1 x c2):
+    Row 3 i + j of m is entry [i, j] of M = J - I across the batch, and row
+    k of residual is component k of r; returns the steps as a (3, n) array.
+    Each system is solved in closed form by Cramer's rule, with
+    M = [c0 c1 c2] and det M = c0 . (c1 x c2):
 
         s = -(r . (c1 x c2), c2 . (c0 x r), -c1 . (c0 x r)) / det M,
 
-    where every operation is a length-n vector operation on one matrix
-    entry, read in place from jac.  A row whose determinant is not finite,
-    or whose step is not finite (which a zero determinant makes it), takes
-    the pseudo-inverse step (np.linalg.pinv) instead; that is how an
-    overflow in the closed form is caught, so it raises no warning.
+    where every operation is a length-n vector operation on rows of m and
+    residual.  A column whose determinant is not finite, or whose step is
+    not finite (which a zero determinant makes it), takes the pseudo-inverse
+    step (np.linalg.pinv) instead; that is how an overflow in the closed form
+    is caught.  The caller ignores the overflow, invalid and divide warnings
+    that the closed form may raise on the way.
     """
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = jac.reshape(-1, 9).T
-    m0, m4, m8 = m0 - 1.0, m4 - 1.0, m8 - 1.0  # J - I; x - 0.0 is x, so the rest are read as they are
-    r0, r1, r2 = residual.T
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    r0, r1, r2 = residual
     u0, u1, u2 = m4 * m8 - m7 * m5, m7 * m2 - m1 * m8, m1 * m5 - m4 * m2  # c1 x c2
     q0, q1, q2 = m3 * r2 - m6 * r1, m6 * r0 - m0 * r2, m0 * r1 - m3 * r0  # c0 x r
     det = m0 * u0 + m3 * u1 + m6 * u2
@@ -121,13 +121,31 @@ def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
             m2 * q0 + m5 * q1 + m8 * q2,
             -(m1 * q0 + m4 * q1 + m7 * q2),
         ]
-    ) / -det
-    finite = np.isfinite(step)
-    fallback = np.flatnonzero(~(np.isfinite(det) & finite[0] & finite[1] & finite[2]))
-    if fallback.size:
-        system = jac[fallback] - np.eye(3)
-        step[:, fallback] = -(np.linalg.pinv(system) @ residual[fallback, :, None])[..., 0].T
+    )
+    step /= -det
+    # A sum is finite only when every term is; an overflowing sum just builds the mask.
+    if not (math.isfinite(det.sum()) and math.isfinite(step.sum())):
+        finite = np.isfinite(step)
+        fallback = np.flatnonzero(~(np.isfinite(det) & finite[0] & finite[1] & finite[2]))
+        # pinv and the product take the (k, 3, 3) systems and (k, 3) residuals C-contiguous, one row per system
+        system = np.ascontiguousarray(m[:, fallback].T).reshape(-1, 3, 3)
+        rhs = np.ascontiguousarray(residual[:, fallback].T)
+        step[:, fallback] = -(np.linalg.pinv(system) @ rhs[..., None])[..., 0].T
     return step
+
+
+def _residual(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V(x) - x for the columns of x (3, n), as a (3, n) array; rows are the map's 9x3 coefficients.
+
+    n >= 2 columns take one (3, 9) @ (9, n) product, which gives the bits of
+    the (n, 9) @ (9, 3) batch evaluate().  One column keeps evaluate()'s
+    (1, 9) @ (9, 3) vector-matrix product, which can round differently from
+    the matrix-vector one.
+    """
+    features = _feature_rows(x)
+    image = rows.T @ features if x.shape[1] > 1 else (features.T @ rows).T
+    image -= x
+    return image
 
 
 @functools.cache
@@ -149,7 +167,13 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     (J - I) s = -(V(f) - f) for all active seeds at once in closed form
     (_newton_steps); a seed whose system is exactly singular, or whose
     closed-form step is not finite, takes the pseudo-inverse step
-    (np.linalg.pinv) alone.  Steps longer than 0.5 are cut to 0.5.  A seed
+    (np.linalg.pinv) alone.  The seeds are the columns of C-contiguous
+    (3, n) arrays, the Jacobian entries and the nine features rows of
+    (9, n) arrays, so every operation runs on contiguous rows; each product
+    rounds as the (n, 3) row-major batch product did (one active seed keeps
+    the vector-matrix products, see _residual and jacobian()), so the points
+    are bit for bit those of a search on rows.  Steps longer than 0.5 are
+    cut to 0.5.  A seed
     stops iterating (its row freezes) when its update is rejected, because
     the new point is non-finite or has norm >= 10: f is unchanged, so every
     later step would repeat the rejected one.  It also freezes once its
@@ -166,35 +190,45 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     f = _seed_grid(grid_density).copy()
     x = f
     active = np.arange(f.shape[1])
-    for _ in range(60):
-        if not active.size:
-            break
-        step = _newton_steps(jacobian(v, x.T), evaluate(v, x.T) - x.T)
-        # Sums over the three components add them in order, so the norms are
-        # those of np.linalg.norm(axis=1); 0.5 / max(length, 0.5) is exactly 1
-        # for a step no longer than 0.5.
-        step *= 0.5 / np.maximum(np.sqrt((step * step).sum(axis=0)), 0.5)
-        x_new = x + step
-        ok = np.sqrt((x_new * x_new).sum(axis=0)) < 10.0  # False for NaN and inf too
-        moving = np.abs(step).max(axis=0) > 1e-15 * np.maximum(1.0, np.abs(x).max(axis=0))
-        x = np.where(ok, x_new, x)
-        going = ok & moving
-        if not going.all():
-            f[:, active[~going]] = x[:, ~going]
-            x, active = x.compress(going, axis=1), active.compress(going)
+    rows = v.coefficient_rows()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(60):
+            if not active.size:
+                break
+            # The nine Jacobian entries as rows of length n, a view of
+            # jacobian()'s buffer; J - I in place on the diagonal rows 0, 4, 8.
+            m = jacobian(v, x.T).reshape(-1, 9).T
+            m[0::4] -= 1.0
+            step = _newton_steps(m, _residual(rows, x))
+            # Sums over the three components add them in order, so the norms are
+            # those of np.linalg.norm(axis=1); 0.5 / max(length, 0.5) is exactly 1
+            # for a step no longer than 0.5.
+            step *= 0.5 / np.maximum(np.sqrt((step * step).sum(axis=0)), 0.5)
+            x_new = x + step
+            ok = np.sqrt((x_new * x_new).sum(axis=0)) < 10.0  # False for NaN and inf too
+            moving = np.abs(step).max(axis=0) > 1e-15 * np.maximum(1.0, np.abs(x).max(axis=0))
+            going = ok & moving
+            if going.all():
+                x = x_new
+            else:  # the frozen columns go back to f; a rejected update keeps its old point
+                frozen = ~going
+                f[:, active[frozen]] = (x_new if ok.all() else np.where(ok, x_new, x))[:, frozen]
+                x, active = x_new.compress(going, axis=1), active.compress(going)
     f[:, active] = x
 
-    points = f.T
-    residuals = np.linalg.norm(evaluate(v, points) - points, axis=1)
-    on_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-6
-    keep = np.isfinite(residuals) & (residuals <= 1e-9) & on_sphere
-    candidates = points[keep]
-    candidates = candidates[np.lexsort(candidates.T[::-1])]
+    # The norms below are those of np.linalg.norm(axis=1) on the points as rows.
+    residual = _residual(rows, f)
+    residuals = np.sqrt((residual * residual).sum(axis=0))
+    on_sphere = np.abs(np.sqrt((f * f).sum(axis=0)) - 1.0) <= 1e-6
+    candidates = f.compress((residuals <= 1e-9) & on_sphere, axis=1)  # a NaN residual fails too
+    candidates = candidates[:, np.lexsort(candidates[::-1])]
 
     found: list[np.ndarray] = []
-    while len(candidates):
-        found.append(candidates[0])
-        candidates = candidates[np.linalg.norm(candidates - candidates[0], axis=1) > 1e-6]
+    while candidates.shape[1]:
+        first = candidates[:, 0].copy()
+        found.append(first)
+        gap = candidates - first[:, None]
+        candidates = candidates.compress(np.sqrt((gap * gap).sum(axis=0)) > 1e-6, axis=1)
     return found
 
 

@@ -81,13 +81,7 @@ class QuadraticMapCoeffs:
         rows.setflags(write=False)  # before the fields take their row views
         for name, row in zip(_FIELDS, rows):
             object.__setattr__(self, name, row)
-        # _hessian[m, 3 i + j] is d2 V_i / df_m df_j, so f @ _hessian + _linear
-        # is the Jacobian flattened row-major.
-        hessian = (rows[_HESSIAN_ROWS] * _HESSIAN_WEIGHTS).reshape(3, 3, 3).transpose(0, 2, 1).reshape(3, 9)
-        linear = rows[6:].T.ravel()
-        for name, value in (("_rows", rows), ("_hessian", hessian), ("_linear", linear)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_rows", rows)
 
     def coefficient_rows(self) -> np.ndarray:
         """The read-only 9x3 stack of coefficient vectors, row order as in _FIELDS.
@@ -110,6 +104,26 @@ class QuadraticMapCoeffs:
         gram.setflags(write=False)
         return gram
 
+    @functools.cached_property
+    def _hessian(self) -> np.ndarray:
+        """The read-only 3x9 table with _hessian[m, 3 i + j] = d2 V_i / df_m df_j.
+
+        Built on the first jacobian() call, so f @ _hessian + _linear is the
+        Jacobian at f flattened row-major; its transpose, a (9, 3) view, is
+        the table of the batch product.
+        """
+        rows = self._rows
+        hessian = (rows[_HESSIAN_ROWS] * _HESSIAN_WEIGHTS).reshape(3, 3, 3).transpose(0, 2, 1).reshape(3, 9)
+        hessian.setflags(write=False)
+        return hessian
+
+    @functools.cached_property
+    def _linear(self) -> np.ndarray:
+        """The read-only (9,) linear part of the Jacobian, row-major: _linear[3 i + j] = dV_i/df_j at 0."""
+        linear = self._rows[6:].T.ravel()
+        linear.setflags(write=False)
+        return linear
+
 
 _LEFT = np.array([0, 1, 2, 0, 1, 0])
 _RIGHT = np.array([0, 1, 2, 1, 2, 2])
@@ -118,6 +132,19 @@ _RIGHT = np.array([0, 1, 2, 1, 2, 2])
 def _features(f: np.ndarray) -> np.ndarray:
     """(f1^2, f2^2, f3^2, f1 f2, f2 f3, f1 f3, f1, f2, f3) along the last axis."""
     return np.concatenate([f[..., _LEFT] * f[..., _RIGHT], f], axis=-1)
+
+
+def _feature_rows(x: np.ndarray) -> np.ndarray:
+    """The nine features of the columns of x (3, n) as the rows of a C-contiguous (9, n) array.
+
+    Formed from row products, each rounded as _features rounds it.
+    """
+    features = np.empty((9, x.shape[1]))
+    np.multiply(x, x, out=features[0:3])
+    np.multiply(x[0:2], x[1:3], out=features[3:5])
+    np.multiply(x[0], x[2], out=features[5])
+    features[6:] = x
+    return features
 
 
 def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
@@ -158,7 +185,17 @@ def jacobian(v: QuadraticMapCoeffs, f) -> np.ndarray:
     """dV/df at f, entry [..., i, j] = dV_i/df_j; broadcasts over a leading batch.
 
     Column j is the sum over m of f_m d2V/df_m df_j plus column j of
-    linear_part(v): one product with the 3x9 Hessian table built with v.
+    linear_part(v): one product with the Hessian table of v.  One point,
+    also a one-row batch, keeps the (3,) @ (3, 9) vector-matrix product, as
+    evaluate() keeps its single-point product.  A batch of n >= 2 points
+    takes one (9, 3) @ (3, n) product into a C-contiguous (9, n) buffer and
+    returns a view of it, so jacobian(v, x.T).reshape(-1, 9).T reads the
+    nine entries as contiguous rows of length n without a copy.  Both
+    products give the same bits as the (n, 3) @ (3, 9) product.
     """
     f = np.asarray(f, dtype=float)
-    return (f @ v._hessian + v._linear).reshape(f.shape[:-1] + (3, 3))
+    if f.size == 3:
+        return (f @ v._hessian + v._linear).reshape(f.shape[:-1] + (3, 3))
+    entries = v._hessian.T @ f.reshape(-1, 3).T
+    entries += v._linear[:, None]
+    return entries.T.reshape(f.shape[:-1] + (3, 3))

@@ -99,6 +99,24 @@ def test_parse_config_leaf_diagnostics():
     assert np.array_equal(d.B1, [[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -3.0]])
 
 
+def test_integral_leaves_parse_as_their_float_form():
+    # catalog configs print integral entries as 0 / 1 / -1: the int form and the
+    # float form of the same config give the same blocks, bit for bit
+    golden = Path(__file__).parent / "golden"
+    assert "[0, 1, 0]" in (golden / "delta0.json").read_text()
+    texts = [path.read_text() for path in sorted(golden.glob("*.json")) if path.name != "status.json"]
+    texts.append('{"b": [0, 1, -1], "B1": [[%d, 0, 0], [0, 0, 0], [0, 0, 0]]}' % 10**150)
+    for text in texts:
+        as_floats = json.dumps(json.loads(text, parse_int=float))
+        got, expected = parse_config(text), parse_config(as_floats)
+        for block in ("b", "B1", "B2", "T"):
+            assert getattr(got, block).tobytes() == getattr(expected, block).tobytes()
+    # an int beyond the double range, and a bool, still get their messages
+    assert config_error('{"b": [0, %d, 0]}' % -10**309) == "b[1]: number beyond the double range"
+    assert config_error('{"T": [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, false, 0], [0, 0, 0]],'
+                        ' [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]}') == "T[1][1][1]: expected a number, got False"
+
+
 def test_inspect_names_the_offending_entry(tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text('{"b": [true, 0, 0]}')

@@ -25,7 +25,13 @@ from blochquad.dynamics import _newton_steps, write_trajectory_csv
 from blochquad.qmap import COEFFICIENT_LIMIT, jacobian
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, rotation_matrix, rotations
-from orbit_reference import iterate_reference, newton_steps_reference, write_trajectory_csv_reference
+from orbit_reference import (
+    cramer_steps_reference,
+    fixed_points_sphere_reference as row_search_reference,
+    iterate_reference,
+    newton_steps_reference,
+    write_trajectory_csv_reference,
+)
 
 
 def v0():
@@ -223,32 +229,63 @@ def well_conditioned_systems(rng, n):
     return (q1 * rng.uniform(0.5, 2.0, size=(n, 1, 3))) @ q2
 
 
+def newton_steps(jac, residual):
+    """_newton_steps on the (9, n) rows of J - I and the (3, n) residual, as the search calls it.
+
+    The search's errstate ignores the overflow, invalid and divide warnings
+    of the closed form; fixed_points_sphere raises none of them (see
+    test_fixed_points_at_the_admission_bound).
+    """
+    m = np.ascontiguousarray((jac - np.eye(3)).reshape(-1, 9).T)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _newton_steps(m, np.ascontiguousarray(residual.T))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e150])
 def test_newton_steps_match_lapack_solve(rng, scale):
-    # at 1e150, det(J - I) overflows: those rows must reach the pinv step without a
-    # warning, also when the numerator stays finite and would give a zero step
+    # at 1e150, det(J - I) overflows: those rows must reach the pinv step, also
+    # when the numerator stays finite and would give a zero step
     jac = scale * well_conditioned_systems(rng, 500) + np.eye(3)
     for residual in (rng.normal(size=(500, 3)), scale * rng.normal(size=(500, 3))):
         expected = -np.linalg.solve(jac - np.eye(3), residual[..., None])[..., 0]
-        steps = _newton_steps(jac, residual).T
+        steps = newton_steps(jac, residual).T
         assert np.all(np.abs(steps - expected) <= 1e-12 * np.abs(expected).max(axis=1, keepdims=True))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), *[st.sampled_from([1.0, 1e100, 1e150, 1e160])] * 2, st.integers(1, 300))
-def test_newton_steps_match_the_reference(seed, scale, residual_scale, n):
-    # from 1e150 det(J - I) overflows, also where the numerators stay finite, and
-    # those rows fall back to pinv; some rows are exactly singular (first column
-    # of J - I zero) or have no residual
+newton_systems = st.tuples(st.integers(0, 2**32 - 1), *[st.sampled_from([1.0, 1e100, 1e150, 1e160])] * 2, st.integers(1, 300))
+
+
+def random_newton_systems(seed, scale, residual_scale, n):
+    """jac (n, 3, 3) and residual (n, 3): some J - I with a zero first column, some zero residuals."""
     rng = np.random.default_rng(seed)
     jac = scale * rng.normal(size=(n, 3, 3)) + np.eye(3)
     jac[rng.random(n) < 0.1, :, 0] = [1.0, 0.0, 0.0]
     residual = residual_scale * rng.normal(size=(n, 3))
     residual[rng.random(n) < 0.1] = 0.0
+    return jac, residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(newton_systems)
+def test_newton_steps_match_the_reference(system):
+    # from 1e150 det(J - I) overflows, also where the numerators stay finite, and
+    # those rows fall back to pinv; some rows are exactly singular (first column
+    # of J - I zero) or have no residual
+    jac, residual = random_newton_systems(*system)
+    n = len(jac)
     expected = newton_steps_reference(jac, residual)
-    steps = _newton_steps(jac, residual)
+    steps = newton_steps(jac, residual)
     assert steps.shape == expected.shape == (3, n)
     assert np.all(np.abs(steps - expected) <= 1e-12 * np.abs(expected).max(axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(newton_systems)
+def test_newton_steps_keep_the_bits_of_the_row_layout(system):
+    # the same arithmetic on rows of J - I as on views of (n, 3, 3) systems,
+    # the pinv fallback included: every step has the same bytes
+    jac, residual = random_newton_systems(*system)
+    assert newton_steps(jac, residual).tobytes() == cramer_steps_reference(jac, residual).tobytes()
 
 
 def test_fixed_points_at_the_admission_bound():
@@ -257,6 +294,87 @@ def test_fixed_points_at_the_admission_bound():
     for _ in range(3):
         v = QuadraticMapCoeffs(*(2.0 * COEFFICIENT_LIMIT * rng.choice([-1.0, 1.0], size=(9, 3))))
         assert_matches_reference_search(v, 8)
+
+
+def assert_same_bits(points, reference):
+    assert len(points) == len(reference)
+    for p, q in zip(points, reference):
+        assert p.shape == q.shape == (3,)
+        assert p.tobytes() == q.tobytes()  # signs of zero included
+
+
+def planted_fixed_point_map(rows, p):
+    """rows' quadratic part with d, e, g set so that the linear part is (p - Q(p)) p^T: V(p) = p for |p| = 1."""
+    q = QuadraticMapCoeffs(*rows[:6])
+    d, e, g = np.outer(p - evaluate(q, p), p).T
+    return QuadraticMapCoeffs(*rows[:6], d=d, e=e, g=g)
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: np.linalg.norm(u) > 0.1).map(
+    lambda u: np.array(u) / np.linalg.norm(u)
+)
+search_maps = st.one_of(
+    st.builds(lambda R: conjugate_qmap(v0(), R), rotations),
+    st.builds(lambda t: induced_qmap(delta1(t)), unit_vectors),
+    st.builds(
+        lambda seed, p: planted_fixed_point_map(0.5 * np.random.default_rng(seed).normal(size=(9, 3)), p),
+        st.integers(0, 2**32 - 1),
+        unit_vectors,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_maps, st.sampled_from([1, 2, 3, 4, 8, 12, 32]))
+def test_fixed_points_keep_the_bits_of_the_row_search(v, grid):
+    # the component-major search must return exactly the points the search on
+    # (n, 3) rows returned: same count, same order, same bytes
+    assert_same_bits(fixed_points_sphere(v, grid), row_search_reference(v, grid))
+
+
+@pytest.mark.parametrize("grid, count", [(3, 3), (8, 12), (32, 54)])
+def test_fixed_points_of_a_circle_of_fixed_points_keep_their_bits(grid, count):
+    # V(f) = f + f2 f fixes the whole circle {f2 = 0}: the count depends on the
+    # grid, and the greedy dedup keeps the points in lexicographic order
+    v = QuadraticMapCoeffs(b=[0.0, 1.0, 0.0], A=[1.0, 0.0, 0.0], B=[0.0, 0.0, 1.0], d=[1.0, 0.0, 0.0], e=[0.0, 1.0, 0.0], g=[0.0, 0.0, 1.0])
+    points = fixed_points_sphere(v, grid)
+    assert len(points) == count
+    assert_same_bits(points, row_search_reference(v, grid))
+
+
+def test_fixed_points_of_special_maps_keep_their_bits():
+    # the identity map (every row takes pinv, every seed is fixed), the map
+    # whose first polar ring hits a singular J - I, and admission-bound maps
+    identity = induced_qmap(linear_family(0.5 * np.eye(3)))
+    assert len(fixed_points_sphere(identity, 32)) == 1922
+    w = v0()
+    pole = QuadraticMapCoeffs(a=w.a, b=w.b, c=w.c, A=w.A, B=w.B, Gamma=w.Gamma, d=np.array([1.0, 0.0, 0.0]) - w.Gamma)
+    cases = [(identity, 4), (identity, 32), (pole, 4), (pole, 8), (pole, 32)]
+    rng = generator(11)
+    cases += [(QuadraticMapCoeffs(*(2.0 * COEFFICIENT_LIMIT * rng.choice([-1.0, 1.0], size=(9, 3)))), 8) for _ in range(3)]
+    for v, grid in cases:
+        assert_same_bits(fixed_points_sphere(v, grid), row_search_reference(v, grid))
+
+
+def test_fixed_points_keep_their_bits_down_to_one_active_seed(monkeypatch):
+    # one seed iterates alone at the end of these searches: it must keep the
+    # vector-matrix products of the row search, whose last bits can differ
+    # from the matrix-vector ones
+    import blochquad.dynamics as dynamics
+
+    widths = []
+
+    def recording_jacobian(v, f):
+        widths.append(f.shape[0])
+        return jacobian(v, f)
+
+    monkeypatch.setattr(dynamics, "jacobian", recording_jacobian)
+    v = conjugate_qmap(v0(), rotation_matrix((1, 2, 3), 0.7))
+    for grid in (4, 12, 32):
+        widths.clear()
+        points = fixed_points_sphere(v, grid)
+        assert widths[-1] == 1 and widths[0] == 2 * grid * grid
+        assert_same_bits(points, row_search_reference(v, grid))
 
 
 def test_circle_restriction_step_values():

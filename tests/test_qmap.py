@@ -17,7 +17,7 @@ from blochquad import (
     linear_part,
     sphere_deviation,
 )
-from blochquad.qmap import COEFFICIENT_LIMIT, _features, jacobian
+from blochquad.qmap import COEFFICIENT_LIMIT, _feature_rows, _features, jacobian
 from conftest import random_delta
 
 
@@ -220,10 +220,55 @@ def test_jacobian_at_the_admission_bound(rng):
 
 
 def test_jacobian_tables_are_read_only(rng):
+    # built on the first jacobian() call, not with the map, and kept with it
     v = QuadraticMapCoeffs(*rng.normal(size=(9, 3)))
-    for table in (v._hessian, v._linear):
+    assert "_hessian" not in vars(v) and "_linear" not in vars(v)
+    jacobian(v, rng.normal(size=(5, 3)))
+    hessian, linear = v._hessian, v._linear
+    for table in (hessian, linear):
         with pytest.raises(ValueError):
             table[0] = 1.0
+    jacobian(v, rng.normal(size=3))
+    jacobian(v, rng.normal(size=(2, 4, 3)))
+    assert v._hessian is hessian and v._linear is linear
+    assert homogeneous_part(v)._hessian is not hessian
+
+
+def jacobian_by_row_product(v, f):
+    """The (..., 3) @ (3, 9) product of every batch shape, as jacobian() took it before its batch path."""
+    f = np.asarray(f, dtype=float)
+    return (f @ v._hessian + v._linear).reshape(f.shape[:-1] + (3, 3))
+
+
+jacobian_batches = st.one_of(
+    st.sampled_from([(3,), (1, 3), (1, 1, 3)]),
+    st.tuples(st.integers(2, 300), st.just(3)),
+    st.tuples(st.integers(1, 4), st.integers(2, 4), st.just(3)),
+).flatmap(lambda shape: arrays(float, shape, elements=st.floats(-10.0, 10.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3, 2.0 * COEFFICIENT_LIMIT]), jacobian_batches)
+def test_jacobian_keeps_the_bits_of_the_row_product(seed, scale, f):
+    # one point, also a one-row batch, takes the same (3,) @ (3, 9) product; a
+    # batch of n >= 2 points takes (9, 3) @ (3, n), which must round every
+    # entry as (n, 3) @ (3, 9) did: the fixed-point search relies on it
+    v = QuadraticMapCoeffs(*(scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, 3))))
+    got, expected = jacobian(v, f), jacobian_by_row_product(v, f)
+    assert got.shape == expected.shape == f.shape[:-1] + (3, 3)
+    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
+def test_jacobian_batch_rows_are_a_view(rng):
+    # the search reads the nine entries as contiguous rows without a copy
+    v = QuadraticMapCoeffs(*rng.normal(size=(9, 3)))
+    for n in (2, 7, 2048):
+        x = rng.normal(size=(3, n))
+        jac = jacobian(v, x.T)
+        rows = jac.reshape(-1, 9).T
+        assert rows.shape == (9, n) and rows.flags.c_contiguous
+        assert np.shares_memory(rows, jac)
+        assert np.array_equal(rows.T.reshape(n, 3, 3), jacobian_by_row_product(v, x.T))
 
 
 point_batches = st.one_of(
@@ -241,6 +286,10 @@ def test_features_are_the_nine_products(f):
     features = _features(f)
     assert features.shape == expected.shape
     assert features.tobytes() == expected.tobytes()  # bit for bit, signs of zero included
+    # the same products as the rows of a (9, n) array, from the points as columns
+    rows = _feature_rows(np.ascontiguousarray(f.reshape(-1, 3).T))
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == np.ascontiguousarray(expected.reshape(-1, 9).T).tobytes()
 
 
 def test_gram_is_read_only_and_built_once_per_map(rng):
