@@ -54,6 +54,12 @@ _BLOCKS = (
     ("T", (3, 3, 3), slice(21, 48)),
 )
 _ZEROS = {shape: np.zeros(shape) for _, shape, _ in _BLOCKS}
+# Rows of T.reshape(9, 3) (row 3 m + l is T[m, l]) that make the induced
+# map's rows: a, b, c are T[i, i]; A, B, Gamma are T[0, 1] + T[1, 0],
+# T[1, 2] + T[2, 1] and T[0, 2] + T[2, 0].
+_SQUARE_ROWS = np.array([0, 4, 8])
+_CROSS_ROWS = np.array([1, 5, 2])
+_SWAPPED_ROWS = np.array([3, 7, 6])
 
 
 @dataclass(frozen=True)
@@ -107,18 +113,14 @@ class DeltaCoefficients:
 
     @functools.cached_property
     def _induced_qmap(self) -> QuadraticMapCoeffs:
-        T, S = self.T, self.B1 + self.B2
-        return QuadraticMapCoeffs(
-            a=T[0, 0],
-            b=T[1, 1],
-            c=T[2, 2],
-            A=T[0, 1] + T[1, 0],
-            B=T[1, 2] + T[2, 1],
-            Gamma=T[0, 2] + T[2, 0],
-            d=S[0],
-            e=S[1],
-            g=S[2],
-        )
+        # Each entry is one entry of an admitted block or the sum of two, so
+        # at most _MAP_LIMIT: the rows need no second admission.
+        t = self.T.reshape(9, 3)
+        rows = np.empty((9, 3))
+        t.take(_SQUARE_ROWS, axis=0, out=rows[0:3])
+        np.add(t.take(_CROSS_ROWS, axis=0), t.take(_SWAPPED_ROWS, axis=0), out=rows[3:6])
+        np.add(self.B1, self.B2, out=rows[6:9])  # d, e, g
+        return QuadraticMapCoeffs._from_admitted_rows(rows)
 
 
 def _basis_coefficients(d: DeltaCoefficients) -> np.ndarray:

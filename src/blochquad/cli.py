@@ -26,6 +26,7 @@ import numpy as np
 
 from . import catalog, dynamics, purity, positivity
 from .channel import DeltaCoefficients, check_coassociativity, has_haar_trace, induced_qmap, is_symmetric, is_trace_preserving
+from .pauli import TOL_STATE
 from .qmap import evaluate
 
 
@@ -285,13 +286,15 @@ def _parse_f0(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError(f"--f0 expects three comma-separated numbers, got {text!r}")
     try:
-        f0 = np.array([float(p) for p in parts])
+        entries = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"--f0: {exc}") from exc
-    if not np.all(np.isfinite(f0)):
+    if not all(map(math.isfinite, entries)):
         raise ConfigError("--f0: entries must be finite")
-    if np.linalg.norm(f0) > 1.0 + 1e-9:
-        raise ConfigError(f"--f0: norm {np.linalg.norm(f0)} exceeds 1")
+    f0 = np.array(entries)
+    norm = math.sqrt(f0 @ f0)  # the bits of np.linalg.norm on a real vector
+    if norm > 1.0 + TOL_STATE:
+        raise ConfigError(f"--f0: norm {norm} exceeds 1")
     return f0
 
 
@@ -422,11 +425,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=10000)
     p.set_defaults(func=_cmd_conjugacy)
 
+    parser.commands = sub.choices  # sub-command name -> its parser, for main()
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The arguments of argv as the full parser reads them.
+
+    A command line that starts with a sub-command name is read by that
+    sub-command's parser alone, which is what the full parser hands it to;
+    one that leaves any argument unread goes back to the full parser, so an
+    unrecognized argument is reported with the full parser's usage as
+    before.  Help, errors and the namespace are those of the full parser.
+    """
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, unread = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not unread:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -42,15 +42,17 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
     they stay accurate far below the 1e-154 where squared components underflow.
     Raises ValueError at the first iterate that is not finite: a map that
     leaves the ball can grow doubly exponentially and overflow, and no
-    later point of the orbit means anything.  Raises ValueError for steps < 0
-    and for a start point outside the ball or with a NaN entry.  Each step
-    is one single-point evaluate(), so every row is what the map gives that
-    point alone.
+    later point of the orbit means anything.  Raises ValueError for steps < 0,
+    for a start point whose shape is not (3,), and for one outside the ball
+    or with a NaN entry.  Each step is one single-point evaluate(), so every
+    row is what the map gives that point alone.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     f = np.array(f0, dtype=float)
-    start = np.linalg.norm(f)
+    if f.shape != (3,):
+        raise ValueError(f"start point must have shape (3,), got {f.shape}")
+    start = math.sqrt(f @ f)  # the bits of np.linalg.norm on a real vector
     if not start <= 1.0 + TOL_STATE:  # a NaN fails too
         raise ValueError(f"start point norm {start} exceeds 1")
     points, norms = [f], [math.hypot(*f.tolist())]
@@ -179,9 +181,9 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     later step would repeat the rejected one.  It also freezes once its
     step is at most 1e-15 * max(1, |f|_inf), i.e. it has converged to
     rounding.  Converged points with residual <= 1e-9 that lie within 1e-6
-    of the sphere are sorted lexicographically and deduplicated greedily:
-    the first remaining candidate is kept and every candidate within 1e-6
-    of it is dropped, until none remain.
+    of the sphere are deduplicated greedily in lexicographic order: the
+    smallest remaining candidate is kept and every candidate within 1e-6 of
+    it is dropped, until none remain (_distinct_points).
     """
     if grid_density < 1:
         raise ValueError("grid_density must be >= 1")
@@ -220,12 +222,26 @@ def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
     residual = _residual(rows, f)
     residuals = np.sqrt((residual * residual).sum(axis=0))
     on_sphere = np.abs(np.sqrt((f * f).sum(axis=0)) - 1.0) <= 1e-6
-    candidates = f.compress((residuals <= 1e-9) & on_sphere, axis=1)  # a NaN residual fails too
-    candidates = candidates[:, np.lexsort(candidates[::-1])]
+    return _distinct_points(f.compress((residuals <= 1e-9) & on_sphere, axis=1))  # a NaN residual fails too
 
+
+def _distinct_points(candidates: np.ndarray) -> list:
+    """The columns of candidates (3, n), deduplicated greedily in lexicographic order.
+
+    Each round keeps the lexicographically smallest remaining column and
+    drops every column within 1e-6 of it.  The smallest is found by
+    narrowing the remaining columns on row 0, then row 1, then row 2, to
+    those equal to the row's minimum (so -0.0 ties with 0.0); of full ties
+    the lowest index is kept.  That is the first column of a stable
+    lexicographic sort, without sorting all n columns.
+    """
     found: list[np.ndarray] = []
     while candidates.shape[1]:
-        first = candidates[:, 0].copy()
+        tied = np.arange(candidates.shape[1])
+        for row in candidates:
+            values = row[tied]
+            tied = tied[values == values.min()]
+        first = candidates[:, tied[0]].copy()
         found.append(first)
         gap = candidates - first[:, None]
         candidates = candidates.compress(np.sqrt((gap * gap).sum(axis=0)) > 1e-6, axis=1)
@@ -300,7 +316,11 @@ def estimate_divergence_rate(f0_angle: float, steps: int, delta0: float) -> floa
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """CSV rows `n,f1,f2,f3,norm` with 17-significant-digit decimals, in one write."""
-    rows = enumerate(zip(traj.points.tolist(), traj.norms.tolist()))
-    lines = [f"{n},{f1:.17g},{f2:.17g},{f3:.17g},{norm:.17g}\n" for n, ((f1, f2, f3), norm) in rows]
-    fh.write("n,f1,f2,f3,norm\n" + "".join(lines))
+    """CSV rows `n,f1,f2,f3,norm` with 17-significant-digit decimals, in one write.
+
+    Every row is formatted by one %-format over a flat (n, f1, f2, f3, norm)
+    table; %d prints each step number, held as an exact float, as an integer.
+    """
+    count = len(traj)
+    table = np.column_stack([np.arange(count), traj.points, traj.norms])
+    fh.write("n,f1,f2,f3,norm\n" + "%d,%.17g,%.17g,%.17g,%.17g\n" * count % tuple(table.ravel().tolist()))

@@ -78,10 +78,27 @@ class QuadraticMapCoeffs:
             admitted = False
         if not admitted:  # walk the fields: the first offending one raises, by name
             rows = np.stack([real_array(value, (3,), name, _MAP_LIMIT) for name, value in zip(_FIELDS, values)])
+        self._take_rows(rows)
+
+    def _take_rows(self, rows: np.ndarray) -> None:
         rows.setflags(write=False)  # before the fields take their row views
-        for name, row in zip(_FIELDS, rows):
-            object.__setattr__(self, name, row)
-        object.__setattr__(self, "_rows", rows)
+        fields = vars(self)  # written directly, as the instance is frozen
+        fields.update(zip(_FIELDS, rows))
+        fields["_rows"] = rows
+
+    @classmethod
+    def _from_admitted_rows(cls, rows: np.ndarray) -> "QuadraticMapCoeffs":
+        """The map whose coefficient rows are rows, a fresh (9, 3) float array, without the bound check.
+
+        For rows admitted by construction: each entry a sum of at most two
+        entries of blocks admitted up to COEFFICIENT_LIMIT, so at most
+        2 * COEFFICIENT_LIMIT = _MAP_LIMIT in magnitude.  The map takes rows
+        read-only as its own, and its fields are row views of it, as with
+        the public constructor.
+        """
+        v = object.__new__(cls)
+        v._take_rows(rows)
+        return v
 
     def coefficient_rows(self) -> np.ndarray:
         """The read-only 9x3 stack of coefficient vectors, row order as in _FIELDS.
@@ -151,18 +168,18 @@ def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
     """V(f); broadcasts over a leading batch of input vectors.
 
     One point, shape (3,), builds its nine features from Python floats,
-    which round each product as numpy does, and keeps the (9,) @ (9, 3)
-    product.  A batch takes one (n, 9) @ (9, 3) product, which may round
-    the same point differently in the last bits; an orbit steps one point
-    at a time, so its rows do not depend on how the batch product rounds.
+    which round each product as numpy does, and takes the (9,) . (9, 3)
+    vector-matrix product with ndarray.dot: the product of @, bit for bit,
+    with less dispatch.  A batch takes one (n, 9) @ (9, 3) product, which
+    may round the same point differently in the last bits; an orbit steps
+    one point at a time, so its rows do not depend on how the batch product
+    rounds.
     """
     f = np.asarray(f, dtype=float)
     if f.shape == (3,):
         f1, f2, f3 = f.tolist()
-        features = np.array([f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3])
-    else:
-        features = _features(f)
-    return features @ v.coefficient_rows()
+        return np.array([f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3]).dot(v.coefficient_rows())
+    return _features(f) @ v.coefficient_rows()
 
 
 def homogeneous_part(v: QuadraticMapCoeffs) -> QuadraticMapCoeffs:

@@ -11,8 +11,9 @@ fixed_points_sphere_reference is the fixed-point search as it was before it
 ran on component-major rows: every iteration reads the points as (n, 3) rows,
 takes the Jacobian as one (n, 3) @ (3, 9) product and the residual as the
 batch (n, 9) @ (9, 3) product, and solves the systems with
-cramer_steps_reference.  The tests require every point blochquad's search
-returns to have the same bytes as this one's.
+cramer_steps_reference; distinct_points_reference is its final filter, a
+stable lexicographic sort and a greedy dedup.  The tests require every
+point blochquad's search returns to have the same bytes as this one's.
 """
 
 import functools
@@ -155,9 +156,12 @@ def fixed_points_sphere_reference(v, grid_density: int = 32) -> list:
     residuals = np.linalg.norm(evaluate_reference(v, points) - points, axis=1)
     on_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-6
     keep = np.isfinite(residuals) & (residuals <= 1e-9) & on_sphere
-    candidates = points[keep]
-    candidates = candidates[np.lexsort(candidates.T[::-1])]
+    return distinct_points_reference(points[keep])
 
+
+def distinct_points_reference(candidates) -> list:
+    """The rows of candidates (n, 3), sorted lexicographically (stable lexsort) and deduplicated greedily."""
+    candidates = candidates[np.lexsort(candidates.T[::-1])]
     found = []
     while len(candidates):
         found.append(candidates[0])

@@ -35,8 +35,8 @@ from blochquad.channel import (
     pair_eval,
 )
 from blochquad.pauli import BASIS, partial_trace_left, partial_trace_right, swap_conjugate
-from blochquad.qmap import COEFFICIENT_LIMIT
-from conftest import random_delta
+from blochquad.qmap import _FIELDS, _MAP_LIMIT, COEFFICIENT_LIMIT, QuadraticMapCoeffs
+from conftest import admission_bound_config, random_delta
 
 
 def sigma(i):
@@ -381,6 +381,56 @@ def test_cached_images_and_map_are_read_only(rng):
             getattr(v, name)[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         d._basis_images = np.zeros((3, 4, 4))
+
+
+def induced_qmap_reference(d):
+    """The induced map as the public constructor builds it, through a second admission of its rows."""
+    T, S = d.T, d.B1 + d.B2
+    return QuadraticMapCoeffs(
+        a=T[0, 0],
+        b=T[1, 1],
+        c=T[2, 2],
+        A=T[0, 1] + T[1, 0],
+        B=T[1, 2] + T[2, 1],
+        Gamma=T[0, 2] + T[2, 0],
+        d=S[0],
+        e=S[1],
+        g=S[2],
+    )
+
+
+def induced_map_operators(rng):
+    operators = [random_delta(rng) for _ in range(20)]
+    operators += [random_delta(rng, symmetric=True, trace_preserving=False) for _ in range(5)]
+    operators += [DeltaCoefficients(**admission_bound_config(p)) for p in ("plus", "minus", "random")]
+    # signed zeros: -0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0, and a copied -0.0 stays
+    signs = rng.choice([-0.0, 0.0, 1.0], size=(5, 45))
+    for row in signs:
+        operators.append(DeltaCoefficients(B1=row[:9].reshape(3, 3), B2=row[9:18].reshape(3, 3), T=row[18:].reshape(3, 3, 3)))
+    operators.append(DeltaCoefficients(B1=np.full((3, 3), -0.0), B2=np.full((3, 3), -0.0), T=np.full((3, 3, 3), -0.0)))
+    return operators
+
+
+def test_induced_qmap_has_the_rows_of_the_public_constructor(rng):
+    for d in induced_map_operators(rng):
+        v = induced_qmap(d)
+        assert v.coefficient_rows().tobytes() == induced_qmap_reference(d).coefficient_rows().tobytes()
+        rows = v.coefficient_rows()
+        assert rows.shape == (9, 3) and not rows.flags.writeable
+        for k, name in enumerate(_FIELDS):
+            field = getattr(v, name)
+            assert field.base is rows and np.shares_memory(field, rows[k])
+            assert field.tobytes() == rows[k].tobytes()
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+
+
+def test_public_map_constructor_still_refuses_entries_above_the_map_limit():
+    assert _MAP_LIMIT == 2.0 * COEFFICIENT_LIMIT
+    for name in _FIELDS:
+        with pytest.raises(ValueError, match=f"^{name}: entries must be numbers of magnitude at most 2e\\+150"):
+            QuadraticMapCoeffs(**{name: [0.0, np.nextafter(_MAP_LIMIT, np.inf), 0.0]})
+    QuadraticMapCoeffs(**{name: [0.0, -_MAP_LIMIT, 0.0] for name in _FIELDS})
 
 
 def test_derived_operators_get_fresh_images(rng):

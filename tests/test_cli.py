@@ -12,6 +12,7 @@ from blochquad.channel import basis_images
 from blochquad.cli import (
     ConfigError,
     _build_parser,
+    _parse_args,
     config_dict,
     dumps_config,
     dumps_conjugacy,
@@ -482,3 +483,117 @@ def test_help_text_matches_a_fresh_parser(capsys, command):
     assert fresh.startswith("usage: blochquad")
     assert help_text(capsys, main, argv) == fresh
     assert help_text(capsys, main, argv) == fresh
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def reference_main(argv):
+    """main() as it reads a command line through a freshly built full parser."""
+    args = _build_parser.__wrapped__().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+
+
+def outcome(capsys, command, argv):
+    try:
+        code = command(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def golden(name):
+    return str(GOLDEN / f"{name}.json")
+
+
+ROUTED_COMMAND_LINES = [
+    ["inspect", golden("linear")],
+    ["inspect", golden("delta1"), "--tol", "1e-6", "--samples", "100", "--seed", "3"],
+    ["inspect", golden("delta0"), "--tol=-1"],
+    ["simulate", golden("delta0"), "--f0=0.6,0.8,0"],
+    ["simulate", golden("delta0"), "--f0", "0.6,0.8,0"],
+    ["simulate", golden("delta1"), "--f0", "0,0,1", "--steps", "3"],
+    ["simulate", golden("delta0"), "--f0=0.6,0.8,0", "--steps", "70"],
+    ["simulate", golden("delta0"), "--f0", "1.5,0,0"],
+    ["simulate", golden("delta0"), "--f0", "1,2"],
+    ["certify", golden("delta0"), "--expect", "pure"],
+    ["certify", golden("delta1"), "--expect=positive"],
+    ["certify", golden("flat"), "--expect", "nonpositive"],
+    ["certify", golden("linear"), "--exp", "positive"],
+    ["catalog"],
+    ["catalog", "delta1"],
+    ["catalog", "nosuch"],
+    ["conjugacy", "--grid", "3"],
+    ["conjugacy", "--grid=1"],
+    # help at every level, and command lines the parser refuses
+    ["--help"],
+    ["-h", "inspect"],
+    ["inspect", "--help"],
+    ["simulate", "-h"],
+    ["certify", "--help"],
+    ["catalog", "--help"],
+    ["conjugacy", "--help"],
+    [],
+    ["nosuch"],
+    ["nosuch", golden("linear")],
+    ["--grid", "3"],
+    ["inspect"],
+    ["inspect", golden("linear"), "--bogus"],
+    ["inspect", golden("linear"), "extra"],
+    ["catalog", "delta0", "delta1"],
+    ["simulate", golden("delta0")],
+    ["simulate", golden("delta0"), "--f0", "1,0,0", "--steps", "x"],
+    ["certify", golden("delta0"), "--expect", "sure"],
+    ["certify", golden("delta0"), "--expect", "pure", "--samples", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTED_COMMAND_LINES, ids=lambda argv: " ".join(map(os.path.basename, argv)) or "none")
+def test_main_reads_a_command_line_as_the_full_parser_does(capsys, argv):
+    # a sub-command's parser reads its own arguments; exit code, stdout and
+    # stderr must be those of the full parser, refusals and help included
+    expected = outcome(capsys, reference_main, list(argv))
+    assert outcome(capsys, main, list(argv)) == expected
+
+
+def test_a_routed_command_line_gets_the_full_parsers_namespace(capsys):
+    for argv in ROUTED_COMMAND_LINES:
+        try:
+            expected = vars(_build_parser.__wrapped__().parse_args(argv))
+        except SystemExit:
+            capsys.readouterr()
+            continue
+        assert vars(_parse_args(list(argv))) == expected
+
+
+def test_a_sub_command_line_takes_one_parser_hop(capsys, monkeypatch):
+    # the full parser reads only what its sub-command's parser cannot
+    parser = _build_parser()
+    full_reads = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: full_reads.append(argv) or parse_args(argv))
+    assert run_cli(capsys, "simulate", golden("delta1"), "--f0=0,0,1", "--steps", "2")[0] == 0
+    assert run_cli(capsys, "catalog")[0] == 0
+    assert full_reads == []
+    for argv in (["inspect", golden("linear"), "--bogus"], ["nosuch"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert full_reads == [["inspect", golden("linear"), "--bogus"], ["nosuch"]]
+
+
+@pytest.mark.parametrize("argv", [["simulate", golden("delta0"), "--f0", "0.6,0.8,0"], ["inspect", golden("linear"), "--bogus"], []])
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch, argv):
+    expected = outcome(capsys, reference_main, list(argv))
+    monkeypatch.setattr(sys, "argv", ["blochquad", *argv])
+    assert outcome(capsys, main, None) == expected
+
+
+@pytest.mark.parametrize("f0", ["1.5,0,0", "0.7,0.8,0.1", "1e-3,1,1e-5", "-0.6,-0.8,1e-4"])
+def test_simulate_prints_the_norm_of_a_start_outside_the_ball(capsys, f0):
+    norm = np.linalg.norm([float(x) for x in f0.split(",")])
+    assert run_cli(capsys, "simulate", golden("delta0"), f"--f0={f0}") == (1, "", f"error: --f0: norm {norm} exceeds 1\n")

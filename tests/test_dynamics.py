@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,12 +22,13 @@ from blochquad import (
     logistic_conjugacy_residual,
     verify_collapse,
 )
-from blochquad.dynamics import _newton_steps, write_trajectory_csv
+from blochquad.dynamics import _distinct_points, _newton_steps, write_trajectory_csv
 from blochquad.qmap import COEFFICIENT_LIMIT, jacobian
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, rotation_matrix, rotations
 from orbit_reference import (
     cramer_steps_reference,
+    distinct_points_reference,
     fixed_points_sphere_reference as row_search_reference,
     iterate_reference,
     newton_steps_reference,
@@ -81,6 +83,16 @@ def test_iterate_rejects_outside_ball():
         for steps in (0, 3):
             with pytest.raises(ValueError, match="start point norm"):
                 iterate(v0(), start, steps)
+
+
+@pytest.mark.parametrize(
+    "start, shape",
+    [([0.1, 0.2], (2,)), ([0.1, 0.2, 0.3, 0.4], (4,)), ([[0.1, 0.2, 0.3]] * 2, (2, 3)), (0.5, ()), ([[0.6, 0.8, 0.0]], (1, 3))],
+)
+def test_iterate_refuses_a_start_that_is_not_one_point(start, shape):
+    for steps in (0, 3):
+        with pytest.raises(ValueError, match=rf"^start point must have shape \(3,\), got {re.escape(str(shape))}$"):
+            iterate(v0(), start, steps)
 
 
 def test_iterate_flushes_underflow():
@@ -330,6 +342,29 @@ def test_fixed_points_keep_the_bits_of_the_row_search(v, grid):
     # the component-major search must return exactly the points the search on
     # (n, 3) rows returned: same count, same order, same bytes
     assert_same_bits(fixed_points_sphere(v, grid), row_search_reference(v, grid))
+
+
+# Candidate sets as the search's final filter sees them: columns drawn from a
+# few points, exact copies, copies moved by less or more than the 1e-6
+# radius, and components that tie with the other sign of zero.
+_candidate_values = st.sampled_from([0.0, -0.0, 0.6, -0.6, 0.8, 1.0, -1.0, 0.6 + 4e-7, 0.6 - 4e-7, 0.6 + 3e-6])
+candidate_sets = st.lists(st.tuples(_candidate_values, _candidate_values, _candidate_values), max_size=40).map(
+    lambda columns: np.array(columns, dtype=float).reshape(-1, 3).T.copy()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_sets)
+def test_distinct_points_keep_the_bits_of_the_sorted_dedup(candidates):
+    # the lexicographic minimum of each round is the first column of the stable
+    # lexsort: same points, same order, same bytes (signs of zero included)
+    assert_same_bits(_distinct_points(candidates), distinct_points_reference(candidates.T))
+
+
+def test_distinct_points_take_the_first_of_a_signed_zero_tie():
+    candidates = np.array([[0.0, -0.0, 0.0], [1.0, 1.0, -1.0], [-0.0, 0.0, 0.0]])
+    points = _distinct_points(candidates)
+    assert [p.tobytes() for p in points] == [candidates[:, 2].tobytes(), candidates[:, 0].tobytes()]
 
 
 @pytest.mark.parametrize("grid, count", [(3, 3), (8, 12), (32, 54)])
