@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DeltaCoefficients
-from .pauli import TOL_STATE
+from .pauli import TOL_STATE, vector_norm
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ def delta1(t) -> DeltaCoefficients:
     t = np.asarray(t, dtype=float)
     if t.shape != (3,):
         raise ValueError("t must be a 3-vector")
-    if abs(np.linalg.norm(t) - 1.0) > TOL_STATE:
-        raise ValueError(f"t must be a unit vector, got norm {np.linalg.norm(t)}")
+    norm = vector_norm(t)
+    if abs(norm - 1.0) > TOL_STATE:
+        raise ValueError(f"t must be a unit vector, got norm {norm}")
     T = np.zeros((3, 3, 3))
     for m in range(3):
         T[m, m, :] = t

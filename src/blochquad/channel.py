@@ -12,10 +12,11 @@ scalar product conjugates its second argument, which cancels against the
 conjugate of w in the defining expansion), so Delta is linear on all of
 M_2(C), unital and *-preserving by construction.
 
-Blocks are admitted with entries up to qmap.COEFFICIENT_LIMIT (1e150) in
-magnitude, so the largest product any check forms from them, an 8x8
-coassociativity entry (about 2.6e302), stays below the double maximum of
-1.8e308; the structural checks compare as `residual <= tol`.
+Blocks are admitted by qmap.admit, as one read-only copy whose views they
+are, with entries up to qmap.COEFFICIENT_LIMIT (1e150) in magnitude, so
+the largest product any check forms from them, an 8x8 coassociativity
+entry (about 2.6e302), stays below the double maximum of 1.8e308; the
+structural checks compare as `residual <= tol`.  A refusal names its block.
 
 An operator's basis images and its induced map are built on first use and
 kept with it, read-only, so every check of one operator shares them.
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHaarFormError, NotSelfAdjointError, NotSymmetricError
-from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, checked_tol, kron
-from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, evaluate, real_array
+from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, checked_tol, kron, vector_norm
+from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, admit, evaluate
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
 TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])
@@ -46,14 +47,8 @@ _LIFT_RIGHT = np.einsum("ap,bq,lcd->labpcqd", np.eye(4), np.eye(4), np.array(BAS
 _LIFT_LEFT = np.einsum("mab,cp,dq->mcdapbq", np.array(BASIS), np.eye(4), np.eye(4)).reshape(64, 64)
 
 
-# Field name, shape, and place in the admitted copy of all 48 block entries.
-_BLOCKS = (
-    ("b", (3,), slice(0, 3)),
-    ("B1", (3, 3), slice(3, 12)),
-    ("B2", (3, 3), slice(12, 21)),
-    ("T", (3, 3, 3), slice(21, 48)),
-)
-_ZEROS = {shape: np.zeros(shape) for _, shape, _ in _BLOCKS}
+# Field name and shape of each block, in the order of the admitted copy of all 48 entries.
+_BLOCKS = (("b", (3,)), ("B1", (3, 3)), ("B2", (3, 3)), ("T", (3, 3, 3)))
 # Rows of T.reshape(9, 3) (row 3 m + l is T[m, l]) that make the induced
 # map's rows: a, b, c are T[i, i]; A, B, Gamma are T[0, 1] + T[1, 0],
 # T[1, 2] + T[2, 1] and T[0, 2] + T[2, 0].
@@ -78,27 +73,13 @@ class DeltaCoefficients:
     B2: np.ndarray = None
     T: np.ndarray = None
 
-    def __post_init__(self):
-        values = [getattr(self, name) for name, _, _ in _BLOCKS]
-        try:
-            blocks = [
-                _ZEROS[shape] if value is None else np.asarray(value, dtype=float)
-                for value, (_, shape, _) in zip(values, _BLOCKS)
-            ]
-            flat = np.concatenate(blocks, axis=None)  # one copy, and one bound check on it
-            admitted = all(block.shape == shape for block, (_, shape, _) in zip(blocks, _BLOCKS))
-            admitted = admitted and bool((np.abs(flat) <= COEFFICIENT_LIMIT).all())
-        except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or an integer beyond the double range
-            admitted = False
-        if admitted:
-            flat.setflags(write=False)  # before the fields take their views
-            blocks = [flat[place].reshape(shape) for _, shape, place in _BLOCKS]
-        else:  # walk the blocks: the first offending one raises, by name
-            blocks = [
-                real_array(value, shape, name, COEFFICIENT_LIMIT) for value, (name, shape, _) in zip(values, _BLOCKS)
-            ]
-        for (name, _, _), block in zip(_BLOCKS, blocks):
-            object.__setattr__(self, name, block)
+    def __init__(self, b=None, B1=None, B2=None, T=None):
+        flat = admit(_BLOCKS, (b, B1, B2, T), COEFFICIENT_LIMIT)
+        start = 0
+        for name, shape in _BLOCKS:  # each block a view of the one read-only copy
+            stop = start + math.prod(shape)
+            object.__setattr__(self, name, flat[start:stop].reshape(shape))
+            start = stop
 
     @classmethod
     def trace_preserving(cls, B1=None, B2=None, T=None) -> "DeltaCoefficients":
@@ -120,6 +101,7 @@ class DeltaCoefficients:
         t.take(_SQUARE_ROWS, axis=0, out=rows[0:3])
         np.add(t.take(_CROSS_ROWS, axis=0), t.take(_SWAPPED_ROWS, axis=0), out=rows[3:6])
         np.add(self.B1, self.B2, out=rows[6:9])  # d, e, g
+        rows.setflags(write=False)
         return QuadraticMapCoeffs._from_admitted_rows(rows)
 
 
@@ -211,7 +193,7 @@ def apply_haar_closed_form(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
 
 def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     """True iff the constant block vanishes."""
-    return math.sqrt(d.b @ d.b) <= checked_tol(tol)  # the bits of np.linalg.norm on a real vector
+    return vector_norm(d.b) <= checked_tol(tol)
 
 
 def _symmetry_residual(d: DeltaCoefficients) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import catalog, dynamics, purity, positivity
 from .channel import DeltaCoefficients, check_coassociativity, has_haar_trace, induced_qmap, is_symmetric, is_trace_preserving
-from .pauli import TOL_STATE
+from .pauli import TOL_STATE, vector_norm
 from .qmap import evaluate
 
 
@@ -292,7 +292,7 @@ def _parse_f0(text: str) -> np.ndarray:
     if not all(map(math.isfinite, entries)):
         raise ConfigError("--f0: entries must be finite")
     f0 = np.array(entries)
-    norm = math.sqrt(f0 @ f0)  # the bits of np.linalg.norm on a real vector
+    norm = vector_norm(f0)
     if norm > 1.0 + TOL_STATE:
         raise ConfigError(f"--f0: norm {norm} exceeds 1")
     return f0

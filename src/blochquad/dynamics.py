@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, NotHaarFormError
-from .pauli import TOL_STATE
+from .pauli import TOL_STATE, vector_norm
 from .purity import check_haar_conditions
 from .qmap import QuadraticMapCoeffs, _feature_rows, evaluate, is_haar_form, jacobian
 
@@ -52,7 +52,7 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
     f = np.array(f0, dtype=float)
     if f.shape != (3,):
         raise ValueError(f"start point must have shape (3,), got {f.shape}")
-    start = math.sqrt(f @ f)  # the bits of np.linalg.norm on a real vector
+    start = vector_norm(f)
     if not start <= 1.0 + TOL_STATE:  # a NaN fails too
         raise ValueError(f"start point norm {start} exceeds 1")
     points, norms = [f], [math.hypot(*f.tolist())]

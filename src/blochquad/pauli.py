@@ -30,6 +30,19 @@ def checked_tol(tol: float) -> float:
         raise ValueError(f"tol must be a finite number at least 0, got {tol}")
     return tol
 
+
+def vector_norm(x: np.ndarray) -> float:
+    """|x| for a real 3-vector: math.sqrt(x @ x), the bits of np.linalg.norm, without its dispatch.
+
+    Where an entry exceeds 1e153 in magnitude, so that x @ x may overflow,
+    it is math.hypot of the entries instead: the true norm, and no warning.
+    """
+    entries = x.tolist()
+    if max(map(abs, entries)) <= 1e153:
+        return math.sqrt(x @ x)
+    return math.hypot(*entries)
+
+
 ID2 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,8 +97,9 @@ class BlochState:
             raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("Bloch vector must be finite")
-        if np.linalg.norm(arr) > 1.0 + TOL_STATE:
-            raise ValueError(f"Bloch vector norm {np.linalg.norm(arr)} exceeds 1")
+        norm = vector_norm(arr)
+        if norm > 1.0 + TOL_STATE:
+            raise ValueError(f"Bloch vector norm {norm} exceeds 1")
         arr.setflags(write=False)
         object.__setattr__(self, "f", arr)
 

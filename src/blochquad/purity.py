@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sampling
 from .errors import NotHaarFormError
-from .pauli import checked_tol
+from .pauli import checked_tol, vector_norm
 from .positivity import ICOSAHEDRON
 from .qmap import QuadraticMapCoeffs, evaluate, is_haar_form
 
@@ -58,11 +58,6 @@ def _report(pairs, tol: float) -> CertificateReport:
     return CertificateReport(verdict=verdict, residuals=tuple(pairs), worst_condition=worst)
 
 
-def _norm(x: np.ndarray) -> float:
-    """|x| for a real vector: the sqrt(x . x) np.linalg.norm takes, without its dispatch."""
-    return math.sqrt(x @ x)
-
-
 # Row (and column) of each coefficient vector in QuadraticMapCoeffs.gram.
 _a, _b, _c, _A, _B, _G, _d, _e, _g = range(9)
 
@@ -74,9 +69,9 @@ def _cross_norm_pairs(v: QuadraticMapCoeffs, p: list) -> list:
     """
     ab, ac, bc = v.a - v.b, v.a - v.c, v.b - v.c
     return [
-        ("ii.1", abs(math.sqrt(p[_A][_A]) - _norm(ab))),
-        ("ii.2", abs(math.sqrt(p[_G][_G]) - _norm(ac))),
-        ("ii.3", abs(math.sqrt(p[_B][_B]) - _norm(bc))),
+        ("ii.1", abs(math.sqrt(p[_A][_A]) - vector_norm(ab))),
+        ("ii.2", abs(math.sqrt(p[_G][_G]) - vector_norm(ac))),
+        ("ii.3", abs(math.sqrt(p[_B][_B]) - vector_norm(bc))),
     ]
 
 

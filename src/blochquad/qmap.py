@@ -12,7 +12,10 @@ certifiers, which must be able to observe violations.
 Map coefficients are admitted up to 2 * COEFFICIENT_LIMIT (2e150) in
 magnitude, twice the operator bound because each map vector may sum two
 operator blocks, so the largest product formed from them, |V(f)|^2 on the
-sphere (about 1e303), stays below the double maximum of 1.8e308.
+sphere (about 1e303), stays below the double maximum of 1.8e308.  admit()
+is the one admission of coefficient arrays: this module's map and
+channel.DeltaCoefficients both take their fields through it, and every
+refusal names the field.
 """
 
 from __future__ import annotations
@@ -29,26 +32,47 @@ _FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 COEFFICIENT_LIMIT = 1e150
 
 
-def real_array(value, shape: tuple, name: str, limit: float) -> np.ndarray:
-    """Read-only float array of the given shape (zeros for None).
+def admit(fields: tuple, values, limit: float) -> np.ndarray:
+    """One read-only flat float copy of values, end to end; fields holds a (name, shape) pair per value.
 
-    Refuses any entry x with not (|x| <= limit), which refuses NaN and
-    +-inf as well.
+    A value of None is zeros.  Each value must convert to floats of its
+    shape with every |x| <= limit, which refuses NaN and +-inf as well;
+    otherwise the first offending field raises ValueError "<name>: ...".
     """
-    arr = np.zeros(shape) if value is None else np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not (np.abs(arr) <= limit).all():
-        raise ValueError(
-            f"{name}: entries must be numbers of magnitude at most {limit:g}, "
-            "or their products overflow double precision"
-        )
-    arr.setflags(write=False)
-    return arr
+    admitted = False
+    try:
+        arrays = []
+        for (_, shape), value in zip(fields, values):
+            arrays.append(np.zeros(shape) if value is None else np.asarray(value, dtype=float))
+            if arrays[-1].shape != shape:
+                break
+        else:  # every value has its shape: one copy, and one bound check on it
+            flat = np.concatenate(arrays, axis=None)
+            admitted = np.abs(flat).max() <= limit  # a NaN maximum fails too
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or an integer beyond the double range
+        pass
+    if not admitted:  # walk the fields: the first offending one raises, by name
+        arrays = []
+        for (name, shape), value in zip(fields, values):
+            try:
+                array = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: expected numbers in shape {shape}: {exc}") from None
+            if array.shape != shape:
+                raise ValueError(f"{name}: expected shape {shape}, got {array.shape}")
+            if not np.abs(array).max() <= limit:
+                raise ValueError(
+                    f"{name}: entries must be numbers of magnitude at most {limit:g}, "
+                    "or their products overflow double precision"
+                )
+            arrays.append(array)
+        flat = np.concatenate(arrays, axis=None)
+    flat.setflags(write=False)
+    return flat
 
 
 _MAP_LIMIT = 2.0 * COEFFICIENT_LIMIT
-_ZERO = (0.0, 0.0, 0.0)
+_ROW_FIELDS = tuple((name, (3,)) for name in _FIELDS)
 
 # d2V/df_m df_j as coefficient vectors, m-major: 2a, A, Gamma / A, 2b, B / Gamma, B, 2c.
 _HESSIAN_ROWS = np.array([0, 3, 5, 3, 1, 4, 5, 4, 2])
@@ -69,32 +93,23 @@ class QuadraticMapCoeffs:
     e: np.ndarray = None
     g: np.ndarray = None
 
-    def __post_init__(self):
-        values = [getattr(self, name) for name in _FIELDS]
-        try:
-            rows = np.array([_ZERO if value is None else value for value in values], dtype=float)
-            admitted = rows.shape == (9, 3) and bool((np.abs(rows) <= _MAP_LIMIT).all())
-        except (TypeError, ValueError):  # ragged or not numbers
-            admitted = False
-        if not admitted:  # walk the fields: the first offending one raises, by name
-            rows = np.stack([real_array(value, (3,), name, _MAP_LIMIT) for name, value in zip(_FIELDS, values)])
-        self._take_rows(rows)
+    def __init__(self, a=None, b=None, c=None, A=None, B=None, Gamma=None, d=None, e=None, g=None):
+        self._take_rows(admit(_ROW_FIELDS, (a, b, c, A, B, Gamma, d, e, g), _MAP_LIMIT).reshape(9, 3))
 
     def _take_rows(self, rows: np.ndarray) -> None:
-        rows.setflags(write=False)  # before the fields take their row views
         fields = vars(self)  # written directly, as the instance is frozen
         fields.update(zip(_FIELDS, rows))
         fields["_rows"] = rows
 
     @classmethod
     def _from_admitted_rows(cls, rows: np.ndarray) -> "QuadraticMapCoeffs":
-        """The map whose coefficient rows are rows, a fresh (9, 3) float array, without the bound check.
+        """The map whose coefficient rows are rows, a fresh read-only (9, 3) float array, without the bound check.
 
         For rows admitted by construction: each entry a sum of at most two
         entries of blocks admitted up to COEFFICIENT_LIMIT, so at most
         2 * COEFFICIENT_LIMIT = _MAP_LIMIT in magnitude.  The map takes rows
-        read-only as its own, and its fields are row views of it, as with
-        the public constructor.
+        as its own, and its fields are row views of it, as with the public
+        constructor.
         """
         v = object.__new__(cls)
         v._take_rows(rows)

@@ -59,6 +59,8 @@ def test_delta1_requires_unit_vector():
         delta1((0, 0, 0.5))
     with pytest.raises(ValueError):
         delta1((1, 1))
+    with pytest.raises(ValueError, match=r"got norm 1e\+200$"):
+        delta1((0, -1e200, 0))
 
 
 def test_linear_family_cases():

@@ -1,4 +1,7 @@
 import dataclasses
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from blochquad.channel import (
     bloch_images,
     pair_eval,
 )
+from blochquad.cli import load_config
 from blochquad.pauli import BASIS, partial_trace_left, partial_trace_right, swap_conjugate
 from blochquad.qmap import _FIELDS, _MAP_LIMIT, COEFFICIENT_LIMIT, QuadraticMapCoeffs
 from conftest import admission_bound_config, random_delta
@@ -360,6 +364,45 @@ def test_structural_residuals_match_the_per_matrix_references():
         assert check_coassociativity(d) == (reference <= 1e-9)
     # and the cases reach both verdicts of each check
     assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {v[2] for v in verdicts} == {True, False}
+
+
+def exact_coassociativity_residual(d):
+    """Largest |left - right| over the lift weights of the three Delta(sigma_i), in exact arithmetic.
+
+    With C[m, p, q] the weight of sigma_p (x) sigma_q in Delta(sigma_m) and
+    C[0] = 1(x)1, (Delta (x) id) Delta(sigma_i) gives sigma_p (x) sigma_q (x) sigma_r
+    the weight sum_m C[i, m, r] C[m, p, q], and (id (x) Delta) Delta(sigma_i)
+    the weight sum_l C[i, p, l] C[l, q, r]: 64 weights per side, as Fractions
+    of the float entries.
+    """
+    C = [[[Fraction(int(m == p == q == 0)) for q in range(4)] for p in range(4)] for m in range(4)]
+    for i, block in enumerate(_basis_coefficients(d).tolist(), start=1):
+        C[i] = [[Fraction(x) for x in row] for row in block]
+    return max(
+        abs(sum(C[i][m][r] * C[m][p][q] for m in range(4)) - sum(C[i][p][l] * C[l][q][r] for l in range(4)))
+        for i in range(1, 4)
+        for p, q, r in product(range(4), repeat=3)
+    )
+
+
+def test_coassociativity_verdicts_agree_with_the_exact_lift_weights():
+    golden = Path(__file__).parent / "golden"
+    cases = [load_config(str(path)) for path in sorted(golden.glob("*.json")) if path.name != "status.json"]
+    cases += structural_cases()
+    for s in 10.0 ** np.arange(-150, 151, 10):  # group-like: Delta(sigma_i) = s sigma_i (x) sigma_i
+        T = np.zeros((3, 3, 3))
+        T[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = s
+        cases.append(DeltaCoefficients.trace_preserving(T=T))
+    exact = [exact_coassociativity_residual(d) for d in cases]
+    for d, residual in zip(cases, exact):
+        if residual == 0:
+            assert check_coassociativity(d)
+        elif residual > 1e-9:
+            assert not check_coassociativity(d)
+    assert exact.count(0) >= 31 and sum(residual > 1e-9 for residual in exact) >= 31
+    # every entry s = 1e150: 1(x)1(x)sigma_r weighs s + 3 s^2 on the left and 3 s^2 on the right
+    for name in ("bound_plus", "bound_minus"):
+        assert exact_coassociativity_residual(load_config(str(golden / f"{name}.json"))) == Fraction(1e150)
 
 
 def test_images_and_map_are_built_once_per_operator(rng):

@@ -597,3 +597,8 @@ def test_main_reads_sys_argv_by_default(capsys, monkeypatch, argv):
 def test_simulate_prints_the_norm_of_a_start_outside_the_ball(capsys, f0):
     norm = np.linalg.norm([float(x) for x in f0.split(",")])
     assert run_cli(capsys, "simulate", golden("delta0"), f"--f0={f0}") == (1, "", f"error: --f0: norm {norm} exceeds 1\n")
+
+
+def test_simulate_refuses_a_start_far_outside_the_ball_by_its_true_norm(capsys):
+    # f0 @ f0 would overflow: no RuntimeWarning, and the norm is not called inf
+    assert run_cli(capsys, "simulate", golden("delta0"), "--f0", "1e200,0,0") == (1, "", "error: --f0: norm 1e+200 exceeds 1\n")

@@ -83,6 +83,9 @@ def test_iterate_rejects_outside_ball():
         for steps in (0, 3):
             with pytest.raises(ValueError, match="start point norm"):
                 iterate(v0(), start, steps)
+    # f @ f would overflow: the true norm, and no RuntimeWarning
+    with pytest.raises(ValueError, match=r"start point norm 1e\+200 exceeds 1"):
+        iterate(v0(), [1e200, 0, 0], 1)
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from blochquad.pauli import (
     SIGMA3,
     partial_trace_left,
     partial_trace_right,
+    vector_norm,
 )
 
 
@@ -109,6 +110,8 @@ def test_state_eval_matches_density_matrix_trace(rng):
 def test_bloch_state_validation():
     with pytest.raises(ValueError):
         BlochState((1, 1, 0))
+    with pytest.raises(ValueError, match=r"^Bloch vector norm 1e\+200 exceeds 1$"):
+        BlochState((1e200, 0, 0))
     assert BlochState((0.6, 0.8, 0)).is_pure
     assert not BlochState((0.5, 0, 0)).is_pure
 
@@ -168,3 +171,17 @@ def test_every_library_check_refuses_a_tolerance_that_is_not_finite_and_non_nega
         with pytest.raises(ValueError, match="tol must be a finite number at least 0"):
             check()
     assert channel.is_trace_preserving(d, tol=0.0) is False
+
+
+def test_vector_norm_has_the_bits_of_the_dot_product_and_beyond_them_the_true_norm(rng):
+    # entries up to 1e153 in magnitude: sqrt(x @ x) bit for bit
+    scales = 10.0 ** rng.uniform(-160.0, 153.0, size=(300, 1))
+    for x in np.clip(rng.normal(size=(300, 3)) * scales, -1e153, 1e153):
+        assert vector_norm(x) == math.sqrt(x @ x)
+    x = np.full(3, -1e153)
+    assert vector_norm(x) == math.sqrt(x @ x)
+    # beyond them x @ x may overflow: math.hypot, with no RuntimeWarning
+    for entries in ([1e200, 0.0, 0.0], [0.0, -3e300, 4e300], [1e308, -1e308, 1e308], [2e153, 1.0, 0.0]):
+        assert vector_norm(np.array(entries)) == math.hypot(*entries)
+    assert vector_norm(np.array([-1e200, 0.0, 0.0])) == 1e200
+    assert math.isnan(vector_norm(np.array([math.nan, 0.0, 0.0])))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,10 +143,22 @@ def test_operator_blocks_are_views_of_one_read_only_copy(rng):
 
 
 ADMITTED = [
+    (QuadraticMapCoeffs, "a", (3,), 2.0 * COEFFICIENT_LIMIT),
     (QuadraticMapCoeffs, "Gamma", (3,), 2.0 * COEFFICIENT_LIMIT),
     (DeltaCoefficients, "b", (3,), COEFFICIENT_LIMIT),
+    (DeltaCoefficients, "B1", (3, 3), COEFFICIENT_LIMIT),
     (DeltaCoefficients, "T", (3, 3, 3), COEFFICIENT_LIMIT),
 ]
+
+
+def with_last_leaf(entries, leaf):
+    """entries as nested lists with the last number replaced by leaf."""
+    nested = entries.tolist()
+    inner = nested
+    while isinstance(inner[-1], list):
+        inner = inner[-1]
+    inner[-1] = leaf
+    return nested
 
 
 @pytest.mark.parametrize("cls, name, shape, limit", ADMITTED)
@@ -156,6 +170,24 @@ def test_admission_bound(cls, name, shape, limit):
         entries.flat[-1] = bad
         with pytest.raises(ValueError, match=f"^{name}: .*overflow"):
             cls(**{name: entries})
+    # every other refusal is a ValueError that names the field too
+    entries = np.ones(shape)
+    refused = {
+        "a string": "abc",
+        "a string entry": with_last_leaf(entries, "x"),
+        "a dict": {"x": 1.0},
+        "a dict entry": with_last_leaf(entries, {}),
+        "a ragged list": with_last_leaf(entries, [1.0, 2.0]),
+        "a wrong shape": np.ones(shape + (1,)),
+        "an integer beyond the double range": with_last_leaf(entries, 10**400),
+        "its negative": with_last_leaf(entries, -(10**400)),
+    }
+    for what, bad in refused.items():
+        with pytest.raises(ValueError, match=f"^{name}: ") as refusal:
+            cls(**{name: bad})
+        assert type(refusal.value) is ValueError, what
+    with pytest.raises(ValueError, match=rf"^{name}: expected shape {re.escape(str(shape))}, got {re.escape(str(shape + (1,)))}$"):
+        cls(**{name: refused["a wrong shape"]})
 
 
 def test_induced_map_of_an_operator_at_the_bound_is_admitted():
