@@ -143,11 +143,11 @@ def test_operator_blocks_are_views_of_one_read_only_copy(rng):
 
 
 ADMITTED = [
-    (QuadraticMapCoeffs, "a", (3,), 2.0 * COEFFICIENT_LIMIT),
     (QuadraticMapCoeffs, "Gamma", (3,), 2.0 * COEFFICIENT_LIMIT),
     (DeltaCoefficients, "b", (3,), COEFFICIENT_LIMIT),
-    (DeltaCoefficients, "B1", (3, 3), COEFFICIENT_LIMIT),
     (DeltaCoefficients, "T", (3, 3, 3), COEFFICIENT_LIMIT),
+    (QuadraticMapCoeffs, "a", (3,), 2.0 * COEFFICIENT_LIMIT),
+    (DeltaCoefficients, "B1", (3, 3), COEFFICIENT_LIMIT),
 ]
 
 
