@@ -23,10 +23,13 @@ from .channel import (
     split,
 )
 from .dynamics import (
+    FixedComponent,
+    FixedSet,
     Trajectory,
     circle_restriction_step,
     estimate_divergence_rate,
     fixed_points_sphere,
+    fixed_set_sphere,
     iterate,
     logistic_conjugacy_residual,
     verify_collapse,
@@ -79,6 +82,8 @@ __all__ = [
     "CatalogEntry",
     "CertificateReport",
     "DeltaCoefficients",
+    "FixedComponent",
+    "FixedSet",
     "HaarEntries",
     "NotApplicableError",
     "NotHaarFormError",
@@ -107,6 +112,7 @@ __all__ = [
     "estimate_divergence_rate",
     "evaluate",
     "fixed_points_sphere",
+    "fixed_set_sphere",
     "has_haar_trace",
     "homogeneous_part",
     "induced_qmap",

@@ -10,7 +10,8 @@ the full-height logistic parabola.
 
 from __future__ import annotations
 
-import functools
+import collections
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,10 +19,13 @@ import numpy as np
 
 from .errors import NotApplicableError, NotHaarFormError
 from .pauli import TOL_STATE, vector_norm
+from .positivity import FACES, ICOSAHEDRON
 from .purity import check_haar_conditions
 from .qmap import QuadraticMapCoeffs, _feature_rows, evaluate, is_haar_form, jacobian
 
 UNDERFLOW_FLUSH = 1e-300
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,16 @@ def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:
     """Max relative error of |V^n(f0)| against |f0|^(2^n) for n <= steps.
 
     Only meaningful for certified sphere-preserving maps without linear
-    terms; terms with predicted norm below 1e-290 are skipped.
+    terms; terms with predicted norm below 1e-290 are skipped.  Raises
+    ValueError for a start point whose shape is not (3,), before any norm
+    is taken, and for one not strictly inside the ball.
     """
     if not is_haar_form(v) or not check_haar_conditions(v).verdict:
         raise NotApplicableError("collapse law needs a certified sphere-preserving map")
     f0 = np.asarray(f0, dtype=float)
-    norm0 = float(np.linalg.norm(f0))
+    if f0.shape != (3,):
+        raise ValueError(f"start point must have shape (3,), got {f0.shape}")
+    norm0 = vector_norm(f0)
     if norm0 >= 1.0:
         raise ValueError("start point must lie strictly inside the ball")
     if norm0 == 0.0:
@@ -137,115 +145,329 @@ def _newton_steps(m: np.ndarray, residual: np.ndarray) -> np.ndarray:
 
 
 def _residual(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """V(x) - x for the columns of x (3, n), as a (3, n) array; rows are the map's 9x3 coefficients.
-
-    n >= 2 columns take one (3, 9) @ (9, n) product, which gives the bits of
-    the (n, 9) @ (9, 3) batch evaluate().  One column keeps evaluate()'s
-    (1, 9) @ (9, 3) vector-matrix product, which can round differently from
-    the matrix-vector one.
-    """
-    features = _feature_rows(x)
-    image = rows.T @ features if x.shape[1] > 1 else (features.T @ rows).T
+    """V(x) - x for the columns of x (3, n), as a (3, n) array; rows are the map's 9x3 coefficients."""
+    image = rows.T @ _feature_rows(x)
     image -= x
     return image
 
 
-@functools.cache
-def _seed_grid(grid_density: int) -> np.ndarray:
-    """Read-only (3, n) seeds: a polar x azimuthal grid on the unit sphere."""
-    theta = np.linspace(0.0, np.pi, grid_density)
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * grid_density, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    seeds = np.array([(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()])
-    seeds.setflags(write=False)
-    return seeds
+# Every face of the icosahedron as its three corners: FACES keeps one face of
+# each antipodal pair, and V(-u) != -V(u) in general.
+_ANTIPODE = np.abs(ICOSAHEDRON[:, None] + ICOSAHEDRON[None]).sum(axis=2).argmin(axis=1)
+_SPHERE_FACES = ICOSAHEDRON[np.vstack([FACES, _ANTIPODE[FACES]])]
+# The corners of a face's four children, among its corners p0, p1, p2 and its
+# edge midpoints m01, m12, m20.
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+# Splits of the icosahedron faces before the exclusion test, and further
+# splits of the open faces that no isolated fixed point accounts for.
+EXCLUSION_LEVELS = 3
+COMPONENT_LEVELS = 2
+NEWTON_STEPS = 16
+# J - I has rank 2 on a tangent plane when the product of its two singular
+# values there exceeds this fraction of the sum of their squares.
+RANK_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
+# Gathers of a (3, 3) matrix whose combination m[R1, C1] m[R2, C2] - m[R1, C2] m[R2, C1]
+# is its cofactor matrix: row i is the cross product of rows i + 1 and i + 2.
+_R1, _R2 = np.array([[1], [2], [0]]), np.array([[2], [0], [1]])
+_C1, _C2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+@dataclass(frozen=True)
+class FixedComponent:
+    """A connected region of the sphere where fixed_set_sphere could neither rule out nor isolate fixed points.
+
+    The region is the union of the caps |u - centres[k]| <= radii[k].  It
+    may hold a circle of fixed points, a fixed point where J - I has rank
+    < 2 on the tangent plane, or none at all (a near miss).  point is a
+    fixed point on the sphere that Newton's method found in it, or None.
+    """
+
+    centres: np.ndarray  # (k, 3)
+    radii: np.ndarray  # (k,)
+    point: np.ndarray | None
+
+    def covers(self, p) -> bool:
+        """Whether the point p, shape (3,), lies in the region."""
+        gap = self.centres - np.asarray(p, dtype=float)
+        return bool((np.sqrt((gap * gap).sum(axis=1)) <= self.radii).any())
+
+
+@dataclass(frozen=True)
+class FixedSet:
+    """The fixed points of V on the unit sphere (see fixed_set_sphere).
+
+    points: the fixed points where J - I has rank 2 on the tangent plane,
+    as (3,) arrays in lexicographic order.  components: FixedComponent
+    regions that hold every other fixed point.  Both empty proves that V
+    fixes no point of the sphere.
+    """
+
+    points: list
+    components: list
+
+
+def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
+    """Fixed points of V on the unit sphere, by exclusion on spherical triangles and Newton's method.
+
+    Exclusion.  R(u) = V(u) - u is quadratic: R(c + h) = R(c) + (J(c) - I) h
+    + Q(h), where Q(h) = T(h) h / 2 and T(h) = J(c + h) - J(c) is linear in
+    h.  Row m of v._hessian is the slice dJ/df_m, so |T(h)|_2 <= |T(h)|_F
+    <= H |h| with H the largest singular value of v._hessian, and
+    |Q(h)| <= H |h|^2 / 2.  Every point of a spherical triangle lies within
+    rho, the largest chord from its unit centroid c to a corner (the
+    triangle lies in that cap, which is convex on the sphere).  So a
+    triangle with
+
+        |R(c)| > (|J(c) - I|_F + H rho / 2) rho + allowance
+
+    holds no fixed point and is dropped; a NaN or infinite residual keeps
+    it open.  The test runs at once on the 20 * 4^EXCLUSION_LEVELS faces of
+    the icosahedron split EXCLUSION_LEVELS times at unit edge midpoints
+    (_START; one test of all of them takes fewer numpy calls than a test
+    per level).  Every fixed point on the sphere lies in an open face.
+
+    allowance = 128 eps * scale, where scale = 1 + S and S is the sum of
+    the |coefficients|: for |u| <= 1, |V(u)| <= S, |J(u)|_F <= 2 S and
+    H <= 2 S (each quadratic coefficient enters the Hessian table twice, or
+    once doubled), and rho <= 0.65 (the icosahedron's own faces).  It
+    covers 16 eps * scale for the residual (a 9-term product and its norm);
+    16 eps * scale for |J(c) - I|_F times rho and 14 eps * scale for
+    H rho^2 (entry products, the norms and the SVD); 66 eps * scale for a
+    rho short by 11 eps (its rounding, and the sliver within 8 eps of an
+    edge that the children of a face miss when a rounded midpoint falls
+    inside the face) times the slope |J - I|_F + H rho <= 6 scale; and
+    12 eps * scale for the sums and products of the bound.
+
+    Points.  Newton's method (_newton) runs from the centroid of every open
+    face.  The points are its limits on the sphere where J - I has rank 2
+    on the tangent plane, deduplicated within 1e-6 in lexicographic order
+    (_distinct_points).  Each accounts for the open faces whose caps lie in
+    its ball (_balls), which holds no other fixed point.
+
+    Components.  The open faces that no point accounts for are split
+    COMPONENT_LEVELS more times with the same exclusion (_refine), and
+    Newton's method runs from the new open faces that the points still do
+    not account for.  The faces that neither the old nor the new points
+    account for, in clusters that share a corner, are the components.  Each
+    carries the first of these Newton limits that started in it and lies in
+    it, or None.  A circle of fixed points is one component, not a count of
+    points.
+    """
+    rows = v.coefficient_rows()
+    h = float(np.linalg.svd(v._hessian, compute_uv=False)[0])
+    scale = 1.0 + float(np.abs(rows).sum())
+    allowance = 128.0 * _EPS * scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        keep = _open(v, rows, h, allowance, _START_CENTRES, _START_RHO)
+        corners, x, rho = _START[keep], _START_CENTRES.compress(keep, axis=1), _START_RHO[keep]
+        points, radii = _balls(v, h, scale, *_newton(v, rows, x)[:2])
+        left = ~_accounted_for(x, rho, points, radii)
+        if not left.any():
+            return FixedSet(_distinct_points(points), [])
+        corners, x, rho = _refine(v, rows, h, allowance, corners[left], COMPONENT_LEVELS)
+        starts = np.flatnonzero(~_accounted_for(x, rho, points, radii))
+        found, r, start = _newton(v, rows, x[:, starts])
+        more, more_radii = _balls(v, h, scale, found, r)
+        points = np.hstack([points, more])
+        left = starts[~_accounted_for(x[:, starts], rho[starts], more, more_radii)]
+        position = np.full(len(rho), -1)
+        position[left] = np.arange(len(left))
+        components = _components(corners[left], x[:, left].T, rho[left], found, position[starts[start]])
+    return FixedSet(_distinct_points(points), components)
+
+
+def _split(corners: np.ndarray) -> np.ndarray:
+    """The corners (4 k, 3, 3) of the children of faces with corners (k, 3, 3), split at their unit edge midpoints.
+
+    p + q rounds as q + p, so faces that share an edge make its midpoint with
+    the same bits, and their children share corners.
+    """
+    mids = corners + corners[:, [1, 2, 0]]
+    mids /= np.sqrt((mids * mids).sum(axis=2))[..., None]
+    return np.concatenate([corners, mids], axis=1)[:, _CHILDREN].reshape(-1, 3, 3)
+
+
+def _geometry(corners: np.ndarray) -> tuple:
+    """Unit centroids, as the columns of a (3, k) array, and radii rho (k,) of faces with corners (k, 3, 3)."""
+    c = corners.sum(axis=1)
+    c /= np.sqrt((c * c).sum(axis=1))[:, None]
+    gap = corners - c[:, None]
+    return np.ascontiguousarray(c.T), np.sqrt((gap * gap).sum(axis=2).max(axis=1))
+
+
+def _open(v, rows, h, allowance, x, rho) -> np.ndarray:
+    """Whether the exclusion bound of fixed_set_sphere keeps each face, with unit centroids x (3, k) and radii rho (k,), open."""
+    residual = _residual(rows, x)
+    m = jacobian(v, x.T).reshape(-1, 9).T  # the rows of J(c), then J(c) - I in place
+    m[0::4] -= 1.0
+    r = np.sqrt((residual * residual).sum(axis=0))
+    reach = (np.sqrt((m * m).sum(axis=0)) + 0.5 * h * rho) * rho + allowance
+    return ~((r > reach) & (r < np.inf))  # a NaN or infinite residual stays open
+
+
+def _refine(v, rows, h, allowance, corners, levels) -> tuple:
+    """The open faces among the descendants, levels splits down, of faces with corners (k, 3, 3).
+
+    Splits and tests level by level.  Returns the open faces' corners, unit
+    centroids (3, j) and radii (j,).
+    """
+    for _ in range(levels):
+        if not len(corners):
+            break
+        corners = _split(corners)
+        x, rho = _geometry(corners)
+        keep = _open(v, rows, h, allowance, x, rho)
+        corners, x, rho = corners[keep], x.compress(keep, axis=1), rho[keep]
+    return corners, x, rho
+
+
+# The 20 * 4^EXCLUSION_LEVELS faces the search tests first, their unit
+# centroids and radii.
+_START = _SPHERE_FACES
+for _ in range(EXCLUSION_LEVELS):
+    _START = _split(_START)
+_START_CENTRES, _START_RHO = _geometry(_START)
+for _table in (_START, _START_CENTRES, _START_RHO):
+    _table.setflags(write=False)
+
+
+def _newton(v: QuadraticMapCoeffs, rows: np.ndarray, x: np.ndarray) -> tuple:
+    """Newton's method on V(f) = f from the columns of x (3, n).
+
+    Returns its limits on the sphere (3, k), their residuals |V(f) - f| and
+    their columns in x.  Each step solves (J - I) s = -(V(f) - f) for every
+    column at once in closed form (_newton_steps).  A column whose update
+    is not finite or leaves the cube |f|_inf < 10 keeps its point.  At most
+    NEWTON_STEPS steps; the loop stops once no step is longer than
+    1e-8 * max(1, |x|_inf) in any entry: where Newton's method converges
+    quadratically, such a last step leaves an error of order 1e-16 times
+    H / sigma (see _balls), and where it does not, the residual test below
+    decides.  A limit is kept when its
+    residual is at most 1e-9 (a NaN fails) and it lies within 1e-6 of the
+    sphere.
+    """
+    if not x.shape[1]:
+        return x, np.empty(0), np.empty(0, dtype=int)
+    for _ in range(NEWTON_STEPS):
+        m = jacobian(v, x.T).reshape(-1, 9).T  # J - I in place on the diagonal rows 0, 4, 8
+        m[0::4] -= 1.0
+        step = _newton_steps(m, _residual(rows, x))
+        x_new = x + step
+        ok = np.abs(x_new).max(axis=0) < 10.0  # False for NaN and inf too
+        if not ok.all():
+            x_new, step = np.where(ok, x_new, x), np.where(ok, step, 0.0)
+        x = x_new
+        if not np.abs(step).max() > 1e-8 * max(1.0, float(np.abs(x).max())):
+            break
+    residual = _residual(rows, x)
+    r = np.sqrt((residual * residual).sum(axis=0))
+    keep = np.flatnonzero((r <= 1e-9) & (np.abs(np.sqrt((x * x).sum(axis=0)) - 1.0) <= 1e-6))
+    return x[:, keep], r[keep], keep
+
+
+def _balls(v: QuadraticMapCoeffs, h: float, scale: float, found: np.ndarray, r: np.ndarray) -> tuple:
+    """The distinct columns p of found (3, n) where J - I has rank 2 on the tangent plane, as (3, k), and their radii.
+
+    r holds the residuals |V(p) - p|.  With M = J(p) - I and u = p / |p|,
+    M maps the tangent plane with area factor |cof(M) u| (cof(M) the
+    cofactor matrix: M a x M b = cof(M) (a x b)), the product of the two
+    singular values of M (I - u u^T), whose squares sum to
+    |M|_F^2 - |M u|^2.  Rank 2 means a product above RANK_TOL times that
+    sum.  With sigma the least singular value of M and
+    s = sigma - 32 eps * scale (the rounding of J(p) and of the SVD), the
+    ball around p has radius 2 s / H - 2 r / s - 16 eps (the rounding of the
+    distances it is compared with) when 2 H r <= s^2, and NaN otherwise,
+    which accounts for no face.  The fixed point near p is the only one in
+    it: R is one to one on |h| < s / H, where |J(p + h) - J(p)|_2 <= H |h|
+    < s, and |R(p + h)| >= s t - H t^2 / 2 - r > 0 for s / H <= t = |h|
+    below (s + sqrt(s^2 - 2 H r)) / H >= 2 s / H - 2 r / s.
+    """
+    pick = _distinct(found)
+    if not pick:
+        return found, r
+    p = found[:, pick]
+    m = jacobian(v, p.T).reshape(-1, 3, 3) - _EYE3
+    u = p.T / np.sqrt((p * p).sum(axis=0))[:, None]
+    cof = m[:, _R1, _C1] * m[:, _R2, _C2] - m[:, _R1, _C2] * m[:, _R2, _C1]  # rows m1 x m2, m2 x m0, m0 x m1
+    area, image = (cof @ u[:, :, None])[..., 0], (m @ u[:, :, None])[..., 0]
+    spread = (m * m).sum(axis=(1, 2)) - (image * image).sum(axis=1)
+    isolated = np.flatnonzero(np.sqrt((area * area).sum(axis=1)) > RANK_TOL * spread)
+    sigma = np.linalg.svd(m[isolated], compute_uv=False)[:, 2] - 32.0 * _EPS * scale
+    r = r[pick][isolated]
+    return p[:, isolated], np.where(2.0 * h * r <= sigma * sigma, 2.0 * sigma / h - 2.0 * r / sigma - 16.0 * _EPS, np.nan)
+
+
+def _accounted_for(x: np.ndarray, rho: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Whether the cap of each face (centroid a column of x, radius rho) lies in some ball (centres (3, k), radii)."""
+    gap = x.T[:, None, :] - centres.T[None]
+    return (np.sqrt((gap * gap).sum(axis=2)) + rho[:, None] <= radii).any(axis=1)
+
+
+def _components(corners: np.ndarray, centres: np.ndarray, rho: np.ndarray, found: np.ndarray, start: np.ndarray) -> list:
+    """The faces (corners (k, 3, 3), centroids (k, 3), radii rho) in clusters that share a corner, as FixedComponents.
+
+    Faces share a corner when they hold the same corner bits (_split makes
+    an edge's midpoint with the same bits in both faces on it).  found
+    (3, n) are Newton limits and start their faces (indices into the k, or
+    -1); each component carries the first limit that started in it and
+    lies in its caps, or None.
+    """
+    if not len(corners):
+        return []
+    faces = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(-1, 3)
+    labels = np.arange(len(faces))  # each face's label: the least face index in its cluster, once settled
+    while True:
+        least = np.full(len(faces) * 3, len(faces))
+        np.minimum.at(least, faces, labels[:, None])
+        merged = least[faces].min(axis=1)
+        merged = merged[merged]  # a label names a face of the cluster, and so does that face's label
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+    components = []
+    for label in np.unique(labels):
+        inside = labels == label
+        region = FixedComponent(centres[inside], rho[inside], None)
+        here = (found[:, i] for i in np.flatnonzero(inside[start] & (start >= 0)))
+        point = next((p.copy() for p in here if region.covers(p)), None)
+        components.append(dataclasses.replace(region, point=point))
+    return components
 
 
 def fixed_points_sphere(v: QuadraticMapCoeffs, grid_density: int = 32) -> list:
-    """Fixed points of V on the unit sphere.
+    """The fixed points of V on the unit sphere where J - I has rank 2 on the tangent plane.
 
-    Seeds a polar x azimuthal grid (grid_density x 2*grid_density) and runs
-    at most 60 damped Newton steps on V(f) - f = 0.  Each step solves
-    (J - I) s = -(V(f) - f) for all active seeds at once in closed form
-    (_newton_steps); a seed whose system is exactly singular, or whose
-    closed-form step is not finite, takes the pseudo-inverse step
-    (np.linalg.pinv) alone.  The seeds are the columns of C-contiguous
-    (3, n) arrays, the Jacobian entries and the nine features rows of
-    (9, n) arrays, so every operation runs on contiguous rows; each product
-    rounds as the (n, 3) row-major batch product did (one active seed keeps
-    the vector-matrix products, see _residual and jacobian()), so the points
-    are bit for bit those of a search on rows.  Steps longer than 0.5 are
-    cut to 0.5.  A seed
-    stops iterating (its row freezes) when its update is rejected, because
-    the new point is non-finite or has norm >= 10: f is unchanged, so every
-    later step would repeat the rejected one.  It also freezes once its
-    step is at most 1e-15 * max(1, |f|_inf), i.e. it has converged to
-    rounding.  Converged points with residual <= 1e-9 that lie within 1e-6
-    of the sphere are deduplicated greedily in lexicographic order: the
-    smallest remaining candidate is kept and every candidate within 1e-6 of
-    it is dropped, until none remain (_distinct_points).
+    fixed_set_sphere(v).points.  grid_density is ignored: the points no
+    longer depend on a seed grid.
     """
-    if grid_density < 1:
-        raise ValueError("grid_density must be >= 1")
-    # f holds the seeds as columns; x the columns still iterating, at the
-    # indices `active`.  A column is written back to f once, when it freezes.
-    f = _seed_grid(grid_density).copy()
-    x = f
-    active = np.arange(f.shape[1])
-    rows = v.coefficient_rows()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(60):
-            if not active.size:
-                break
-            # The nine Jacobian entries as rows of length n, a view of
-            # jacobian()'s buffer; J - I in place on the diagonal rows 0, 4, 8.
-            m = jacobian(v, x.T).reshape(-1, 9).T
-            m[0::4] -= 1.0
-            step = _newton_steps(m, _residual(rows, x))
-            # Sums over the three components add them in order, so the norms are
-            # those of np.linalg.norm(axis=1); 0.5 / max(length, 0.5) is exactly 1
-            # for a step no longer than 0.5.
-            step *= 0.5 / np.maximum(np.sqrt((step * step).sum(axis=0)), 0.5)
-            x_new = x + step
-            ok = np.sqrt((x_new * x_new).sum(axis=0)) < 10.0  # False for NaN and inf too
-            moving = np.abs(step).max(axis=0) > 1e-15 * np.maximum(1.0, np.abs(x).max(axis=0))
-            going = ok & moving
-            if going.all():
-                x = x_new
-            else:  # the frozen columns go back to f; a rejected update keeps its old point
-                frozen = ~going
-                f[:, active[frozen]] = (x_new if ok.all() else np.where(ok, x_new, x))[:, frozen]
-                x, active = x_new.compress(going, axis=1), active.compress(going)
-    f[:, active] = x
-
-    # The norms below are those of np.linalg.norm(axis=1) on the points as rows.
-    residual = _residual(rows, f)
-    residuals = np.sqrt((residual * residual).sum(axis=0))
-    on_sphere = np.abs(np.sqrt((f * f).sum(axis=0)) - 1.0) <= 1e-6
-    return _distinct_points(f.compress((residuals <= 1e-9) & on_sphere, axis=1))  # a NaN residual fails too
+    return fixed_set_sphere(v).points
 
 
 def _distinct_points(candidates: np.ndarray) -> list:
-    """The columns of candidates (3, n), deduplicated greedily in lexicographic order.
+    """The columns of candidates (3, n), deduplicated greedily in lexicographic order (_distinct), as (3,) copies."""
+    return [candidates[:, i].copy() for i in _distinct(candidates)]
 
-    Each round keeps the lexicographically smallest remaining column and
-    drops every column within 1e-6 of it.  The smallest is found by
-    narrowing the remaining columns on row 0, then row 1, then row 2, to
-    those equal to the row's minimum (so -0.0 ties with 0.0); of full ties
-    the lowest index is kept.  That is the first column of a stable
-    lexicographic sort, without sorting all n columns.
+
+def _distinct(candidates: np.ndarray) -> list:
+    """Indices of the columns of candidates (3, n) that a greedy dedup in lexicographic order keeps.
+
+    The columns are visited in stable lexicographic order (-0.0 ties with
+    0.0, and of full ties the lowest index comes first); a column is kept
+    unless it lies within 1e-6 of a column kept before it.  Only kept
+    columns whose first entry is within 2e-6 of the visited one's are
+    compared, as the others are farther than 1e-6 from it.
     """
-    found: list[np.ndarray] = []
-    while candidates.shape[1]:
-        tied = np.arange(candidates.shape[1])
-        for row in candidates:
-            values = row[tied]
-            tied = tied[values == values.min()]
-        first = candidates[:, tied[0]].copy()
-        found.append(first)
-        gap = candidates - first[:, None]
-        candidates = candidates.compress(np.sqrt((gap * gap).sum(axis=0)) > 1e-6, axis=1)
-    return found
+    kept, near = [], collections.deque()
+    order = np.lexsort(candidates[::-1])
+    for i, (p0, p1, p2) in zip(order.tolist(), candidates.T[order].tolist()):
+        while near and p0 - near[0][0] > 2e-6:
+            near.popleft()
+        # The distance is computed as np.linalg.norm computes it: sqrt((d0^2 + d1^2) + d2^2).
+        if all(math.sqrt((p0 - q0) * (p0 - q0) + (p1 - q1) * (p1 - q1) + (p2 - q2) * (p2 - q2)) > 1e-6 for q0, q1, q2 in near):
+            kept.append(i)
+            near.append((p0, p1, p2))
+    return kept
 
 
 def circle_restriction_step(f1: float, f2: float) -> tuple:

@@ -135,12 +135,12 @@ def recompose(p: PauliElement) -> np.ndarray:
 
 
 def is_positive_element(p: PauliElement, tol: float = TOL_ALG) -> bool:
-    """Positivity test |w| <= w0 for a self-adjoint element."""
+    """Positivity test |w| <= w0 for a self-adjoint element; |w| is vector_norm's, true where |w|^2 overflows."""
     if not p.is_self_adjoint(tol):
         raise NotSelfAdjointError(
             f"imaginary residue {p.self_adjoint_residue():.3e} exceeds {tol:.1e}"
         )
-    return float(np.linalg.norm(p.w.real)) <= p.w0.real + tol
+    return vector_norm(p.w.real) <= p.w0.real + tol
 
 
 def state_eval(s: BlochState, p: PauliElement) -> complex:

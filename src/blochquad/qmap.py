@@ -21,6 +21,7 @@ refusal names the field.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,32 +33,43 @@ _FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 COEFFICIENT_LIMIT = 1e150
 
 
+# Array kinds whose entries are real numbers: bool, signed and unsigned integers, floats.
+_REAL_KINDS = "biuf"
+
+
 def admit(fields: tuple, values, limit: float) -> np.ndarray:
     """One read-only flat float copy of values, end to end; fields holds a (name, shape) pair per value.
 
-    A value of None is zeros.  Each value must convert to floats of its
-    shape with every |x| <= limit, which refuses NaN and +-inf as well;
-    otherwise the first offending field raises ValueError "<name>: ...".
+    A value of None is zeros.  Each value must be an array, or nested
+    lists, of real numbers in its shape with every |x| <= limit, which
+    refuses NaN and +-inf as well; complex values and strings (also numeric
+    ones) are refused rather than converted.  Otherwise the first offending
+    field raises ValueError "<name>: ...".  A value is converted once, by
+    np.asarray without a dtype; the one float copy is the concatenation.
     """
     admitted = False
     try:
         arrays = []
         for (_, shape), value in zip(fields, values):
-            arrays.append(np.zeros(shape) if value is None else np.asarray(value, dtype=float))
-            if arrays[-1].shape != shape:
+            arrays.append(np.zeros(shape) if value is None else np.asarray(value))
+            if arrays[-1].shape != shape or arrays[-1].dtype.kind not in _REAL_KINDS:
                 break
-        else:  # every value has its shape: one copy, and one bound check on it
-            flat = np.concatenate(arrays, axis=None)
+        else:  # every value is real numbers in its shape: one copy, and one bound check on it
+            flat = np.concatenate(arrays, axis=None, dtype=float)
             admitted = np.abs(flat).max() <= limit  # a NaN maximum fails too
-    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or an integer beyond the double range
+    except (TypeError, ValueError, OverflowError):  # ragged, or an integer beyond the double range
         pass
     if not admitted:  # walk the fields: the first offending one raises, by name
         arrays = []
         for (name, shape), value in zip(fields, values):
             try:
-                array = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+                array = np.zeros(shape) if value is None else np.asarray(value)
+                if array.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in array.flat):
+                    array = array.astype(float)  # Python integers beyond 64 bits, fractions
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name}: expected numbers in shape {shape}: {exc}") from None
+            if array.dtype.kind not in _REAL_KINDS:
+                raise ValueError(f"{name}: expected real numbers, got {array.dtype} entries")
             if array.shape != shape:
                 raise ValueError(f"{name}: expected shape {shape}, got {array.shape}")
             if not np.abs(array).max() <= limit:
@@ -66,7 +78,7 @@ def admit(fields: tuple, values, limit: float) -> np.ndarray:
                     "or their products overflow double precision"
                 )
             arrays.append(array)
-        flat = np.concatenate(arrays, axis=None)
+        flat = np.concatenate(arrays, axis=None, dtype=float)
     flat.setflags(write=False)
     return flat
 

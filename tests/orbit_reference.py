@@ -4,19 +4,11 @@ evaluate_reference forms the nine features by numpy gathers and one
 concatenate for any input shape; iterate_reference steps an orbit with it
 and takes norms with math.hypot on numpy scalars; write_trajectory_csv_reference
 writes one row per call; newton_steps_reference solves the Newton systems on
-a (9, n) copy of J - I.  The tests require blochquad's orbit rows and CSV text
-to equal these bit for bit, and its Newton steps to stay within 1e-12 of them.
-
-fixed_points_sphere_reference is the fixed-point search as it was before it
-ran on component-major rows: every iteration reads the points as (n, 3) rows,
-takes the Jacobian as one (n, 3) @ (3, 9) product and the residual as the
-batch (n, 9) @ (9, 3) product, and solves the systems with
-cramer_steps_reference; distinct_points_reference is its final filter, a
-stable lexicographic sort and a greedy dedup.  The tests require every
-point blochquad's search returns to have the same bytes as this one's.
+a (9, n) copy of J - I, and cramer_steps_reference on views of (n, 3, 3)
+systems.  The tests require blochquad's orbit rows and CSV text to equal these
+bit for bit, its Newton steps to stay within 1e-12 of newton_steps_reference,
+and to have the bytes of cramer_steps_reference.
 """
-
-import functools
 
 import math
 
@@ -113,57 +105,3 @@ def cramer_steps_reference(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
         system = jac[fallback] - np.eye(3)
         step[:, fallback] = -(np.linalg.pinv(system) @ residual[fallback, :, None])[..., 0].T
     return step
-
-
-def jacobian_reference(v, f) -> np.ndarray:
-    """dV/df at the rows of f (n, 3) as one (n, 3) @ (3, 9) product, shape (n, 3, 3)."""
-    return (f @ v._hessian + v._linear).reshape(f.shape[:-1] + (3, 3))
-
-
-@functools.cache
-def _seed_grid(grid_density: int) -> np.ndarray:
-    theta = np.linspace(0.0, np.pi, grid_density)
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * grid_density, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    seeds = np.array([(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()])
-    seeds.setflags(write=False)
-    return seeds
-
-
-def fixed_points_sphere_reference(v, grid_density: int = 32) -> list:
-    """Fixed points of V on the unit sphere: damped Newton on (n, 3) rows, greedy dedup."""
-    if grid_density < 1:
-        raise ValueError("grid_density must be >= 1")
-    f = _seed_grid(grid_density).copy()
-    x = f
-    active = np.arange(f.shape[1])
-    for _ in range(60):
-        if not active.size:
-            break
-        step = cramer_steps_reference(jacobian_reference(v, x.T), evaluate_reference(v, x.T) - x.T)
-        step *= 0.5 / np.maximum(np.sqrt((step * step).sum(axis=0)), 0.5)
-        x_new = x + step
-        ok = np.sqrt((x_new * x_new).sum(axis=0)) < 10.0
-        moving = np.abs(step).max(axis=0) > 1e-15 * np.maximum(1.0, np.abs(x).max(axis=0))
-        x = np.where(ok, x_new, x)
-        going = ok & moving
-        if not going.all():
-            f[:, active[~going]] = x[:, ~going]
-            x, active = x.compress(going, axis=1), active.compress(going)
-    f[:, active] = x
-
-    points = f.T
-    residuals = np.linalg.norm(evaluate_reference(v, points) - points, axis=1)
-    on_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-6
-    keep = np.isfinite(residuals) & (residuals <= 1e-9) & on_sphere
-    return distinct_points_reference(points[keep])
-
-
-def distinct_points_reference(candidates) -> list:
-    """The rows of candidates (n, 3), sorted lexicographically (stable lexsort) and deduplicated greedily."""
-    candidates = candidates[np.lexsort(candidates.T[::-1])]
-    found = []
-    while len(candidates):
-        found.append(candidates[0])
-        candidates = candidates[np.linalg.norm(candidates - candidates[0], axis=1) > 1e-6]
-    return found

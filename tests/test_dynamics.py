@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochquad import (
+    FixedSet,
     NotApplicableError,
     QuadraticMapCoeffs,
     circle_restriction_step,
@@ -16,20 +17,19 @@ from blochquad import (
     estimate_divergence_rate,
     evaluate,
     fixed_points_sphere,
+    fixed_set_sphere,
     induced_qmap,
     iterate,
     linear_family,
     logistic_conjugacy_residual,
     verify_collapse,
 )
-from blochquad.dynamics import _distinct_points, _newton_steps, write_trajectory_csv
+from blochquad.dynamics import _START_CENTRES, _START_RHO, _distinct_points, _newton_steps, _open, write_trajectory_csv
 from blochquad.qmap import COEFFICIENT_LIMIT, jacobian
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, rotation_matrix, rotations
 from orbit_reference import (
     cramer_steps_reference,
-    distinct_points_reference,
-    fixed_points_sphere_reference as row_search_reference,
     iterate_reference,
     newton_steps_reference,
     write_trajectory_csv_reference,
@@ -128,6 +128,15 @@ def test_verify_collapse_rejects_unsuitable_maps():
         verify_collapse(v0(), [math.nan, 0, 0], 4)
 
 
+def test_verify_collapse_checks_the_shape_before_the_norm():
+    # no norm is taken of a start that is not one point, and a far start is refused by its true norm
+    for start, shape in (([0.1, 0.2], (2,)), ([[1e200, 0.0, 0.0]] * 2, (2, 3))):
+        with pytest.raises(ValueError, match=rf"^start point must have shape \(3,\), got {re.escape(str(shape))}$"):
+            verify_collapse(v0(), start, 4)
+    with pytest.raises(ValueError, match="strictly inside the ball"):
+        verify_collapse(v0(), [1e200, 0.0, 0.0], 4)
+
+
 def test_fixed_points_of_target_map():
     t = np.array([0, 0, 1.0])
     points = fixed_points_sphere(induced_qmap(delta1(t)))
@@ -201,40 +210,13 @@ def assert_matches_reference_search(v, grid):
     assert_same_points(fixed_points_sphere(v, grid), fixed_points_sphere_reference(v, grid))
 
 
-@pytest.mark.parametrize("grid", [1, 2, 3, 4, 8, 32])
+@pytest.mark.parametrize("grid", [3, 4, 8, 32])
 def test_fixed_points_match_reference_search(grid):
     assert_matches_reference_search(v0(), grid)
     assert_matches_reference_search(conjugate_qmap(v0(), rotation_matrix((1, 2, 3), 0.7)), grid)
     # at grid 4, J - I is nearly singular at the seeds where <t, f> = 1/2
     assert_matches_reference_search(induced_qmap(delta1((0, 0, 1))), grid)
     assert_matches_reference_search(induced_qmap(linear_family(0.3 * np.eye(3))), grid)
-
-
-def test_fixed_points_fall_back_to_pinv_row_by_row(monkeypatch):
-    # the identity map makes every J - I exactly zero: every row takes the pinv step
-    assert_matches_reference_search(induced_qmap(linear_family(0.5 * np.eye(3))), 4)
-
-    # d = e1 - Gamma zeroes the first column of J - I at the pole (0, 0, 1), which
-    # the 2 * grid seeds of the first polar ring hit exactly; the other seeds'
-    # systems are regular and keep the closed-form step
-    v = v0()
-    v = QuadraticMapCoeffs(a=v.a, b=v.b, c=v.c, A=v.A, B=v.B, Gamma=v.Gamma, d=np.array([1.0, 0.0, 0.0]) - v.Gamma)
-    pinv = np.linalg.pinv
-    batches = []
-
-    def recording_pinv(a, *args, **kwargs):
-        batches.append(len(a))
-        return pinv(a, *args, **kwargs)
-
-    for grid in (4, 8, 32):
-        batches.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "pinv", recording_pinv)
-            points = fixed_points_sphere(v, grid)
-        assert batches and batches[0] == 2 * grid
-        reference = fixed_points_sphere_reference(v, grid)
-        assert len(reference) == 1
-        assert_same_points(points, reference)
 
 
 def well_conditioned_systems(rng, n):
@@ -339,12 +321,79 @@ search_maps = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(search_maps, st.sampled_from([1, 2, 3, 4, 8, 12, 32]))
-def test_fixed_points_keep_the_bits_of_the_row_search(v, grid):
-    # the component-major search must return exactly the points the search on
-    # (n, 3) rows returned: same count, same order, same bytes
-    assert_same_bits(fixed_points_sphere(v, grid), row_search_reference(v, grid))
+@settings(max_examples=15, deadline=None)
+@given(search_maps)
+def test_fixed_set_holds_every_point_of_the_grid_search(v):
+    # every point the pinv grid search finds is one of the points or lies in a component
+    fixed = fixed_set_sphere(v)
+    assert_same_bits(fixed_points_sphere(v), fixed.points)
+    for grid in (8, 32):
+        for q in fixed_points_sphere_reference(v, grid):
+            near = any(np.abs(p - q).max() <= 1e-9 for p in fixed.points)
+            assert near or any(component.covers(q) for component in fixed.components)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), unit_vectors)
+def test_fixed_points_hold_the_planted_point(seed, p):
+    v = planted_fixed_point_map(0.5 * np.random.default_rng(seed).normal(size=(9, 3)), p)
+    assert any(np.abs(q - p).max() <= 1e-9 for q in fixed_points_sphere(v))
+
+
+def test_fixed_points_ignore_the_grid_density():
+    expected = fixed_points_sphere(v0())
+    for grid in (1, 8, 32):
+        assert_same_bits(fixed_points_sphere(v0(), grid), expected)
+
+
+def circle_points(axis, n=200):
+    """n points of the great circle orthogonal to the coordinate axis."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return np.insert(np.column_stack([np.cos(angles), np.sin(angles)]), axis, 0.0, axis=1)
+
+
+def test_a_circle_of_fixed_points_is_one_component():
+    # V(f) = f + f2 f fixes the whole circle {f2 = 0}, where J - I = f e2^T has rank 1
+    v = QuadraticMapCoeffs(b=[0.0, 1.0, 0.0], A=[1.0, 0.0, 0.0], B=[0.0, 0.0, 1.0], d=[1.0, 0.0, 0.0], e=[0.0, 1.0, 0.0], g=[0.0, 0.0, 1.0])
+    fixed = fixed_set_sphere(v)
+    assert fixed.points == [] and len(fixed.components) == 1
+    (component,) = fixed.components
+    assert all(component.covers(q) for q in circle_points(1))
+    assert np.abs(component.centres[:, 1]).max() <= 0.1
+    if component.point is not None:
+        assert abs(component.point[1]) <= 1e-9 and component.covers(component.point)
+
+
+def test_the_identity_is_one_component():
+    fixed = fixed_set_sphere(induced_qmap(linear_family(0.5 * np.eye(3))))
+    assert fixed.points == [] and len(fixed.components) == 1
+    assert all(fixed.components[0].covers(q) for q in sphere_points(generator(3), 200))
+
+
+def test_the_equator_map_gives_the_equator_and_the_pole():
+    # V(f) = (f1, f2, f3^2) fixes the equator and the pole; J - I = diag(0, 0, 2 f3 - 1)
+    # has rank 1 on the equator's tangent planes and rank 0 on the pole's
+    fixed = fixed_set_sphere(QuadraticMapCoeffs(d=[1, 0, 0], e=[0, 1, 0], c=[0, 0, 1]))
+    equator = [c for c in fixed.components if all(c.covers(q) for q in circle_points(2))]
+    assert len(equator) == 1 and np.abs(equator[0].centres[:, 2]).max() <= 0.1
+    pole = np.array([0.0, 0.0, 1.0])
+    assert any(np.abs(p - pole).max() <= 1e-9 for p in fixed.points) or any(c.covers(pole) for c in fixed.components)
+
+
+def test_no_fixed_point_is_an_empty_fixed_set():
+    # the exclusion drops every face: no point and no component proves there is no fixed point
+    for v in (QuadraticMapCoeffs(), induced_qmap(linear_family(0.3 * np.eye(3)))):
+        assert fixed_set_sphere(v) == FixedSet([], [])
+
+
+def test_the_exclusion_keeps_a_face_with_a_non_finite_residual_open():
+    # the contraction's bound drops every face; centroids with a NaN or an infinite entry stay open
+    v = induced_qmap(linear_family(0.3 * np.eye(3)))
+    centres = np.array(_START_CENTRES)
+    centres[:, :3] = [np.nan, np.inf, -np.inf]
+    with np.errstate(invalid="ignore"):
+        keep = _open(v, v.coefficient_rows(), 0.0, 0.0, centres, _START_RHO)
+    assert keep[:3].all() and not keep[3:].any()
 
 
 # Candidate sets as the search's final filter sees them: columns drawn from a
@@ -354,6 +403,16 @@ _candidate_values = st.sampled_from([0.0, -0.0, 0.6, -0.6, 0.8, 1.0, -1.0, 0.6 +
 candidate_sets = st.lists(st.tuples(_candidate_values, _candidate_values, _candidate_values), max_size=40).map(
     lambda columns: np.array(columns, dtype=float).reshape(-1, 3).T.copy()
 )
+
+
+def distinct_points_reference(candidates) -> list:
+    """The rows of candidates (n, 3), sorted lexicographically (stable lexsort) and deduplicated greedily."""
+    candidates = candidates[np.lexsort(candidates.T[::-1])]
+    found = []
+    while len(candidates):
+        found.append(candidates[0])
+        candidates = candidates[np.linalg.norm(candidates - candidates[0], axis=1) > 1e-6]
+    return found
 
 
 @settings(max_examples=300, deadline=None)
@@ -368,51 +427,6 @@ def test_distinct_points_take_the_first_of_a_signed_zero_tie():
     candidates = np.array([[0.0, -0.0, 0.0], [1.0, 1.0, -1.0], [-0.0, 0.0, 0.0]])
     points = _distinct_points(candidates)
     assert [p.tobytes() for p in points] == [candidates[:, 2].tobytes(), candidates[:, 0].tobytes()]
-
-
-@pytest.mark.parametrize("grid, count", [(3, 3), (8, 12), (32, 54)])
-def test_fixed_points_of_a_circle_of_fixed_points_keep_their_bits(grid, count):
-    # V(f) = f + f2 f fixes the whole circle {f2 = 0}: the count depends on the
-    # grid, and the greedy dedup keeps the points in lexicographic order
-    v = QuadraticMapCoeffs(b=[0.0, 1.0, 0.0], A=[1.0, 0.0, 0.0], B=[0.0, 0.0, 1.0], d=[1.0, 0.0, 0.0], e=[0.0, 1.0, 0.0], g=[0.0, 0.0, 1.0])
-    points = fixed_points_sphere(v, grid)
-    assert len(points) == count
-    assert_same_bits(points, row_search_reference(v, grid))
-
-
-def test_fixed_points_of_special_maps_keep_their_bits():
-    # the identity map (every row takes pinv, every seed is fixed), the map
-    # whose first polar ring hits a singular J - I, and admission-bound maps
-    identity = induced_qmap(linear_family(0.5 * np.eye(3)))
-    assert len(fixed_points_sphere(identity, 32)) == 1922
-    w = v0()
-    pole = QuadraticMapCoeffs(a=w.a, b=w.b, c=w.c, A=w.A, B=w.B, Gamma=w.Gamma, d=np.array([1.0, 0.0, 0.0]) - w.Gamma)
-    cases = [(identity, 4), (identity, 32), (pole, 4), (pole, 8), (pole, 32)]
-    rng = generator(11)
-    cases += [(QuadraticMapCoeffs(*(2.0 * COEFFICIENT_LIMIT * rng.choice([-1.0, 1.0], size=(9, 3)))), 8) for _ in range(3)]
-    for v, grid in cases:
-        assert_same_bits(fixed_points_sphere(v, grid), row_search_reference(v, grid))
-
-
-def test_fixed_points_keep_their_bits_down_to_one_active_seed(monkeypatch):
-    # one seed iterates alone at the end of these searches: it must keep the
-    # vector-matrix products of the row search, whose last bits can differ
-    # from the matrix-vector ones
-    import blochquad.dynamics as dynamics
-
-    widths = []
-
-    def recording_jacobian(v, f):
-        widths.append(f.shape[0])
-        return jacobian(v, f)
-
-    monkeypatch.setattr(dynamics, "jacobian", recording_jacobian)
-    v = conjugate_qmap(v0(), rotation_matrix((1, 2, 3), 0.7))
-    for grid in (4, 12, 32):
-        widths.clear()
-        points = fixed_points_sphere(v, grid)
-        assert widths[-1] == 1 and widths[0] == 2 * grid * grid
-        assert_same_bits(points, row_search_reference(v, grid))
 
 
 def test_circle_restriction_step_values():

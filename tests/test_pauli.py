@@ -81,6 +81,12 @@ def test_is_positive_element_rejects_non_self_adjoint():
         is_positive_element(PauliElement(1, (1e-6j, 0, 0)))
 
 
+def test_is_positive_element_takes_the_true_norm_without_a_warning():
+    # |w|^2 overflows double precision: the true norm decides, and no RuntimeWarning
+    assert not is_positive_element(PauliElement(1.0, [1e200, 0, 0]))
+    assert is_positive_element(PauliElement(2e200, [1e200, -1e200, 1e200]))
+
+
 def test_positivity_agrees_with_eigensolver(rng):
     # |w| <= w0 must match the sign of the smallest eigenvalue of the matrix.
     for _ in range(1000):

@@ -190,6 +190,27 @@ def test_admission_bound(cls, name, shape, limit):
         cls(**{name: refused["a wrong shape"]})
 
 
+def test_admission_refuses_complex_values():
+    # a complex entry is refused by name, not cast to its real part with a ComplexWarning
+    for cls, name, shape in ((DeltaCoefficients, "b", (3,)), (DeltaCoefficients, "T", (3, 3, 3)), (QuadraticMapCoeffs, "g", (3,))):
+        for bad in (np.array([0.5 + 2j, 0.0, 0.0]), [0.5 + 2j, 0.0, 0.0], np.zeros(shape, dtype=complex)):
+            if np.shape(bad) != shape:
+                bad = np.broadcast_to(np.asarray(bad)[(None,) * (len(shape) - 1)], shape)
+            with pytest.raises(ValueError, match=f"^{name}: expected real numbers, got complex128 entries$"):
+                cls(**{name: bad})
+
+
+def test_admission_refuses_numeric_strings():
+    # a string entry is refused by name even when it spells a number
+    for bad in (["1", "2", "3"], np.array(["1", "2", "3"]), [1.0, "2", 3.0], [10**20, "2", 3]):
+        with pytest.raises(ValueError, match="^a: expected real numbers, got "):
+            QuadraticMapCoeffs(a=bad)
+    with pytest.raises(ValueError, match="^B1: expected real numbers, got "):
+        DeltaCoefficients(B1=[["0.5", "0", "0"], [0, 0, 0], [0, 0, 0]])
+    # integers beyond 64 bits are numbers: admitted, as before
+    assert QuadraticMapCoeffs(a=[10**20, 1, 2]).a.tolist() == [1e20, 1.0, 2.0]
+
+
 def test_induced_map_of_an_operator_at_the_bound_is_admitted():
     d = DeltaCoefficients(
         b=np.full(3, COEFFICIENT_LIMIT),
