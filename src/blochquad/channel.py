@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NotHaarFormError, NotSelfAdjointError, NotSymmetricError
 from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, checked_tol, kron, vector_norm
-from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, admit, evaluate
+from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, admit
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
 TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])

@@ -317,7 +317,7 @@ def _cmd_simulate(args) -> int:
     final_norm = traj.norms[-1]
     if final_norm <= 1e-12:
         label = "collapsed"
-    elif np.linalg.norm(evaluate(v, final) - final) <= 1e-9:
+    elif vector_norm(evaluate(v, final) - final) <= 1e-9:
         label = "fixed"
     else:
         label = "moving"

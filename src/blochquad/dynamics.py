@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicableError, NotHaarFormError
+from .errors import NotApplicableError
 from .pauli import TOL_STATE, vector_norm
-from .positivity import FACES, ICOSAHEDRON
+from .positivity import FACES, ICOSAHEDRON, split_faces
 from .purity import check_haar_conditions
 from .qmap import QuadraticMapCoeffs, _feature_rows, evaluate, is_haar_form, jacobian
 
@@ -151,13 +151,6 @@ def _residual(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return image
 
 
-# Every face of the icosahedron as its three corners: FACES keeps one face of
-# each antipodal pair, and V(-u) != -V(u) in general.
-_ANTIPODE = np.abs(ICOSAHEDRON[:, None] + ICOSAHEDRON[None]).sum(axis=2).argmin(axis=1)
-_SPHERE_FACES = ICOSAHEDRON[np.vstack([FACES, _ANTIPODE[FACES]])]
-# The corners of a face's four children, among its corners p0, p1, p2 and its
-# edge midpoints m01, m12, m20.
-_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 # Splits of the icosahedron faces before the exclusion test, and further
 # splits of the open faces that no isolated fixed point accounts for.
 EXCLUSION_LEVELS = 3
@@ -223,7 +216,8 @@ def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
 
     holds no fixed point and is dropped; a NaN or infinite residual keeps
     it open.  The test runs at once on the 20 * 4^EXCLUSION_LEVELS faces of
-    the icosahedron split EXCLUSION_LEVELS times at unit edge midpoints
+    the icosahedron split EXCLUSION_LEVELS times at unit edge midpoints by
+    positivity.split_faces, the subdivision the positivity proof refines
     (_START; one test of all of them takes fewer numpy calls than a test
     per level).  Every fixed point on the sphere lies in an open face.
 
@@ -246,10 +240,11 @@ def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
     its ball (_balls), which holds no other fixed point.
 
     Components.  The open faces that no point accounts for are split
-    COMPONENT_LEVELS more times with the same exclusion (_refine), and
-    Newton's method runs from the new open faces that the points still do
-    not account for.  The faces that neither the old nor the new points
-    account for, in clusters that share a corner, are the components.  Each
+    COMPONENT_LEVELS more times in the same mesh, with the same exclusion
+    (_refine), and Newton's method runs from the new open faces that the
+    points still do not account for.  The faces that neither the old nor
+    the new points account for, in clusters that share a vertex of the
+    mesh, are the components (_components).  Each
     carries the first of these Newton limits that started in it and lies in
     it, or None.  A circle of fixed points is one component, not a count of
     points.
@@ -260,12 +255,13 @@ def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
     allowance = 128.0 * _EPS * scale
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         keep = _open(v, rows, h, allowance, _START_CENTRES, _START_RHO)
-        corners, x, rho = _START[keep], _START_CENTRES.compress(keep, axis=1), _START_RHO[keep]
+        V, F = _START
+        F, x, rho = F[keep], _START_CENTRES.compress(keep, axis=1), _START_RHO[keep]
         points, radii = _balls(v, h, scale, *_newton(v, rows, x)[:2])
         left = ~_accounted_for(x, rho, points, radii)
         if not left.any():
             return FixedSet(_distinct_points(points), [])
-        corners, x, rho = _refine(v, rows, h, allowance, corners[left], COMPONENT_LEVELS)
+        F, x, rho = _refine(v, rows, h, allowance, V, F[left], COMPONENT_LEVELS)
         starts = np.flatnonzero(~_accounted_for(x, rho, points, radii))
         found, r, start = _newton(v, rows, x[:, starts])
         more, more_radii = _balls(v, h, scale, found, r)
@@ -273,19 +269,8 @@ def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
         left = starts[~_accounted_for(x[:, starts], rho[starts], more, more_radii)]
         position = np.full(len(rho), -1)
         position[left] = np.arange(len(left))
-        components = _components(corners[left], x[:, left].T, rho[left], found, position[starts[start]])
+        components = _components(F[left], x[:, left].T, rho[left], found, position[starts[start]])
     return FixedSet(_distinct_points(points), components)
-
-
-def _split(corners: np.ndarray) -> np.ndarray:
-    """The corners (4 k, 3, 3) of the children of faces with corners (k, 3, 3), split at their unit edge midpoints.
-
-    p + q rounds as q + p, so faces that share an edge make its midpoint with
-    the same bits, and their children share corners.
-    """
-    mids = corners + corners[:, [1, 2, 0]]
-    mids /= np.sqrt((mids * mids).sum(axis=2))[..., None]
-    return np.concatenate([corners, mids], axis=1)[:, _CHILDREN].reshape(-1, 3, 3)
 
 
 def _geometry(corners: np.ndarray) -> tuple:
@@ -306,29 +291,33 @@ def _open(v, rows, h, allowance, x, rho) -> np.ndarray:
     return ~((r > reach) & (r < np.inf))  # a NaN or infinite residual stays open
 
 
-def _refine(v, rows, h, allowance, corners, levels) -> tuple:
-    """The open faces among the descendants, levels splits down, of faces with corners (k, 3, 3).
+def _refine(v, rows, h, allowance, V, F, levels) -> tuple:
+    """The open faces among the descendants, levels splits down, of faces F (rows of indices into V).
 
-    Splits and tests level by level.  Returns the open faces' corners, unit
-    centroids (3, j) and radii (j,).
+    Splits (split_faces) and tests level by level.  Returns the open faces
+    (rows of vertex indices: _components reads only which faces share a
+    vertex), their unit centroids (3, j) and radii (j,).
     """
     for _ in range(levels):
-        if not len(corners):
+        if not len(F):
             break
-        corners = _split(corners)
-        x, rho = _geometry(corners)
+        V, F = split_faces(V, F)
+        x, rho = _geometry(V[F])
         keep = _open(v, rows, h, allowance, x, rho)
-        corners, x, rho = corners[keep], x.compress(keep, axis=1), rho[keep]
-    return corners, x, rho
+        F, x, rho = F[keep], x.compress(keep, axis=1), rho[keep]
+    return F, x, rho
 
 
-# The 20 * 4^EXCLUSION_LEVELS faces the search tests first, their unit
+# The search's start mesh: the vertices and the 20 * 4^EXCLUSION_LEVELS faces
+# of every icosahedron face split EXCLUSION_LEVELS times (FACES keeps one face
+# of each antipodal pair, and V(-u) != -V(u) in general), and the faces' unit
 # centroids and radii.
-_START = _SPHERE_FACES
+_ANTIPODE = np.abs(ICOSAHEDRON[:, None] + ICOSAHEDRON[None]).sum(axis=2).argmin(axis=1)
+_START = ICOSAHEDRON, np.vstack([FACES, _ANTIPODE[FACES]])
 for _ in range(EXCLUSION_LEVELS):
-    _START = _split(_START)
-_START_CENTRES, _START_RHO = _geometry(_START)
-for _table in (_START, _START_CENTRES, _START_RHO):
+    _START = split_faces(*_START)
+_START_CENTRES, _START_RHO = _geometry(_START[0][_START[1]])
+for _table in (*_START, _START_CENTRES, _START_RHO):
     _table.setflags(write=False)
 
 
@@ -404,21 +393,18 @@ def _accounted_for(x: np.ndarray, rho: np.ndarray, centres: np.ndarray, radii: n
     return (np.sqrt((gap * gap).sum(axis=2)) + rho[:, None] <= radii).any(axis=1)
 
 
-def _components(corners: np.ndarray, centres: np.ndarray, rho: np.ndarray, found: np.ndarray, start: np.ndarray) -> list:
-    """The faces (corners (k, 3, 3), centroids (k, 3), radii rho) in clusters that share a corner, as FixedComponents.
+def _components(faces: np.ndarray, centres: np.ndarray, rho: np.ndarray, found: np.ndarray, start: np.ndarray) -> list:
+    """The faces (rows (k, 3) of vertex indices, centroids (k, 3), radii rho) in clusters that share a vertex, as FixedComponents.
 
-    Faces share a corner when they hold the same corner bits (_split makes
-    an edge's midpoint with the same bits in both faces on it).  found
-    (3, n) are Newton limits and start their faces (indices into the k, or
-    -1); each component carries the first limit that started in it and
-    lies in its caps, or None.
+    found (3, n) are Newton limits and start their faces (indices into the
+    k, or -1); each component carries the first limit that started in it
+    and lies in its caps, or None.
     """
-    if not len(corners):
+    if not len(faces):
         return []
-    faces = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(-1, 3)
     labels = np.arange(len(faces))  # each face's label: the least face index in its cluster, once settled
     while True:
-        least = np.full(len(faces) * 3, len(faces))
+        least = np.full(faces.max() + 1, len(faces))
         np.minimum.at(least, faces, labels[:, None])
         merged = least[faces].min(axis=1)
         merged = merged[merged]  # a label names a face of the cluster, and so does that face's label

@@ -105,7 +105,7 @@ class BlochState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.f))
+        return vector_norm(self.f)
 
     @property
     def is_pure(self) -> bool:

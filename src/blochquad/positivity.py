@@ -150,6 +150,24 @@ for _table in (ICOSAHEDRON, FACES, FACE_COS):
     _table.setflags(write=False)
 
 
+def split_faces(V: np.ndarray, F: np.ndarray) -> tuple:
+    """Split each face (row of F, indices into V) in four at its unit edge midpoints; returns the new (V, F).
+
+    The midpoint of an edge is one new vertex, appended to V, however many
+    faces share the edge.  Face k = (p, q, r) becomes rows 4k ... 4k+3:
+    (p, m_pq, m_rp), (m_pq, q, m_qr), (m_rp, m_qr, r), (m_pq, m_qr, m_rp).
+    """
+    n = len(V)
+    ahead = F[:, [1, 2, 0]]
+    # Keys p * n + q (p < q < n) of the edges pq, qr, rp sort as the pairs (p, q) do.
+    keys, slot = np.unique((np.minimum(F, ahead) * n + np.maximum(F, ahead)).ravel(), return_inverse=True)
+    p, q = np.divmod(keys, n)
+    fresh = V[p] + V[q]
+    fresh /= np.sqrt((fresh * fresh).sum(axis=1))[:, None]
+    corners = np.concatenate([F, n + slot.reshape(-1, 3)], axis=1)  # p, q, r, m_pq, m_qr, m_rp
+    return np.concatenate([V, fresh]), corners[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]].reshape(-1, 3)
+
+
 def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
     """Prove or refute positivity on the positive boundary inputs 1 + w.sigma.
 
@@ -215,7 +233,7 @@ def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, see
     g(v_j) and 1 >= <c, u> >= sum_j mu_j min_j <c, v_j>: g(u) <= max(0,
     max_j g(v_j)) / min_j <c, v_j>.  One solve per vertex v gives g(+-v),
     so a face and its antipode share one bound, plus allowance; open faces
-    split in four at their edge midpoints.  min_j <c, v_j> is computed once
+    split in four (split_faces).  min_j <c, v_j> is computed once
     per face, where the face is created (FACE_COS for the icosahedron).  The
     first vertex batch with an eigenvalue below -TOL_EIG gives the witness,
     its most negative one.
@@ -236,18 +254,11 @@ def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, see
         if not len(F):
             return PositivityVerdict(True, seen, interval=(1.0 - settled_top, seen + allowance))
         n = len(V)
-        edges = np.sort(F[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
-        # Keys p * n + q (p < q < n) sort as the pairs (p, q) do.
-        keys, slot = np.unique(edges[:, 0] * n + edges[:, 1], return_inverse=True)
-        if n + len(keys) > VERTEX_CAP:
+        V, F = split_faces(V, F)
+        if len(V) > VERTEX_CAP:
             top = max(settled_top, float(bound[~settled].max()))
             return PositivityVerdict(None, seen, interval=(1.0 - top, seen + allowance))
-        p, q = np.divmod(keys, n)
-        fresh = V[p] + V[q]
-        fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
-        corners = np.column_stack([F, n + slot.reshape(-1, 3)])  # p, q, r, m_pq, m_qr, m_rp
-        F = corners[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]].reshape(-1, 3)
-        V = np.vstack([V, fresh])
+        fresh = V[n:]
         cos = _face_cos(V, F)
 
 

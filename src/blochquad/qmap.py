@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import TOL_ALG, checked_tol
+from .pauli import TOL_ALG, checked_tol, vector_norm
 
 _FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 
@@ -222,7 +222,7 @@ def linear_part(v: QuadraticMapCoeffs) -> np.ndarray:
 def is_haar_form(v: QuadraticMapCoeffs, tol: float = TOL_ALG) -> bool:
     """True when the map has no linear terms (d = e = g = 0)."""
     tol = checked_tol(tol)
-    return all(np.linalg.norm(vec) <= tol for vec in (v.d, v.e, v.g))
+    return all(vector_norm(vec) <= tol for vec in (v.d, v.e, v.g))
 
 
 def jacobian(v: QuadraticMapCoeffs, f) -> np.ndarray:

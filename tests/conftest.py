@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from blochquad import DeltaCoefficients, QuadraticMapCoeffs, evaluate
+from blochquad.positivity import FACES, ICOSAHEDRON
 
 
 @pytest.fixture
@@ -105,3 +106,9 @@ def rotate_qmap(v, R1, R2):
         B=image(e2 + e3) - b - c,
         Gamma=image(e1 + e3) - a - c,
     )
+
+
+def sphere_faces():
+    """The icosahedron's vertices and all 20 of its faces: each face of FACES and its antipode."""
+    antipode = np.abs(ICOSAHEDRON[:, None] + ICOSAHEDRON[None]).sum(axis=2).argmin(axis=1)
+    return ICOSAHEDRON, np.vstack([FACES, antipode[FACES]])

@@ -1,21 +1,39 @@
-"""The orbit path as it was before the single-point map step, kept as references.
+"""Earlier forms of the orbit path and of the fixed-set search, kept as references.
 
 evaluate_reference forms the nine features by numpy gathers and one
 concatenate for any input shape; iterate_reference steps an orbit with it
 and takes norms with math.hypot on numpy scalars; write_trajectory_csv_reference
 writes one row per call; newton_steps_reference solves the Newton systems on
 a (9, n) copy of J - I, and cramer_steps_reference on views of (n, 3, 3)
-systems.  The tests require blochquad's orbit rows and CSV text to equal these
-bit for bit, its Newton steps to stay within 1e-12 of newton_steps_reference,
-and to have the bytes of cramer_steps_reference.
+systems.  fixed_set_sphere_reference is the fixed-set search on faces held
+as their corner coordinates (k, 3, 3), split by corner arithmetic and
+clustered on corner bits.  The tests require blochquad's orbit rows and CSV
+text to equal these bit for bit, its Newton steps to stay within 1e-12 of
+newton_steps_reference and to have the bytes of cramer_steps_reference, and
+its fixed sets to have the bytes of fixed_set_sphere_reference.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from blochquad.dynamics import UNDERFLOW_FLUSH, Trajectory
+from blochquad.dynamics import (
+    COMPONENT_LEVELS,
+    EXCLUSION_LEVELS,
+    UNDERFLOW_FLUSH,
+    FixedComponent,
+    FixedSet,
+    Trajectory,
+    _accounted_for,
+    _balls,
+    _distinct_points,
+    _geometry,
+    _newton,
+    _open,
+)
 from blochquad.pauli import TOL_STATE
+from blochquad.positivity import FACES, ICOSAHEDRON
 
 _LEFT = np.array([0, 1, 2, 0, 1, 0])
 _RIGHT = np.array([0, 1, 2, 1, 2, 2])
@@ -105,3 +123,87 @@ def cramer_steps_reference(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
         system = jac[fallback] - np.eye(3)
         step[:, fallback] = -(np.linalg.pinv(system) @ residual[fallback, :, None])[..., 0].T
     return step
+
+
+# The corners of a face's four children, among its corners p0, p1, p2 and its
+# edge midpoints m01, m12, m20.
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+_EPS = float(np.finfo(float).eps)
+
+
+def split_corners_reference(corners: np.ndarray) -> np.ndarray:
+    """The corners (4 k, 3, 3) of the children of faces with corners (k, 3, 3), split at their unit edge midpoints.
+
+    p + q rounds as q + p, so faces that share an edge make its midpoint with
+    the same bits, and their children share corners.
+    """
+    mids = corners + corners[:, [1, 2, 0]]
+    mids /= np.sqrt((mids * mids).sum(axis=2))[..., None]
+    return np.concatenate([corners, mids], axis=1)[:, _CHILDREN].reshape(-1, 3, 3)
+
+
+def start_corners_reference() -> np.ndarray:
+    """The corners of all 20 icosahedron faces, split EXCLUSION_LEVELS times."""
+    antipode = np.abs(ICOSAHEDRON[:, None] + ICOSAHEDRON[None]).sum(axis=2).argmin(axis=1)
+    corners = ICOSAHEDRON[np.vstack([FACES, antipode[FACES]])]
+    for _ in range(EXCLUSION_LEVELS):
+        corners = split_corners_reference(corners)
+    return corners
+
+
+def components_reference(corners, centres, rho, found, start) -> list:
+    """Clusters of faces (corners (k, 3, 3)) that hold the same corner bits, as FixedComponents."""
+    if not len(corners):
+        return []
+    faces = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(-1, 3)
+    labels = np.arange(len(faces))
+    while True:
+        least = np.full(len(faces) * 3, len(faces))
+        np.minimum.at(least, faces, labels[:, None])
+        merged = least[faces].min(axis=1)
+        merged = merged[merged]
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+    components = []
+    for label in np.unique(labels):
+        inside = labels == label
+        region = FixedComponent(centres[inside], rho[inside], None)
+        here = (found[:, i] for i in np.flatnonzero(inside[start] & (start >= 0)))
+        point = next((p.copy() for p in here if region.covers(p)), None)
+        components.append(dataclasses.replace(region, point=point))
+    return components
+
+
+def fixed_set_sphere_reference(v) -> FixedSet:
+    """dynamics.fixed_set_sphere with faces held as corner coordinates."""
+    rows = v.coefficient_rows()
+    h = float(np.linalg.svd(v._hessian, compute_uv=False)[0])
+    scale = 1.0 + float(np.abs(rows).sum())
+    allowance = 128.0 * _EPS * scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        corners = start_corners_reference()
+        x, rho = _geometry(corners)
+        keep = _open(v, rows, h, allowance, x, rho)
+        corners, x, rho = corners[keep], x.compress(keep, axis=1), rho[keep]
+        points, radii = _balls(v, h, scale, *_newton(v, rows, x)[:2])
+        left = ~_accounted_for(x, rho, points, radii)
+        if not left.any():
+            return FixedSet(_distinct_points(points), [])
+        corners = corners[left]
+        for _ in range(COMPONENT_LEVELS):
+            if not len(corners):
+                break
+            corners = split_corners_reference(corners)
+            x, rho = _geometry(corners)
+            keep = _open(v, rows, h, allowance, x, rho)
+            corners, x, rho = corners[keep], x.compress(keep, axis=1), rho[keep]
+        starts = np.flatnonzero(~_accounted_for(x, rho, points, radii))
+        found, r, start = _newton(v, rows, x[:, starts])
+        more, more_radii = _balls(v, h, scale, found, r)
+        points = np.hstack([points, more])
+        left = starts[~_accounted_for(x[:, starts], rho[starts], more, more_radii)]
+        position = np.full(len(rho), -1)
+        position[left] = np.arange(len(left))
+        components = components_reference(corners[left], x[:, left].T, rho[left], found, position[starts[start]])
+    return FixedSet(_distinct_points(points), components)

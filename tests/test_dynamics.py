@@ -11,6 +11,7 @@ from blochquad import (
     FixedSet,
     NotApplicableError,
     QuadraticMapCoeffs,
+    catalog,
     circle_restriction_step,
     delta0,
     delta1,
@@ -24,14 +25,17 @@ from blochquad import (
     logistic_conjugacy_residual,
     verify_collapse,
 )
-from blochquad.dynamics import _START_CENTRES, _START_RHO, _distinct_points, _newton_steps, _open, write_trajectory_csv
+from blochquad.dynamics import _START, _START_CENTRES, _START_RHO, _distinct_points, _geometry, _newton_steps, _open, write_trajectory_csv
+from blochquad.positivity import split_faces
 from blochquad.qmap import COEFFICIENT_LIMIT, jacobian
 from blochquad.sampling import generator, sphere_points
-from conftest import conjugate_qmap, rotation_matrix, rotations
+from conftest import conjugate_qmap, rotation_matrix, rotations, sphere_faces
 from orbit_reference import (
     cramer_steps_reference,
+    fixed_set_sphere_reference,
     iterate_reference,
     newton_steps_reference,
+    start_corners_reference,
     write_trajectory_csv_reference,
 )
 
@@ -394,6 +398,48 @@ def test_the_exclusion_keeps_a_face_with_a_non_finite_residual_open():
     with np.errstate(invalid="ignore"):
         keep = _open(v, v.coefficient_rows(), 0.0, 0.0, centres, _START_RHO)
     assert keep[:3].all() and not keep[3:].any()
+
+
+def test_the_start_mesh_is_three_splits_of_the_sphere():
+    V, F = sphere_faces()
+    for _ in range(3):
+        V, F = split_faces(V, F)
+    assert np.array_equal(_START[0], V) and np.array_equal(_START[1], F)
+    assert (len(V), len(F)) == (642, 1280)
+    # and it has the bits of the faces split by corner arithmetic
+    corners = start_corners_reference()
+    assert V[F].tobytes() == corners.tobytes()
+    centres, rho = _geometry(corners)
+    assert centres.tobytes() == _START_CENTRES.tobytes() and rho.tobytes() == _START_RHO.tobytes()
+
+
+def reference_maps():
+    """Random normal maps at three scales, the catalog maps, the equator map, the identity, a near miss and planted points."""
+    rng = np.random.default_rng(7)
+    maps = [QuadraticMapCoeffs(*(rng.normal(size=(9, 3)) * s)) for s in (0.1, 0.5, 1.0) for _ in range(100)]
+    for _ in range(20):
+        p = rng.normal(size=3)
+        maps.append(planted_fixed_point_map(0.5 * rng.normal(size=(9, 3)), p / np.sqrt(p @ p)))
+    maps += [induced_qmap(entry.delta) for entry in catalog.entries()]
+    maps.append(QuadraticMapCoeffs(d=[1, 0, 0], e=[0, 1, 0], c=[0, 0, 1]))
+    maps.append(QuadraticMapCoeffs(d=[1, 0, 0], e=[0, 1, 0], g=[0, 0, 1]))
+    # one triangle survives every level here and carries no point
+    maps.append(QuadraticMapCoeffs(*np.random.default_rng(1).normal(size=(9, 3))))
+    return maps
+
+
+def test_fixed_set_matches_the_corner_form_search_bit_for_bit():
+    with_components = 0
+    for v in reference_maps():
+        fixed, reference = fixed_set_sphere(v), fixed_set_sphere_reference(v)
+        assert_same_bits(fixed.points, reference.points)
+        assert len(fixed.components) == len(reference.components)
+        for c, r in zip(fixed.components, reference.components):
+            assert c.centres.tobytes() == r.centres.tobytes() and c.radii.tobytes() == r.radii.tobytes()
+            assert (c.point is None) == (r.point is None)
+            assert c.point is None or c.point.tobytes() == r.point.tobytes()
+        with_components += bool(fixed.components)
+    assert with_components >= 50
 
 
 # Candidate sets as the search's final filter sees them: columns drawn from a

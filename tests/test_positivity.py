@@ -28,7 +28,7 @@ from blochquad.channel import basis_images
 from blochquad.positivity import TOL_EIG, VERTEX_CAP, _probe_directions
 from blochquad.qmap import COEFFICIENT_LIMIT
 from blochquad.sampling import generator, sphere_points
-from conftest import conjugate_qmap, delta_from_qmap, random_delta, rotation_matrix
+from conftest import conjugate_qmap, delta_from_qmap, random_delta, rotation_matrix, sphere_faces
 from sampled_oracle import CHUNK, _clears, check_positivity_exhaustive, check_positivity_sampled
 
 
@@ -678,3 +678,20 @@ def test_face_geometry_is_the_per_level_value():
     cos = np.einsum("kd,kjd->kj", c / np.linalg.norm(c, axis=1, keepdims=True), V[F]).min(axis=1)
     assert np.array_equal(positivity.FACE_COS, cos)
     assert len(F) == 10 and not positivity.FACE_COS.flags.writeable
+
+
+def test_split_faces_keeps_a_closed_sphere_mesh():
+    V, F = sphere_faces()
+    for level in range(1, 5):
+        parent_vertices, parents = V, F
+        V, F = positivity.split_faces(V, F)
+        assert len(F) == 20 * 4**level and np.array_equal(V[: len(parent_vertices)], parent_vertices)
+        edges = np.sort(F[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+        pairs, count = np.unique(edges, axis=0, return_counts=True)
+        assert (count == 2).all()  # every edge lies on exactly two faces
+        assert len(V) - len(pairs) + len(F) == 2  # Euler characteristic of the sphere
+        assert len(np.unique(V, axis=0)) == len(V)  # no two vertices share bits
+        assert np.abs(np.sqrt((V * V).sum(axis=1)) - 1.0).max() <= 1e-15
+        # the children of face k are rows 4k ... 4k+3: a child at each corner, then the middle one
+        assert np.array_equal(np.stack([F[0::4, 0], F[1::4, 1], F[2::4, 2]], axis=1), parents)
+        assert np.array_equal(F[3::4], np.stack([F[0::4, 1], F[1::4, 2], F[0::4, 2]], axis=1))
