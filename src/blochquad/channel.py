@@ -18,8 +18,13 @@ the largest product any check forms from them, an 8x8 coassociativity
 entry (about 2.6e302), stays below the double maximum of 1.8e308; the
 structural checks compare as `residual <= tol`.  A refusal names its block.
 
-An operator's basis images and its induced map are built on first use and
-kept with it, read-only, so every check of one operator shares them.
+bloch_images, the images the positivity proof solves, and the structural
+checks are built on the three basis images Delta(sigma_i).  An
+operator's basis images and its induced map are built on first use and
+kept with it, read-only, so every check of one operator shares them.  The
+matrix of Delta(x) for a general x, its closed form for symmetric
+operators and the pair functional (phi (x) psi)(Delta(x)) are the tests'
+references, in tests/algebra_reference.py.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHaarFormError, NotSelfAdjointError, NotSymmetricError
-from .pauli import TOL_ALG, BASIS, PauliElement, BlochState, checked_tol, kron, vector_norm
+from .pauli import TOL_ALG, BASIS, checked_tol, kron, vector_norm
 from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, admit
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
@@ -124,11 +128,6 @@ def basis_images(d: DeltaCoefficients) -> np.ndarray:
     return d._basis_images
 
 
-def apply(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
-    """The 4x4 matrix Delta(x) = w0 * 1(x)1 + sum_i w_i Delta(sigma_i)."""
-    return x.w0 * np.eye(4) + np.tensordot(x.w, basis_images(d), axes=1)
-
-
 def bloch_images(d: DeltaCoefficients, W) -> np.ndarray:
     """Stack of matrices Delta(1 + w.sigma) for the rows w of W.
 
@@ -137,58 +136,6 @@ def bloch_images(d: DeltaCoefficients, W) -> np.ndarray:
     """
     W = np.asarray(W, dtype=float)  # np.dot: the product tensordot forms, without its reshaping
     return _EYE4 + np.dot(W, basis_images(d).reshape(3, 16)).reshape(-1, 4, 4)
-
-
-@dataclass(frozen=True)
-class HaarEntries:
-    """Scalar entries of the closed-form image matrix at a given input vector w.
-
-    L = <a,w>, M = <A,w>/2, N = <Gamma,w>/2, O = <b,w>, P = <B,w>/2, R = <c,w>.
-    """
-
-    L: float
-    M: float
-    N: float
-    O: float
-    P: float
-    R: float
-
-    @classmethod
-    def from_map(cls, v: QuadraticMapCoeffs, w) -> "HaarEntries":
-        w = np.asarray(w, dtype=float)
-        return cls(
-            L=float(v.a @ w),
-            M=float(v.A @ w) / 2.0,
-            N=float(v.Gamma @ w) / 2.0,
-            O=float(v.b @ w),
-            P=float(v.B @ w) / 2.0,
-            R=float(v.c @ w),
-        )
-
-
-def apply_haar_closed_form(d: DeltaCoefficients, x: PauliElement) -> np.ndarray:
-    """Delta(x) assembled entry by entry from HaarEntries.
-
-    Requires a symmetric operator with no linear blocks and a self-adjoint
-    input; must agree with apply() entrywise.
-    """
-    if max(np.abs(d.B1).max(), np.abs(d.B2).max()) > TOL_ALG:
-        raise NotHaarFormError("linear blocks B1/B2 must vanish for the closed form")
-    if not is_symmetric(d):
-        raise NotSymmetricError("closed form requires a symmetric tensor block")
-    if not x.is_self_adjoint():
-        raise NotSelfAdjointError("closed form requires a self-adjoint input")
-    w0 = x.w0.real
-    h = HaarEntries.from_map(induced_qmap(d), x.w.real)
-    L, M, N, O, P, R = h.L, h.M, h.N, h.O, h.P, h.R
-    return np.array(
-        [
-            [w0 + R, N - 1j * P, N - 1j * P, L - 2j * M - O],
-            [N + 1j * P, w0 - R, L + O, -N + 1j * P],
-            [N + 1j * P, L + O, w0 - R, -N + 1j * P],
-            [L + 2j * M - O, -N - 1j * P, -N - 1j * P, w0 + R],
-        ]
-    )
 
 
 def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
@@ -224,33 +171,6 @@ def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     return _haar_trace_residual(d) <= checked_tol(tol)
 
 
-def dual_pair(d: DeltaCoefficients, phi: BlochState, psi: BlochState) -> np.ndarray:
-    """Bloch vector of the pair functional (phi, psi) pulled back through Delta.
-
-    For a symmetric operator with linear block B, component k is
-    sum_j B[j,k] (p_j + f_j) + sum_{i,j} T[i,j,k] f_i p_j; with phi = psi
-    this is exactly the induced quadratic map evaluated at f.
-    """
-    if not is_symmetric(d):
-        raise NotSymmetricError("dual_pair requires a symmetric operator")
-    f, p = phi.f, psi.f
-    return d.B1.T @ (p + f) + np.einsum("ijk,i,j->k", d.T, f, p)
-
-
-def split(d: DeltaCoefficients, lam: float) -> tuple:
-    """Convex split into a pure-tensor part and a pure-linear part.
-
-    Delta = lam * Delta1 + (1 - lam) * Delta2 where Delta1 carries T/lam,
-    Delta2 carries B1/(1-lam) and B2/(1-lam), and each keeps the full
-    unital term.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie strictly in (0, 1), got {lam}")
-    d1 = DeltaCoefficients(b=d.b / lam, T=d.T / lam)
-    d2 = DeltaCoefficients(B1=d.B1 / (1.0 - lam), B2=d.B2 / (1.0 - lam))
-    return d1, d2
-
-
 def _coassociativity_residual(d: DeltaCoefficients) -> float:
     """Largest entry of |(Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)|.
 
@@ -284,9 +204,3 @@ def induced_qmap(d: DeltaCoefficients) -> QuadraticMapCoeffs:
     returns the same map.
     """
     return d._induced_qmap
-
-
-def pair_eval(d: DeltaCoefficients, phi: BlochState, psi: BlochState, x: PauliElement) -> complex:
-    """(phi (x) psi)(Delta(x)) computed through the 4x4 matrix and product state."""
-    rho = np.kron(phi.density_matrix(), psi.density_matrix())
-    return complex(np.trace(rho @ apply(d, x)))

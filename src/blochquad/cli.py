@@ -83,10 +83,20 @@ def _check_numbers(value, dims: int):
 _FIELD_DIMS = {"b": 1, "B1": 2, "B2": 2, "T": 3}
 
 
+def _unique_fields(pairs: list) -> dict:
+    """The JSON object of pairs; ConfigError on a repeated key, of which json.loads would keep the last."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise ConfigError(f"duplicate field {key!r}")
+        fields[key] = value
+    return fields
+
+
 def parse_config(text: str) -> DeltaCoefficients:
     """Parse an OperatorConfig JSON document into coefficients."""
     try:
-        raw = json.loads(text, parse_constant=_reject_nonfinite)
+        raw = json.loads(text, parse_constant=_reject_nonfinite, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):

@@ -5,20 +5,8 @@ fine-grained kind can catch the builtin.
 """
 
 
-class NotSelfAdjointError(ValueError):
-    """Input element has an imaginary residue beyond tolerance."""
-
-
-class NotHermitianError(ValueError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class NotHaarFormError(ValueError):
     """Operator or map carries linear terms where a trace-state form is required."""
-
-
-class NotSymmetricError(ValueError):
-    """Operator is not invariant under swapping the two tensor legs."""
 
 
 class NotApplicableError(ValueError):

@@ -1,10 +1,9 @@
-"""Positivity certificates, closed-form spectra, and the positivity proof.
+"""The positivity proof: probes, a closed form for linear operators, and a branch and bound.
 
-Every numerical spectrum comes from LAPACK through numpy (eigvalsh, eigh).
-Closed forms from the coefficient picture are checked against it rather
-than replacing it: simple_form_eigs covers images of the form
-w0*1(x)1 + w.sigma(x)1 + 1(x)r.sigma, theorem_witness_eigs the probe
-images of sphere-preserving trace-state operators.
+Every spectrum comes from LAPACK through numpy's eigvalsh, on the images
+Delta(1 + w.sigma) of channel.bloch_images.  The paper's closed-form
+spectra, and the |B| <= 1/2 criterion for linear operators, are the
+tests' references for it, in tests/algebra_reference.py.
 """
 
 from __future__ import annotations
@@ -17,36 +16,12 @@ import numpy as np
 
 from . import channel
 from .channel import DeltaCoefficients, induced_qmap
-from .errors import NotHaarFormError, NotHermitianError
-from .pauli import TOL_ALG, checked_tol
-from .qmap import QuadraticMapCoeffs, is_haar_form
+from .qmap import QuadraticMapCoeffs
 
 TOL_EIG = 1e-9
 _EPS = float(np.finfo(float).eps)
 # Vertices the branch and bound may solve before it gives up as marginal.
 VERTEX_CAP = 20000
-
-
-def eigvals_hermitian4(h: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian 4x4 matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    defect = float(np.abs(h - h.conj().T).max())
-    if not defect <= checked_tol(tol):  # a NaN defect fails too
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-
-
-def simple_form_eigs(w0: float, w, r) -> np.ndarray:
-    """Spectrum of w0*1(x)1 + w.sigma(x)1 + 1(x)r.sigma.
-
-    The four values are w0 -|r|+|w|, w0 -|r|-|w|, w0 +|r|+|w|, w0 +|r|-|w|;
-    the element is positive iff |w| + |r| <= w0.
-    """
-    nw = float(np.linalg.norm(np.asarray(w, dtype=float)))
-    nr = float(np.linalg.norm(np.asarray(r, dtype=float)))
-    return np.array([w0 - nr + nw, w0 - nr - nw, w0 + nr + nw, w0 + nr - nw])
 
 
 def operator_norm3(B: np.ndarray):
@@ -74,30 +49,6 @@ class PositivityVerdict:
     min_eigenvalue_seen: float
     witness: Witness | None = None
     interval: tuple | None = None
-
-
-def check_linear_positivity(B: np.ndarray, tol: float = TOL_EIG) -> PositivityVerdict:
-    """Positivity of the purely linear operator with common block B: |B| <= 1/2.
-
-    Accepts when 1 - 2|B| >= -tol, the acceptance line of check_positivity.
-    When the criterion fails, the top right-singular direction w of B is a
-    witness: the image of 1 + w.sigma has smallest eigenvalue 1 - 2|Bw| < 0.
-    """
-    B = np.asarray(B, dtype=float)
-    vals, vecs = np.linalg.eigh(B.T @ B)
-    norm = float(np.sqrt(max(vals[-1], 0.0)))
-    min_eig = 1.0 - 2.0 * norm
-    if min_eig >= -checked_tol(tol):
-        return PositivityVerdict(verdict=True, min_eigenvalue_seen=min_eig)
-    w = vecs[:, -1]
-    nonzero = np.nonzero(np.abs(w) > 1e-12)[0]
-    if nonzero.size and w[nonzero[0]] < 0:  # fix the sign for determinism
-        w = -w
-    return PositivityVerdict(
-        verdict=False,
-        min_eigenvalue_seen=min_eig,
-        witness=Witness(w=w, min_eigenvalue=min_eig),
-    )
 
 
 _EYE3 = np.eye(3)
@@ -260,25 +211,3 @@ def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, see
             return PositivityVerdict(None, seen, interval=(1.0 - top, seen + allowance))
         fresh = V[n:]
         cos = _face_cos(V, F)
-
-
-def theorem_witness_eigs(v: QuadraticMapCoeffs) -> dict:
-    """Closed-form spectra of the probe images 1 + a.sigma, 1 + b.sigma, 1 + c.sigma.
-
-    For a sphere-preserving trace-state map the image of 1 + a.sigma has
-    eigenvalues -<c,a>-<b,a>, <c,a>+<b,a>, 2 +- sqrt((<b,a>-<c,a>)^2 + <B,a>^2),
-    and analogously for b (with Gamma) and c (with A).  One of the first
-    two is always <= 0, which is what the probes of check_positivity find.
-    """
-    if not is_haar_form(v):
-        raise NotHaarFormError("witness spectra require a map without linear terms")
-
-    def quad(x, y, probe, cross):
-        s = float(np.sqrt((x - y) ** 2 + float(cross @ probe) ** 2))
-        return np.array([-x - y, x + y, 2.0 + s, 2.0 - s])
-
-    return {
-        "a": quad(float(v.b @ v.a), float(v.c @ v.a), v.a, v.B),
-        "b": quad(float(v.a @ v.b), float(v.c @ v.b), v.b, v.Gamma),
-        "c": quad(float(v.a @ v.c), float(v.b @ v.c), v.c, v.A),
-    }

@@ -209,16 +209,6 @@ def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
     return _features(f) @ v.coefficient_rows()
 
 
-def homogeneous_part(v: QuadraticMapCoeffs) -> QuadraticMapCoeffs:
-    """The degree-2 terms alone."""
-    return QuadraticMapCoeffs(a=v.a, b=v.b, c=v.c, A=v.A, B=v.B, Gamma=v.Gamma)
-
-
-def linear_part(v: QuadraticMapCoeffs) -> np.ndarray:
-    """3x3 matrix L with L @ f = degree-1 terms of V(f)."""
-    return np.column_stack([v.d, v.e, v.g])
-
-
 def is_haar_form(v: QuadraticMapCoeffs, tol: float = TOL_ALG) -> bool:
     """True when the map has no linear terms (d = e = g = 0)."""
     tol = checked_tol(tol)
@@ -228,8 +218,8 @@ def is_haar_form(v: QuadraticMapCoeffs, tol: float = TOL_ALG) -> bool:
 def jacobian(v: QuadraticMapCoeffs, f) -> np.ndarray:
     """dV/df at f, entry [..., i, j] = dV_i/df_j; broadcasts over a leading batch.
 
-    Column j is the sum over m of f_m d2V/df_m df_j plus column j of
-    linear_part(v): one product with the Hessian table of v.  One point,
+    Column j is the sum over m of f_m d2V/df_m df_j plus the coefficients
+    (d, e, g)[j]: one product with the Hessian table of v.  One point,
     also a one-row batch, keeps the (3,) @ (3, 9) vector-matrix product, as
     evaluate() keeps its single-point product.  A batch of n >= 2 points
     takes one (9, 3) @ (3, n) product into a C-contiguous (9, n) buffer and

@@ -4,7 +4,6 @@ import pytest
 from blochquad import (
     check_haar_conditions,
     check_linear_isometry,
-    check_linear_positivity,
     check_positivity,
     check_sphere_conditions,
     delta0,
@@ -19,6 +18,7 @@ from blochquad import (
 )
 from blochquad import catalog
 from conftest import rotation_matrix
+from algebra_reference import check_linear_positivity
 
 
 def test_delta0_tensor_entries():

@@ -88,6 +88,7 @@ def test_parse_config_names_the_offending_entry():
     )
     assert config_error('{"B2": [[0, 0, 0], 0, [0, 0, 0]]}') == "B2[1]: expected a list of 3 entries"
     assert config_error('{"b": [0, 0]}') == "b: expected a list of 3 entries"
+    assert config_error('{"b": [0.5, 0, 0], "b": [0, 0, 0]}') == "duplicate field 'b'"
 
 
 def test_parse_config_leaf_diagnostics():

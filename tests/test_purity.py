@@ -14,7 +14,6 @@ from blochquad import (
     delta0,
     delta1,
     evaluate,
-    homogeneous_part,
     induced_qmap,
     is_haar_form,
     linear_family,
@@ -293,4 +292,4 @@ GOLDEN_CONFIGS = sorted(p for p in (Path(__file__).parent / "golden").glob("*.js
 def test_gram_certificates_match_the_references_on_the_golden_configs(path):
     v = induced_qmap(load_config(path))
     assert_certificates_match_the_references(v)
-    assert_certificates_match_the_references(homogeneous_part(v))
+    assert_certificates_match_the_references(QuadraticMapCoeffs(*v.coefficient_rows()[:6]))

@@ -13,10 +13,8 @@ from blochquad import (
     delta0,
     delta1,
     evaluate,
-    homogeneous_part,
     induced_qmap,
     is_haar_form,
-    linear_part,
     sphere_deviation,
 )
 from blochquad.qmap import COEFFICIENT_LIMIT, _feature_rows, _features, jacobian
@@ -42,8 +40,8 @@ def test_evaluate_batches_match_single_calls(rng):
 
 def test_homogeneous_linear_decomposition(rng):
     v = QuadraticMapCoeffs(*rng.normal(size=(9, 3)))
-    L = linear_part(v)
-    h = homogeneous_part(v)
+    L = np.column_stack([v.d, v.e, v.g])
+    h = QuadraticMapCoeffs(*v.coefficient_rows()[:6])  # the degree-2 terms alone
     for _ in range(100):
         f = rng.uniform(-1, 1, size=3)
         assert np.abs(evaluate(v, f) - (evaluate(h, f) + L @ f)).max() < 1e-13
@@ -53,7 +51,7 @@ def test_linear_part_layout():
     v = QuadraticMapCoeffs(d=(1, 2, 3), e=(4, 5, 6), g=(7, 8, 9))
     f = np.array([1.0, 0.0, 0.0])
     assert np.allclose(evaluate(v, f), v.d)
-    assert np.allclose(linear_part(v) @ f, v.d)
+    assert np.allclose(evaluate(v, [0.0, 0.0, 1.0]), v.g)
 
 
 def test_is_haar_form():
@@ -226,7 +224,7 @@ def test_induced_map_of_an_operator_at_the_bound_is_admitted():
 def test_linear_part_of_linear_family(rng):
     d = random_delta(rng, symmetric=True)
     v = induced_qmap(d)
-    assert np.allclose(linear_part(v), 2.0 * d.B1.T)
+    assert np.allclose(np.column_stack([v.d, v.e, v.g]), 2.0 * d.B1.T)
 
 
 def jacobian_by_columns(v, f):
@@ -284,7 +282,7 @@ def test_jacobian_tables_are_read_only(rng):
     jacobian(v, rng.normal(size=3))
     jacobian(v, rng.normal(size=(2, 4, 3)))
     assert v._hessian is hessian and v._linear is linear
-    assert homogeneous_part(v)._hessian is not hessian
+    assert QuadraticMapCoeffs(*v.coefficient_rows()[:6])._hessian is not hessian
 
 
 def jacobian_by_row_product(v, f):
@@ -355,4 +353,4 @@ def test_gram_is_read_only_and_built_once_per_map(rng):
     check_sphere_conditions(v)
     sphere_deviation(v)
     assert v.gram is gram
-    assert homogeneous_part(v).gram is not gram
+    assert QuadraticMapCoeffs(*v.coefficient_rows()[:6]).gram is not gram
