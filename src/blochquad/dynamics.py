@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotApplicableError
 from .pauli import TOL_STATE, vector_norm
-from .positivity import FACES, ICOSAHEDRON, split_faces
+from .positivity import FACE_COS, FACES, ICOSAHEDRON, split_faces
 from .purity import check_haar_conditions
 from .qmap import QuadraticMapCoeffs, _feature_rows, evaluate, is_haar_form, jacobian
 
@@ -111,28 +111,27 @@ def _newton_steps(m: np.ndarray, residual: np.ndarray) -> np.ndarray:
     Each system is solved in closed form by Cramer's rule, with
     M = [c0 c1 c2] and det M = c0 . (c1 x c2):
 
-        s = -(r . (c1 x c2), c2 . (c0 x r), -c1 . (c0 x r)) / det M,
+        s = -(r . (c1 x c2), c2 . (c0 x r), -c1 . (c0 x r)) / det M.
 
-    where every operation is a length-n vector operation on rows of m and
-    residual.  A column whose determinant is not finite, or whose step is
-    not finite (which a zero determinant makes it), takes the pseudo-inverse
-    step (np.linalg.pinv) instead; that is how an overflow in the closed form
-    is caught.  The caller ignores the overflow, invalid and divide warnings
-    that the closed form may raise on the way.
+    The six cross-product entries are one gather of the stacked rows of m
+    and residual and three products; det M and the three numerators are
+    four 3-term dot products of one more product, summed left to right from
+    -0.0.  That is about a dozen numpy calls for the whole batch, whatever
+    its width, and every entry is rounded as the term-by-term formula
+    rounds it, the sign of a zero included.  A column whose
+    determinant is not finite, or whose step is not finite (which a zero
+    determinant makes it), takes the pseudo-inverse step (np.linalg.pinv)
+    instead; that is how an overflow in the closed form is caught.  The
+    caller ignores the overflow, invalid and divide warnings that the closed
+    form may raise on the way.
     """
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    r0, r1, r2 = residual
-    u0, u1, u2 = m4 * m8 - m7 * m5, m7 * m2 - m1 * m8, m1 * m5 - m4 * m2  # c1 x c2
-    q0, q1, q2 = m3 * r2 - m6 * r1, m6 * r0 - m0 * r2, m0 * r1 - m3 * r0  # c0 x r
-    det = m0 * u0 + m3 * u1 + m6 * u2
-    step = np.array(
-        [
-            r0 * u0 + r1 * u1 + r2 * u2,
-            m2 * q0 + m5 * q1 + m8 * q2,
-            -(m1 * q0 + m4 * q1 + m7 * q2),
-        ]
-    )
-    step /= -det
+    g = np.concatenate([m, residual])[_CRAMER_GATHER]
+    cross = g[0:6] * g[6:12]  # c1 x c2, then c0 x r
+    cross -= g[12:18] * g[18:24]
+    # det M and the numerators; a sum from -0.0 keeps the sign of a sum of zeros
+    dots = (g[24:].reshape(4, 3, -1) * cross[_CRAMER_RIGHT]).sum(axis=1, initial=-0.0)
+    det = dots[0]
+    step = dots[1:] / (det * _CRAMER_SIGN)
     # A sum is finite only when every term is; an overflowing sum just builds the mask.
     if not (math.isfinite(det.sum()) and math.isfinite(step.sum())):
         finite = np.isfinite(step)
@@ -142,6 +141,20 @@ def _newton_steps(m: np.ndarray, residual: np.ndarray) -> np.ndarray:
         rhs = np.ascontiguousarray(residual[:, fallback].T)
         step[:, fallback] = -(np.linalg.pinv(system) @ rhs[..., None])[..., 0].T
     return step
+
+
+# Index tables of _newton_steps into the rows of the stack [m; residual]
+# (entry [i, j] of M in row 3 i + j, r_k in row 9 + k).  Column e of
+# _CRAMER_CROSS holds the rows (a, b, c, d) of entry e = a b - c d of c1 x c2
+# (e < 3) or of c0 x r (e >= 3).  Row k of _CRAMER_DOT (rows of the stack) and
+# of _CRAMER_RIGHT (cross entries) pairs the terms of the dot products
+# det M = c0 . (c1 x c2), r . (c1 x c2), c2 . (c0 x r) and c1 . (c0 x r);
+# _CRAMER_SIGN flips the sign of the last numerator.
+_CRAMER_CROSS = np.array([[4, 7, 1, 3, 6, 0], [8, 2, 5, 11, 9, 10], [7, 1, 4, 6, 0, 3], [5, 8, 2, 10, 11, 9]])
+_CRAMER_DOT = np.array([[0, 3, 6], [9, 10, 11], [2, 5, 8], [1, 4, 7]])
+_CRAMER_GATHER = np.concatenate([_CRAMER_CROSS.ravel(), _CRAMER_DOT.ravel()])
+_CRAMER_RIGHT = np.array([[0, 1, 2], [0, 1, 2], [3, 4, 5], [3, 4, 5]])
+_CRAMER_SIGN = np.array([[-1.0], [-1.0], [1.0]])
 
 
 def _residual(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -160,10 +173,19 @@ NEWTON_STEPS = 16
 # values there exceeds this fraction of the sum of their squares.
 RANK_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-# Gathers of a (3, 3) matrix whose combination m[R1, C1] m[R2, C2] - m[R1, C2] m[R2, C1]
-# is its cofactor matrix: row i is the cross product of rows i + 1 and i + 2.
-_R1, _R2 = np.array([[1], [2], [0]]), np.array([[2], [0], [1]])
-_C1, _C2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+# Gathers g of the nine entries of a (3, 3) matrix m, row-major, whose
+# combination g[0] g[1] - g[2] g[3] is its cofactor matrix: entry [i, j] is
+# m[i+1, j+1] m[i+2, j+2] - m[i+1, j+2] m[i+2, j+1] (indices mod 3), so row i is
+# the cross product of rows i + 1 and i + 2.
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+_COFACTOR = np.stack(
+    [
+        3 * _NEXT[:, None] + _NEXT,
+        3 * _AFTER[:, None] + _AFTER,
+        3 * _NEXT[:, None] + _AFTER,
+        3 * _AFTER[:, None] + _NEXT,
+    ]
+).reshape(4, 9)
 
 
 @dataclass(frozen=True)
@@ -204,15 +226,35 @@ def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
     """Fixed points of V on the unit sphere, by exclusion on spherical triangles and Newton's method.
 
     Exclusion.  R(u) = V(u) - u is quadratic: R(c + h) = R(c) + (J(c) - I) h
-    + Q(h), where Q(h) = T(h) h / 2 and T(h) = J(c + h) - J(c) is linear in
-    h.  Row m of v._hessian is the slice dJ/df_m, so |T(h)|_2 <= |T(h)|_F
-    <= H |h| with H the largest singular value of v._hessian, and
-    |Q(h)| <= H |h|^2 / 2.  Every point of a spherical triangle lies within
-    rho, the largest chord from its unit centroid c to a corner (the
-    triangle lies in that cap, which is convex on the sphere).  So a
-    triangle with
+    + Q(h), where Q(h) = T(h) h / 2 and T(h) = J(c + h) - J(c) =
+    sum_m h_m D_m is linear in h (D_m, the slice dJ/df_m, is row m of
+    v._hessian as a 3x3 matrix).  So |Q(h)| <= L |h|^2 / 2 for any L with
+    |T(h)|_2 <= L |h|, and _lipschitz takes L = min(H, L_vertex) plus its
+    rounding:
 
-        |R(c)| > (|J(c) - I|_F + H rho / 2) rho + allowance
+    - H, the largest singular value of v._hessian, bounds |T(h)|_F / |h|,
+      which is at least |T(h)|_2 / |h|; on delta0 H = 2 sqrt 3 = 3.464.
+    - sigma_max(T(h)) is sublinear and even in h, so it is bounded on the
+      sphere as positivity._branch_and_bound bounds g.  A unit h lies in
+      the cone of an icosahedron face, or of its antipode: +-h = sum_j
+      mu_j v_j with mu_j >= 0 at the face's vertices v_j.  With c the unit
+      centroid, 1 >= <c, +-h> >= sum_j mu_j min_j <c, v_j>, so |T(h)|_2 <=
+      sum_j mu_j |T(v_j)|_2 <= max_j |T(v_j)|_2 / min FACE_COS = L_vertex,
+      from one SVD of T(v_j) at one vertex of each antipodal pair.  On
+      delta0 L_vertex = 2.517, where the spectral constant is 2.
+    - L's own share, 64 eps * scale, covers the rounding of either term:
+      16 eps H for H's SVD (the table's entries are exact); for L_vertex,
+      7 eps S for the products v_j D (3-term sums, |v._hessian|_F <= 2 S),
+      16 eps S for the SVDs, 14 eps S for the cone factor 1 / min FACE_COS
+      (known to 7 eps: |c| <= 1 + 2 eps and <c, v_j> to 3 eps, against
+      FACE_COS > 0.79) times |T(v_j)|_2 <= 2 S, and 10 eps S for the
+      maximum, the division and the sum.
+
+    Every point of a spherical triangle lies within rho, the largest chord
+    from its unit centroid c to a corner (the triangle lies in that cap,
+    which is convex on the sphere).  So a triangle with
+
+        |R(c)| > (|J(c) - I|_F + L rho / 2) rho + allowance
 
     holds no fixed point and is dropped; a NaN or infinite residual keeps
     it open.  The test runs at once on the 20 * 4^EXCLUSION_LEVELS faces of
@@ -224,14 +266,14 @@ def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
     allowance = 128 eps * scale, where scale = 1 + S and S is the sum of
     the |coefficients|: for |u| <= 1, |V(u)| <= S, |J(u)|_F <= 2 S and
     H <= 2 S (each quadratic coefficient enters the Hessian table twice, or
-    once doubled), and rho <= 0.65 (the icosahedron's own faces).  It
-    covers 16 eps * scale for the residual (a 9-term product and its norm);
-    16 eps * scale for |J(c) - I|_F times rho and 14 eps * scale for
-    H rho^2 (entry products, the norms and the SVD); 66 eps * scale for a
-    rho short by 11 eps (its rounding, and the sliver within 8 eps of an
-    edge that the children of a face miss when a rounded midpoint falls
-    inside the face) times the slope |J - I|_F + H rho <= 6 scale; and
-    12 eps * scale for the sums and products of the bound.
+    once doubled), so L <= 2 S + 64 eps * scale, and rho <= 0.65 (the
+    icosahedron's own faces).  It covers 16 eps * scale for the residual (a
+    9-term product and its norm); 16 eps * scale for |J(c) - I|_F times rho
+    and 14 eps * scale for L rho^2 (entry products and the norms); 66 eps *
+    scale for a rho short by 11 eps (its rounding, and the sliver within
+    8 eps of an edge that the children of a face miss when a rounded
+    midpoint falls inside the face) times the slope |J - I|_F + L rho <=
+    6 scale; and 12 eps * scale for the sums and products of the bound.
 
     Points.  Newton's method (_newton) runs from the centroid of every open
     face.  The points are its limits on the sphere where J - I has rank 2
@@ -250,27 +292,39 @@ def fixed_set_sphere(v: QuadraticMapCoeffs) -> FixedSet:
     points.
     """
     rows = v.coefficient_rows()
-    h = float(np.linalg.svd(v._hessian, compute_uv=False)[0])
     scale = 1.0 + float(np.abs(rows).sum())
+    lip = _lipschitz(v, scale)
     allowance = 128.0 * _EPS * scale
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        keep = _open(v, rows, h, allowance, _START_CENTRES, _START_RHO)
+        keep = _open(v, rows, lip, allowance, _START_CENTRES, _START_RHO)
         V, F = _START
         F, x, rho = F[keep], _START_CENTRES.compress(keep, axis=1), _START_RHO[keep]
-        points, radii = _balls(v, h, scale, *_newton(v, rows, x)[:2])
+        points, radii = _balls(v, lip, scale, *_newton(v, rows, x)[:2])
         left = ~_accounted_for(x, rho, points, radii)
-        if not left.any():
-            return FixedSet(_distinct_points(points), [])
-        F, x, rho = _refine(v, rows, h, allowance, V, F[left], COMPONENT_LEVELS)
+        if not left.any():  # _balls keeps distinct points in lexicographic order: _distinct_points keeps them all
+            return FixedSet([p.copy() for p in points.T], [])
+        F, x, rho = _refine(v, rows, lip, allowance, V, F[left], COMPONENT_LEVELS)
         starts = np.flatnonzero(~_accounted_for(x, rho, points, radii))
         found, r, start = _newton(v, rows, x[:, starts])
-        more, more_radii = _balls(v, h, scale, found, r)
+        more, more_radii = _balls(v, lip, scale, found, r)
         points = np.hstack([points, more])
         left = starts[~_accounted_for(x[:, starts], rho[starts], more, more_radii)]
         position = np.full(len(rho), -1)
         position[left] = np.arange(len(left))
         components = _components(F[left], x[:, left].T, rho[left], found, position[starts[start]])
     return FixedSet(_distinct_points(points), components)
+
+
+def _lipschitz(v: QuadraticMapCoeffs, scale: float) -> float:
+    """L = min(H, L_vertex) + 64 eps * scale >= |T(h)|_2 / |h| for all h: the constant of fixed_set_sphere and _balls.
+
+    See fixed_set_sphere for T(h), the two bounds and the rounding share;
+    scale = 1 + S with S the sum of the |coefficients|.
+    """
+    hessian = v._hessian
+    corners = np.linalg.svd((_HALF_ICOSAHEDRON @ hessian).reshape(-1, 3, 3), compute_uv=False)[:, 0]
+    vertex = float(corners.max()) / _FACE_COS_MIN
+    return min(float(np.linalg.svd(hessian, compute_uv=False)[0]), vertex) + 64.0 * _EPS * scale
 
 
 def _geometry(corners: np.ndarray) -> tuple:
@@ -281,17 +335,17 @@ def _geometry(corners: np.ndarray) -> tuple:
     return np.ascontiguousarray(c.T), np.sqrt((gap * gap).sum(axis=2).max(axis=1))
 
 
-def _open(v, rows, h, allowance, x, rho) -> np.ndarray:
-    """Whether the exclusion bound of fixed_set_sphere keeps each face, with unit centroids x (3, k) and radii rho (k,), open."""
+def _open(v, rows, lip, allowance, x, rho) -> np.ndarray:
+    """Whether the exclusion bound of fixed_set_sphere, with lip its L, keeps each face (unit centroids x (3, k), radii rho (k,)) open."""
     residual = _residual(rows, x)
     m = jacobian(v, x.T).reshape(-1, 9).T  # the rows of J(c), then J(c) - I in place
     m[0::4] -= 1.0
     r = np.sqrt((residual * residual).sum(axis=0))
-    reach = (np.sqrt((m * m).sum(axis=0)) + 0.5 * h * rho) * rho + allowance
+    reach = (np.sqrt((m * m).sum(axis=0)) + 0.5 * lip * rho) * rho + allowance
     return ~((r > reach) & (r < np.inf))  # a NaN or infinite residual stays open
 
 
-def _refine(v, rows, h, allowance, V, F, levels) -> tuple:
+def _refine(v, rows, lip, allowance, V, F, levels) -> tuple:
     """The open faces among the descendants, levels splits down, of faces F (rows of indices into V).
 
     Splits (split_faces) and tests level by level.  Returns the open faces
@@ -303,7 +357,7 @@ def _refine(v, rows, h, allowance, V, F, levels) -> tuple:
             break
         V, F = split_faces(V, F)
         x, rho = _geometry(V[F])
-        keep = _open(v, rows, h, allowance, x, rho)
+        keep = _open(v, rows, lip, allowance, x, rho)
         F, x, rho = F[keep], x.compress(keep, axis=1), rho[keep]
     return F, x, rho
 
@@ -317,7 +371,11 @@ _START = ICOSAHEDRON, np.vstack([FACES, _ANTIPODE[FACES]])
 for _ in range(EXCLUSION_LEVELS):
     _START = split_faces(*_START)
 _START_CENTRES, _START_RHO = _geometry(_START[0][_START[1]])
-for _table in (*_START, _START_CENTRES, _START_RHO):
+# The icosahedron vertex of each antipodal pair with the lower index, and the
+# least cone factor of its faces, for _lipschitz.
+_HALF_ICOSAHEDRON = ICOSAHEDRON[np.arange(len(ICOSAHEDRON)) < _ANTIPODE]
+_FACE_COS_MIN = float(FACE_COS.min())
+for _table in (*_START, _START_CENTRES, _START_RHO, _HALF_ICOSAHEDRON):
     _table.setflags(write=False)
 
 
@@ -331,46 +389,58 @@ def _newton(v: QuadraticMapCoeffs, rows: np.ndarray, x: np.ndarray) -> tuple:
     NEWTON_STEPS steps; the loop stops once no step is longer than
     1e-8 * max(1, |x|_inf) in any entry: where Newton's method converges
     quadratically, such a last step leaves an error of order 1e-16 times
-    H / sigma (see _balls), and where it does not, the residual test below
-    decides.  A limit is kept when its
+    L / sigma (see _balls), and where it does not, the residual test below
+    decides.  A limit is kept when its last step met that bound, its
     residual is at most 1e-9 (a NaN fails) and it lies within 1e-6 of the
-    sphere.
+    sphere.  When one column keeps the batch going for all NEWTON_STEPS
+    steps, a column that reached a fixed point's basin late can end with a
+    residual below 1e-9 yet 1e-9 or more from the point; the step test drops
+    it, so a point is not reported from a column that has not settled.
     """
     if not x.shape[1]:
         return x, np.empty(0), np.empty(0, dtype=int)
+    hessian, linear = v._hessian.T, v._linear[:, None]
     for _ in range(NEWTON_STEPS):
-        m = jacobian(v, x.T).reshape(-1, 9).T  # J - I in place on the diagonal rows 0, 4, 8
+        m = hessian @ x  # the rows of J, with the bits of jacobian(v, x.T); then J - I in place
+        m += linear
         m[0::4] -= 1.0
         step = _newton_steps(m, _residual(rows, x))
         x_new = x + step
-        ok = np.abs(x_new).max(axis=0) < 10.0  # False for NaN and inf too
-        if not ok.all():
+        top = np.abs(x_new).max()
+        if not top < 10.0:  # some column left the cube, or is NaN or inf
+            ok = np.abs(x_new).max(axis=0) < 10.0
             x_new, step = np.where(ok, x_new, x), np.where(ok, step, 0.0)
+            top = np.abs(x_new).max()
         x = x_new
-        if not np.abs(step).max() > 1e-8 * max(1.0, float(np.abs(x).max())):
+        if not np.abs(step).max() > 1e-8 * max(1.0, float(top)):
             break
     residual = _residual(rows, x)
     r = np.sqrt((residual * residual).sum(axis=0))
-    keep = np.flatnonzero((r <= 1e-9) & (np.abs(np.sqrt((x * x).sum(axis=0)) - 1.0) <= 1e-6))
+    settled = np.abs(step).max(axis=0) <= 1e-8 * max(1.0, float(top))
+    keep = np.flatnonzero(settled & (r <= 1e-9) & (np.abs(np.sqrt((x * x).sum(axis=0)) - 1.0) <= 1e-6))
     return x[:, keep], r[keep], keep
 
 
-def _balls(v: QuadraticMapCoeffs, h: float, scale: float, found: np.ndarray, r: np.ndarray) -> tuple:
+def _balls(v: QuadraticMapCoeffs, lip: float, scale: float, found: np.ndarray, r: np.ndarray) -> tuple:
     """The distinct columns p of found (3, n) where J - I has rank 2 on the tangent plane, as (3, k), and their radii.
 
-    r holds the residuals |V(p) - p|.  With M = J(p) - I and u = p / |p|,
-    M maps the tangent plane with area factor |cof(M) u| (cof(M) the
-    cofactor matrix: M a x M b = cof(M) (a x b)), the product of the two
-    singular values of M (I - u u^T), whose squares sum to
+    r holds the residuals |V(p) - p|, and lip is L of fixed_set_sphere:
+    |J(p + h) - J(p)|_2 = |T(h)|_2 <= L |h|.  With M = J(p) - I and
+    u = p / |p|, M maps the tangent plane with area factor |cof(M) u|
+    (cof(M) the cofactor matrix: M a x M b = cof(M) (a x b)), the product of
+    the two singular values of M (I - u u^T), whose squares sum to
     |M|_F^2 - |M u|^2.  Rank 2 means a product above RANK_TOL times that
     sum.  With sigma the least singular value of M and
     s = sigma - 32 eps * scale (the rounding of J(p) and of the SVD), the
-    ball around p has radius 2 s / H - 2 r / s - 16 eps (the rounding of the
-    distances it is compared with) when 2 H r <= s^2, and NaN otherwise,
+    ball around p has radius 2 s / L - 2 r / s - 16 eps (the rounding of the
+    distances it is compared with) when 2 L r <= s^2, and NaN otherwise,
     which accounts for no face.  The fixed point near p is the only one in
-    it: R is one to one on |h| < s / H, where |J(p + h) - J(p)|_2 <= H |h|
-    < s, and |R(p + h)| >= s t - H t^2 / 2 - r > 0 for s / H <= t = |h|
-    below (s + sqrt(s^2 - 2 H r)) / H >= 2 s / H - 2 r / s.
+    it: R is one to one on |h| < s / L, where |J(p + h) - J(p)|_2 <= L |h|
+    < s, and |R(p + h)| >= s t - L t^2 / 2 - r > 0 for s / L <= t = |h|
+    below (s + sqrt(s^2 - 2 L r)) / L >= 2 s / L - 2 r / s.  On delta0,
+    L = 2.52 in place of H = 3.46 widens the balls around the three circle
+    points from 0.58, 0.58 and 0.42 to 0.79, 0.79 and 0.58, which takes in
+    the open faces 0.36-0.43 from the weakest point.
     """
     pick = _distinct(found)
     if not pick:
@@ -378,13 +448,14 @@ def _balls(v: QuadraticMapCoeffs, h: float, scale: float, found: np.ndarray, r: 
     p = found[:, pick]
     m = jacobian(v, p.T).reshape(-1, 3, 3) - _EYE3
     u = p.T / np.sqrt((p * p).sum(axis=0))[:, None]
-    cof = m[:, _R1, _C1] * m[:, _R2, _C2] - m[:, _R1, _C2] * m[:, _R2, _C1]  # rows m1 x m2, m2 x m0, m0 x m1
+    g = m.reshape(-1, 9)[:, _COFACTOR]
+    cof = (g[:, 0] * g[:, 1] - g[:, 2] * g[:, 3]).reshape(-1, 3, 3)  # rows m1 x m2, m2 x m0, m0 x m1
     area, image = (cof @ u[:, :, None])[..., 0], (m @ u[:, :, None])[..., 0]
     spread = (m * m).sum(axis=(1, 2)) - (image * image).sum(axis=1)
     isolated = np.flatnonzero(np.sqrt((area * area).sum(axis=1)) > RANK_TOL * spread)
     sigma = np.linalg.svd(m[isolated], compute_uv=False)[:, 2] - 32.0 * _EPS * scale
     r = r[pick][isolated]
-    return p[:, isolated], np.where(2.0 * h * r <= sigma * sigma, 2.0 * sigma / h - 2.0 * r / sigma - 16.0 * _EPS, np.nan)
+    return p[:, isolated], np.where(2.0 * lip * r <= sigma * sigma, 2.0 * sigma / lip - 2.0 * r / sigma - 16.0 * _EPS, np.nan)
 
 
 def _accounted_for(x: np.ndarray, rho: np.ndarray, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -446,13 +517,17 @@ def _distinct(candidates: np.ndarray) -> list:
     """
     kept, near = [], collections.deque()
     order = np.lexsort(candidates[::-1])
-    for i, (p0, p1, p2) in zip(order.tolist(), candidates.T[order].tolist()):
+    for i, p in zip(order.tolist(), candidates.T[order].tolist()):
+        p0, p1, p2 = p
         while near and p0 - near[0][0] > 2e-6:
             near.popleft()
-        # The distance is computed as np.linalg.norm computes it: sqrt((d0^2 + d1^2) + d2^2).
-        if all(math.sqrt((p0 - q0) * (p0 - q0) + (p1 - q1) * (p1 - q1) + (p2 - q2) * (p2 - q2)) > 1e-6 for q0, q1, q2 in near):
+        for q0, q1, q2 in near:
+            # The distance is computed as np.linalg.norm computes it: sqrt((d0^2 + d1^2) + d2^2).
+            if not math.sqrt((p0 - q0) * (p0 - q0) + (p1 - q1) * (p1 - q1) + (p2 - q2) * (p2 - q2)) > 1e-6:
+                break
+        else:
             kept.append(i)
-            near.append((p0, p1, p2))
+            near.append(p)
     return kept
 
 

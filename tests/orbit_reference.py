@@ -29,6 +29,7 @@ from blochquad.dynamics import (
     _balls,
     _distinct_points,
     _geometry,
+    _lipschitz,
     _newton,
     _open,
 )
@@ -178,15 +179,15 @@ def components_reference(corners, centres, rho, found, start) -> list:
 def fixed_set_sphere_reference(v) -> FixedSet:
     """dynamics.fixed_set_sphere with faces held as corner coordinates."""
     rows = v.coefficient_rows()
-    h = float(np.linalg.svd(v._hessian, compute_uv=False)[0])
     scale = 1.0 + float(np.abs(rows).sum())
+    lip = _lipschitz(v, scale)
     allowance = 128.0 * _EPS * scale
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         corners = start_corners_reference()
         x, rho = _geometry(corners)
-        keep = _open(v, rows, h, allowance, x, rho)
+        keep = _open(v, rows, lip, allowance, x, rho)
         corners, x, rho = corners[keep], x.compress(keep, axis=1), rho[keep]
-        points, radii = _balls(v, h, scale, *_newton(v, rows, x)[:2])
+        points, radii = _balls(v, lip, scale, *_newton(v, rows, x)[:2])
         left = ~_accounted_for(x, rho, points, radii)
         if not left.any():
             return FixedSet(_distinct_points(points), [])
@@ -196,11 +197,11 @@ def fixed_set_sphere_reference(v) -> FixedSet:
                 break
             corners = split_corners_reference(corners)
             x, rho = _geometry(corners)
-            keep = _open(v, rows, h, allowance, x, rho)
+            keep = _open(v, rows, lip, allowance, x, rho)
             corners, x, rho = corners[keep], x.compress(keep, axis=1), rho[keep]
         starts = np.flatnonzero(~_accounted_for(x, rho, points, radii))
         found, r, start = _newton(v, rows, x[:, starts])
-        more, more_radii = _balls(v, h, scale, found, r)
+        more, more_radii = _balls(v, lip, scale, found, r)
         points = np.hstack([points, more])
         left = starts[~_accounted_for(x[:, starts], rho[starts], more, more_radii)]
         position = np.full(len(rho), -1)

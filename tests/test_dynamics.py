@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,19 @@ from blochquad import (
     logistic_conjugacy_residual,
     verify_collapse,
 )
-from blochquad.dynamics import _START, _START_CENTRES, _START_RHO, _distinct_points, _geometry, _newton_steps, _open, write_trajectory_csv
-from blochquad.positivity import split_faces
+from blochquad import dynamics
+from blochquad.dynamics import (
+    _START,
+    _START_CENTRES,
+    _START_RHO,
+    _distinct_points,
+    _geometry,
+    _lipschitz,
+    _newton_steps,
+    _open,
+    write_trajectory_csv,
+)
+from blochquad.positivity import FACE_COS, split_faces
 from blochquad.qmap import COEFFICIENT_LIMIT, jacobian
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, rotation_matrix, rotations, sphere_faces
@@ -148,14 +160,52 @@ def test_fixed_points_of_target_map():
     assert np.abs(points[0] - t).max() < 1e-9
 
 
+# On the circle f3 = 0, delta0's map acts on the angle as a -> pi/2 - 2a, whose
+# fixed points are a = pi/6 + 2k pi/3; off the circle no sphere point is fixed.
+CIRCLE_POINTS = np.array([[-math.sqrt(3.0) / 2.0, 0.5, 0.0], [0.0, -1.0, 0.0], [math.sqrt(3.0) / 2.0, 0.5, 0.0]])
+
+
 def test_fixed_points_of_benchmark_map():
-    # On the circle f3 = 0, V acts on the angle as a -> pi/2 - 2a, whose fixed
-    # points are a = pi/6 + 2k pi/3; off the circle no sphere point is fixed.
-    h = math.sqrt(3.0) / 2.0
-    expected = np.array([[-h, 0.5, 0.0], [0.0, -1.0, 0.0], [h, 0.5, 0.0]])
     points = fixed_points_sphere(v0())
     assert len(points) == 3
-    assert np.abs(np.array(points) - expected).max() <= 1e-12
+    assert np.abs(np.array(points) - CIRCLE_POINTS).max() <= 1e-12
+
+
+def rotated_benchmark_maps(count):
+    """count seeded random rotations R and the maps f -> R V(R^T f) of delta0, whose fixed points are R p."""
+    rng = np.random.default_rng(19)
+    maps = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q *= np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        maps.append((q, conjugate_qmap(v0(), q.T)))
+    return maps
+
+
+def test_rotated_benchmark_maps_give_the_three_rotated_circle_points():
+    for R, v in rotated_benchmark_maps(40):
+        fixed = fixed_set_sphere(v)
+        assert fixed.components == [] and len(fixed.points) == 3
+        for q in CIRCLE_POINTS @ R.T:
+            assert min(np.abs(p - q).max() for p in fixed.points) <= 1e-12
+
+
+def test_benchmark_and_target_maps_need_no_component_pass(monkeypatch):
+    # every open face lies in the ball of a found point, so the search never refines
+    def refine(*args):
+        raise AssertionError("the component pass ran")
+
+    monkeypatch.setattr(dynamics, "_refine", refine)
+    targets = [sign * np.eye(3)[k] for k in range(3) for sign in (1.0, -1.0)]
+    targets += [t / np.linalg.norm(t) for t in np.random.default_rng(23).normal(size=(10, 3))]
+    circles = [induced_qmap(catalog.get("delta0").delta)] + [v for _, v in rotated_benchmark_maps(40)]
+    sinks = [induced_qmap(catalog.get("delta1").delta)] + [induced_qmap(delta1(t)) for t in targets]
+    for maps, count in ((circles, 3), (sinks, 1)):
+        for v in maps:
+            fixed = fixed_set_sphere(v)
+            assert fixed.components == [] and len(fixed.points) == count
 
 
 def test_fixed_points_of_zero_map():
@@ -297,6 +347,50 @@ def test_fixed_points_at_the_admission_bound():
         assert_matches_reference_search(v, 8)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def bounded_map(seed, scale, signs):
+    """A map with entries scale * u, u uniform on [-1, 1] or (signs) a random sign: admitted up to scale 2 * COEFFICIENT_LIMIT."""
+    rng = np.random.default_rng(seed)
+    entries = rng.choice([-1.0, 1.0], size=(9, 3)) if signs else rng.uniform(-1.0, 1.0, size=(9, 3))
+    return QuadraticMapCoeffs(*(scale * entries))
+
+
+lipschitz_maps = st.builds(
+    bounded_map,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 0.5, 1.0, 10.0, 1e100, COEFFICIENT_LIMIT, 2.0 * COEFFICIENT_LIMIT]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lipschitz_maps, st.integers(0, 2**32 - 1))
+def test_the_spectral_bound_holds_on_the_sphere(v, seed):
+    # L is finite, at most H plus its rounding share, and at least sigma_max(T(h))
+    # for sampled unit h, up to the largest admitted coefficients, without a warning
+    hessian = v._hessian
+    scale = 1.0 + float(np.abs(v.coefficient_rows()).sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lip = _lipschitz(v, scale)
+        h = sphere_points(generator(seed), 2000)
+        sampled = np.linalg.svd((h @ hessian).reshape(-1, 3, 3), compute_uv=False)[:, 0].max()
+    H = float(np.linalg.svd(hessian, compute_uv=False)[0])
+    assert math.isfinite(lip) and lip <= H + 64.0 * _EPS * scale
+    assert sampled <= lip
+
+
+def test_the_spectral_bound_of_the_benchmark_map():
+    # T(h) of delta0 has spectral norm 2 |h| at its worst, and the vertex bound is at most 2 / min FACE_COS
+    v = v0()
+    lip = _lipschitz(v, 1.0 + float(np.abs(v.coefficient_rows()).sum()))
+    assert 2.0 <= lip <= 2.0 / FACE_COS.min() + 1e-12
+    H = float(np.linalg.svd(v._hessian, compute_uv=False)[0])
+    assert H == pytest.approx(2.0 * math.sqrt(3.0)) and lip < H
+
+
 def assert_same_bits(points, reference):
     assert len(points) == len(reference)
     for p, q in zip(points, reference):
@@ -341,6 +435,23 @@ def test_fixed_set_holds_every_point_of_the_grid_search(v):
 @given(st.integers(0, 2**32 - 1), unit_vectors)
 def test_fixed_points_hold_the_planted_point(seed, p):
     v = planted_fixed_point_map(0.5 * np.random.default_rng(seed).normal(size=(9, 3)), p)
+    assert any(np.abs(q - p).max() <= 1e-9 for q in fixed_points_sphere(v))
+
+
+@pytest.mark.parametrize(
+    "seed, p",
+    [
+        (1785, [-0.4446585300124606, 0.0, -0.8957001684085796]),
+        (2692, [0.0, 0.0, -1.0]),
+        (4482, [0.3458521755327336, 0.0, 0.9382890134064639]),
+        (827, [-0.818919555371281, 0.0, 0.5739083217993127]),
+        (2406, [0.0, 0.649436084387404, 0.7604161836097103]),
+    ],
+)
+def test_the_planted_point_is_not_taken_from_a_column_that_has_not_settled(seed, p):
+    # one column runs Newton's method to its step limit, and another ends inside
+    # the planted point's basin but 1e-9 or more from it, with a residual below 1e-9
+    v = planted_fixed_point_map(0.5 * np.random.default_rng(seed).normal(size=(9, 3)), np.array(p))
     assert any(np.abs(q - p).max() <= 1e-9 for q in fixed_points_sphere(v))
 
 
@@ -414,7 +525,7 @@ def test_the_start_mesh_is_three_splits_of_the_sphere():
 
 
 def reference_maps():
-    """Random normal maps at three scales, the catalog maps, the equator map, the identity, a near miss and planted points."""
+    """Random normal maps at three scales, planted points, the catalog maps, the equator map, the identity, a near miss and rotated delta0 maps."""
     rng = np.random.default_rng(7)
     maps = [QuadraticMapCoeffs(*(rng.normal(size=(9, 3)) * s)) for s in (0.1, 0.5, 1.0) for _ in range(100)]
     for _ in range(20):
@@ -425,6 +536,7 @@ def reference_maps():
     maps.append(QuadraticMapCoeffs(d=[1, 0, 0], e=[0, 1, 0], g=[0, 0, 1]))
     # one triangle survives every level here and carries no point
     maps.append(QuadraticMapCoeffs(*np.random.default_rng(1).normal(size=(9, 3))))
+    maps += [v for _, v in rotated_benchmark_maps(10)]
     return maps
 
 
