@@ -2,7 +2,7 @@
 
 Represents unital maps from 2x2 matrices into their tensor square by real
 coefficient blocks, certifies whether the induced quadratic Bloch map
-preserves the unit sphere (an exact residual certificate, and a certified
+preserves the unit sphere (a verdict from a certified, rotation-invariant
 interval around the largest sphere deviation), proves or refutes
 positivity (closed forms and a branch and bound on the sphere, with
 negativity witnesses), and simulates the induced nonlinear dynamics.
@@ -29,14 +29,13 @@ from .dynamics import (
     logistic_conjugacy_residual,
     verify_collapse,
 )
-from .errors import NotApplicableError, NotHaarFormError
+from .errors import NotApplicableError
 from .pauli import kron
 from .positivity import PositivityVerdict, Witness, check_positivity, operator_norm3
 from .purity import (
     CertificateReport,
-    check_haar_conditions,
     check_linear_isometry,
-    check_sphere_conditions,
+    check_q_purity,
     monte_carlo_sphere,
     sphere_deviation,
 )
@@ -49,16 +48,14 @@ __all__ = [
     "FixedComponent",
     "FixedSet",
     "NotApplicableError",
-    "NotHaarFormError",
     "PositivityVerdict",
     "QuadraticMapCoeffs",
     "Trajectory",
     "Witness",
     "check_coassociativity",
-    "check_haar_conditions",
     "check_linear_isometry",
     "check_positivity",
-    "check_sphere_conditions",
+    "check_q_purity",
     "circle_restriction_step",
     "delta0",
     "delta1",

@@ -177,12 +177,7 @@ def _flag(value) -> str:
 
 def dumps_inspection(report: dict) -> str:
     """The inspect report of inspection_report as JSON text."""
-    certificate = report["q_purity"]["certificate"]
     pos = report["positivity"]
-    residuals = certificate["residuals"]
-    if not all(map(math.isfinite, residuals.values())):
-        raise _first_non_finite(residuals.items(), "/q_purity/certificate/residuals/")
-    residual_block = ",\n".join([f"        {_quote(name)}: {r:.17g}" for name, r in residuals.items()])
     text = (
         "{\n"
         f'  "trace_preserving": {_flag(report["trace_preserving"])},\n'
@@ -191,9 +186,7 @@ def dumps_inspection(report: dict) -> str:
         f'  "coassociative": {_flag(report["coassociative"])},\n'
         '  "q_purity": {\n'
         '    "certificate": {\n'
-        f'      "verdict": {_flag(certificate["verdict"])},\n'
-        f'      "worst_condition": {_quote(certificate["worst_condition"])},\n'
-        f'      "residuals": {{\n{residual_block}\n      }}\n'
+        f'      "verdict": {_flag(report["q_purity"]["certificate"]["verdict"])}\n'
         "    },\n"
         f'    "sphere_deviation": {_numbers(report["q_purity"]["sphere_deviation"], "/q_purity/sphere_deviation/")}\n'
         "  },\n"
@@ -253,22 +246,14 @@ def dumps_conjugacy(grid: int, residual: float) -> str:
 
 
 def inspection_report(d: DeltaCoefficients, tol: float) -> dict:
-    v = induced_qmap(d)
-    certificate = purity.check_sphere_conditions(v, tol=tol)
+    verdict, deviation = purity.check_q_purity(induced_qmap(d), tol=tol)
     pos = positivity.check_positivity_sampled(d)  # check_positivity, by the name perfbench traces
     report = {
         "trace_preserving": is_trace_preserving(d, tol=tol),
         "symmetric": is_symmetric(d, tol=tol),
         "haar_trace": has_haar_trace(d, tol=tol),
         "coassociative": check_coassociativity(d, tol=tol),
-        "q_purity": {
-            "certificate": {
-                "verdict": certificate.verdict,
-                "worst_condition": certificate.worst_condition,
-                "residuals": dict(certificate.residuals),
-            },
-            "sphere_deviation": purity.sphere_deviation(v),
-        },
+        "q_purity": {"certificate": {"verdict": verdict}, "sphere_deviation": deviation},
         "positivity": {
             "verdict": pos.verdict,
             "min_eigenvalue": pos.interval,
@@ -337,25 +322,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     d = load_config(args.path)
-    v = induced_qmap(d)
     if args.expect in ("pure", "impure"):
-        verdict = purity.check_sphere_conditions(v).verdict
-        actual = "pure" if verdict else "impure"
+        verdict, interval = purity.check_q_purity(induced_qmap(d))
+        outcomes = ("pure", "impure")
         detail = {"check": "q_purity", "verdict": verdict}
+        undecided = f"q-purity undecided: the sphere deviation lies in [{{:.3e}}, {{:.3e}}], across the tolerance {purity.TOL_CERT:g}\n"
     else:
         result = positivity.check_positivity_sampled(d)
-        actual = {True: "positive", False: "nonpositive", None: "marginal"}[result.verdict]
-        detail = {
-            "check": "positivity",
-            "verdict": result.verdict,
-            "min_eigenvalue": result.interval,
-        }
-        if result.verdict is None:
-            lower, upper = result.interval
-            sys.stderr.write(
-                f"positivity undecided: the proof reached its vertex cap with the smallest "
-                f"eigenvalue in [{lower:.3e}, {upper:.3e}]\n"
-            )
+        verdict, interval = result.verdict, result.interval
+        outcomes = ("positive", "nonpositive")
+        detail = {"check": "positivity", "verdict": verdict, "min_eigenvalue": interval}
+        undecided = "positivity undecided: the proof reached its vertex cap with the smallest eigenvalue in [{:.3e}, {:.3e}]\n"
+    actual = {True: outcomes[0], False: outcomes[1], None: "marginal"}[verdict]
+    if verdict is None:
+        sys.stderr.write(undecided.format(*interval))
     detail["expected"] = args.expect
     detail["actual"] = actual
     detail["match"] = actual == args.expect

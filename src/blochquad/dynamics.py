@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NotApplicableError
 from .pauli import TOL_STATE, vector_norm
 from .positivity import FACE_COS, FACES, ICOSAHEDRON, split_faces
-from .purity import check_haar_conditions
+from .purity import check_q_purity
 from .qmap import QuadraticMapCoeffs, _feature_rows, evaluate, is_haar_form, jacobian
 
 UNDERFLOW_FLUSH = 1e-300
@@ -83,7 +83,7 @@ def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:
     ValueError for a start point whose shape is not (3,), before any norm
     is taken, and for one not strictly inside the ball.
     """
-    if not is_haar_form(v) or not check_haar_conditions(v).verdict:
+    if not is_haar_form(v) or check_q_purity(v)[0] is not True:
         raise NotApplicableError("collapse law needs a certified sphere-preserving map")
     f0 = np.asarray(f0, dtype=float)
     if f0.shape != (3,):

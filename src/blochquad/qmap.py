@@ -141,8 +141,8 @@ class QuadraticMapCoeffs:
 
         Built on the first read and kept with the instance.  Each entry is
         the per-pair product x @ y bit for bit (tests/test_purity.py holds
-        the certificates read from it to per-pair references); a Python sum
-        x0*y0 + x1*y1 + x2*y2 is not, as the BLAS kernels fuse multiply-adds.
+        each entry to it); a Python sum x0*y0 + x1*y1 + x2*y2 is not, as the
+        BLAS kernels fuse multiply-adds.
         """
         gram = self._rows @ self._rows.T
         gram.setflags(write=False)

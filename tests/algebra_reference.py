@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from blochquad.channel import DeltaCoefficients, basis_images, induced_qmap, is_symmetric
-from blochquad.errors import NotHaarFormError
 from blochquad.pauli import ID2, SIGMAS, TOL_ALG, TOL_STATE, checked_tol, vector_norm
 from blochquad.positivity import TOL_EIG, PositivityVerdict, Witness
 from blochquad.qmap import QuadraticMapCoeffs, is_haar_form
+
+
+class NotHaarFormError(ValueError):
+    """Operator or map carries linear terms where a trace-state form is required."""
 
 
 def _complex_vector3(value) -> np.ndarray:

@@ -1,80 +1,109 @@
-"""The sphere certificates as they were before they read the Gram matrix, kept as references.
+"""The paper's sphere-preservation equations, the tests' reference for blochquad.purity.
 
-Each inner product is its own x @ y on a pair of coefficient vectors and
-each norm sqrt(x @ x).  The tests require blochquad.purity's certificates,
-which read both from QuadraticMapCoeffs.gram, to give the same verdict, the
-same worst condition and every residual with the same bits.
+A quadratic Bloch map sends every pure state to a pure state exactly when
+its coefficient vectors satisfy a finite list of norm and orthogonality
+equations: 25 for a map with linear terms, 15 for one without.  Each list
+is given verbatim, one (name, lhs - rhs) pair per displayed equation, with
+x @ y for every inner product.  The package decides q-purity on the 25
+coefficients of |V(f)|^2 - 1 instead; the tests require the two to vanish
+together in exact arithmetic.
+
+The rows are the nine coefficient vectors a, b, c, A, B, Gamma, d, e, g in
+the order of QuadraticMapCoeffs.coefficient_rows: float arrays, or object
+arrays of fractions.Fraction for exact values.  A norm |x| is root(x @ x);
+the float certificates take math.sqrt, and the exact tests compare squared
+norms (root the identity), which agree exactly when the norms do.
 """
 
 import math
 
-import numpy as np
-
-from blochquad.errors import NotHaarFormError
+from algebra_reference import NotHaarFormError
 from blochquad.purity import TOL_CERT, _report
 from blochquad.qmap import is_haar_form
 
 
-def _norm(x: np.ndarray) -> float:
-    return math.sqrt(x @ x)
+def sphere_conditions(rows, root=math.sqrt) -> list:
+    """(name, value) of the 25 equations for a general quadratic map.
+
+    Condition groups:
+      (i)   |a|^2+|d|^2 = |b|^2+|e|^2 = |c|^2+|g|^2 = 1
+      (ii)  |A| = |a-b|, |Gamma| = |a-c|, |B| = |b-c|
+      (iii) <a,d> = <b,e> = <c,g> = 0
+      (iv)  <a,Gamma> = <c,Gamma>, <b,B> = <c,B>, <a,A> = <b,A>
+      (v)   nine mixed linear/quadratic orthogonality sums
+      (vi)  four three-term sums
+    """
+    a, b, c, A, B, G, d, e, g = rows
+
+    def n(x):
+        return root(x @ x)
+
+    return [
+        ("i.1", a @ a + d @ d - 1),
+        ("i.2", b @ b + e @ e - 1),
+        ("i.3", c @ c + g @ g - 1),
+        ("ii.1", n(A) - n(a - b)),
+        ("ii.2", n(G) - n(a - c)),
+        ("ii.3", n(B) - n(b - c)),
+        ("iii.1", a @ d),
+        ("iii.2", b @ e),
+        ("iii.3", c @ g),
+        ("iv.1", a @ G - c @ G),
+        ("iv.2", b @ B - c @ B),
+        ("iv.3", a @ A - b @ A),
+        ("v.1", c @ G + d @ g),
+        ("v.2", c @ B + e @ g),
+        ("v.3", c @ d + G @ g),
+        ("v.4", c @ e + B @ g),
+        ("v.5", b @ d + A @ e),
+        ("v.6", b @ A + d @ e),
+        ("v.7", b @ g + B @ e),
+        ("v.8", a @ e + A @ d),
+        ("v.9", a @ g + G @ d),
+        ("vi.1", a @ B - c @ B + A @ G),
+        ("vi.2", b @ G - c @ G + A @ B),
+        ("vi.3", A @ g + B @ d + G @ e),
+        ("vi.4", c @ A + d @ e + B @ G),
+    ]
+
+
+def haar_conditions(rows, root=math.sqrt) -> list:
+    """(name, value) of the 15 equations for a map without linear terms (d = e = g = 0).
+
+    Groups: (i) unit norms of a, b, c; (ii) cross-term norms as above;
+    (iii) three two-term sums; (iv) six plain orthogonalities.
+    """
+    a, b, c, A, B, G = rows[:6]
+
+    def n(x):
+        return root(x @ x)
+
+    return [
+        ("i.1", n(a) - 1),
+        ("i.2", n(b) - 1),
+        ("i.3", n(c) - 1),
+        ("ii.1", n(A) - n(a - b)),
+        ("ii.2", n(G) - n(a - c)),
+        ("ii.3", n(B) - n(b - c)),
+        ("iii.1", a @ B + A @ G),
+        ("iii.2", b @ G + A @ B),
+        ("iii.3", c @ A + B @ G),
+        ("iv.1", a @ A),
+        ("iv.2", a @ G),
+        ("iv.3", b @ A),
+        ("iv.4", b @ B),
+        ("iv.5", c @ G),
+        ("iv.6", c @ B),
+    ]
 
 
 def check_sphere_conditions_reference(v, tol: float = TOL_CERT):
-    a, b, c = v.a, v.b, v.c
-    A, B, G = v.A, v.B, v.Gamma
-    d, e, g = v.d, v.e, v.g
-    n = _norm
-    pairs = [
-        ("i.1", abs(n(a) ** 2 + n(d) ** 2 - 1.0)),
-        ("i.2", abs(n(b) ** 2 + n(e) ** 2 - 1.0)),
-        ("i.3", abs(n(c) ** 2 + n(g) ** 2 - 1.0)),
-        ("ii.1", abs(n(A) - n(a - b))),
-        ("ii.2", abs(n(G) - n(a - c))),
-        ("ii.3", abs(n(B) - n(b - c))),
-        ("iii.1", abs(a @ d)),
-        ("iii.2", abs(b @ e)),
-        ("iii.3", abs(c @ g)),
-        ("iv.1", abs(a @ G - c @ G)),
-        ("iv.2", abs(b @ B - c @ B)),
-        ("iv.3", abs(a @ A - b @ A)),
-        ("v.1", abs(c @ G + d @ g)),
-        ("v.2", abs(c @ B + e @ g)),
-        ("v.3", abs(c @ d + G @ g)),
-        ("v.4", abs(c @ e + B @ g)),
-        ("v.5", abs(b @ d + A @ e)),
-        ("v.6", abs(b @ A + d @ e)),
-        ("v.7", abs(b @ g + B @ e)),
-        ("v.8", abs(a @ e + A @ d)),
-        ("v.9", abs(a @ g + G @ d)),
-        ("vi.1", abs(a @ B - c @ B + A @ G)),
-        ("vi.2", abs(b @ G - c @ G + A @ B)),
-        ("vi.3", abs(A @ g + B @ d + G @ e)),
-        ("vi.4", abs(c @ A + d @ e + B @ G)),
-    ]
-    return _report(pairs, tol)
+    """The 25 equations as residuals |lhs - rhs|, each held to tol."""
+    return _report([(name, abs(float(r))) for name, r in sphere_conditions(v.coefficient_rows())], tol)
 
 
 def check_haar_conditions_reference(v, tol: float = TOL_CERT):
+    """The 15 equations as residuals; NotHaarFormError for a map with linear terms."""
     if not is_haar_form(v):
-        raise NotHaarFormError("map carries linear terms; use check_sphere_conditions")
-    a, b, c = v.a, v.b, v.c
-    A, B, G = v.A, v.B, v.Gamma
-    n = _norm
-    pairs = [
-        ("i.1", abs(n(a) - 1.0)),
-        ("i.2", abs(n(b) - 1.0)),
-        ("i.3", abs(n(c) - 1.0)),
-        ("ii.1", abs(n(A) - n(a - b))),
-        ("ii.2", abs(n(G) - n(a - c))),
-        ("ii.3", abs(n(B) - n(b - c))),
-        ("iii.1", abs(a @ B + A @ G)),
-        ("iii.2", abs(b @ G + A @ B)),
-        ("iii.3", abs(c @ A + B @ G)),
-        ("iv.1", abs(a @ A)),
-        ("iv.2", abs(a @ G)),
-        ("iv.3", abs(b @ A)),
-        ("iv.4", abs(b @ B)),
-        ("iv.5", abs(c @ G)),
-        ("iv.6", abs(c @ B)),
-    ]
-    return _report(pairs, tol)
+        raise NotHaarFormError("map carries linear terms; use check_sphere_conditions_reference")
+    return _report([(name, abs(float(r))) for name, r in haar_conditions(v.coefficient_rows())], tol)

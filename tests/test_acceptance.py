@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochquad import (
-    check_haar_conditions,
     check_linear_isometry,
     check_positivity,
-    check_sphere_conditions,
+    check_q_purity,
     delta0,
     delta1,
     estimate_divergence_rate,
@@ -28,7 +27,6 @@ from blochquad import (
     logistic_conjugacy_residual,
     monte_carlo_sphere,
     operator_norm3,
-    sphere_deviation,
     verify_collapse,
 )
 from blochquad import positivity
@@ -39,6 +37,7 @@ from blochquad.sampling import generator, sphere_points
 from conftest import delta_from_qmap, rotate_qmap, rotation_matrix, rotations
 from test_positivity import simple_form_matrix
 from test_purity import scaled
+from purity_reference import check_haar_conditions_reference, check_sphere_conditions_reference
 from algebra_reference import PauliElement, apply, apply_haar_closed_form, check_linear_positivity, simple_form_eigs, theorem_witness_eigs
 
 
@@ -50,15 +49,15 @@ def _record(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_benchmark_q_purity():
     start = time.time()
     v = induced_qmap(delta0())
-    report = check_haar_conditions(v)
-    max_residual = report.max_residual
+    verdict, (_, upper) = check_q_purity(v)
+    max_residual = check_haar_conditions_reference(v).max_residual
     deviation, _ = monte_carlo_sphere(v, samples=100000, seed=42)
     elapsed = time.time() - start
-    ok = max_residual <= 1e-12 and deviation <= MC_PASS_DEVIATION and elapsed < 1.0
+    ok = verdict is True and upper <= 1e-12 and max_residual <= 1e-12 and deviation <= MC_PASS_DEVIATION and elapsed < 1.0
     _record(
         1,
         ok,
-        f"max residual {max_residual:.2e}, sphere deviation {deviation:.2e}, {elapsed:.2f}s",
+        f"deviation bound {upper:.2e}, max residual {max_residual:.2e}, sampled deviation {deviation:.2e}, {elapsed:.2f}s",
     )
 
 
@@ -190,17 +189,17 @@ def test_criterion_7_trivial_dynamics():
 
 
 def test_criterion_8_certificate_oracle_equivalence():
-    # The certificate, the certified sphere-deviation interval and the
+    # The q-purity verdict, the paper's equations (the reference) and the
     # Monte-Carlo oracle must agree on every map.
     passing = [induced_qmap(delta0()), induced_qmap(delta1((0, 0, 1)))]
     for axis, angle in (((0, 0, 1), 0.9), ((1, 1, 0), 2.2), ((1, -2, 3), 0.4)):
         passing.append(induced_qmap(linear_family(rotation_matrix(axis, angle) / 2.0)))
     crossed = 0
     for v in passing:
-        cert = check_sphere_conditions(v).verdict
+        verdict, (_, upper) = check_q_purity(v)
+        reference = check_sphere_conditions_reference(v).verdict
         dev, _ = monte_carlo_sphere(v, samples=100000, seed=42)
-        _, upper = sphere_deviation(v)
-        crossed += int(not (cert and dev <= MC_PASS_DEVIATION and upper <= MC_PASS_DEVIATION))
+        crossed += int(not (verdict is True and reference and dev <= MC_PASS_DEVIATION and upper <= MC_PASS_DEVIATION))
 
     rng = generator(88)
     fields = ("a", "b", "c", "A", "Gamma")
@@ -208,11 +207,11 @@ def test_criterion_8_certificate_oracle_equivalence():
     for k in range(50):
         field = fields[int(rng.integers(len(fields)))]
         candidate = scaled(v0, field, float(rng.uniform(1.05, 1.5)))
-        report = check_sphere_conditions(candidate)
+        verdict, (lower, _) = check_q_purity(candidate)
+        report = check_sphere_conditions_reference(candidate)
         dev, _ = monte_carlo_sphere(candidate, samples=100000, seed=k)
-        lower, _ = sphere_deviation(candidate)
         refuted = report.max_residual > MC_VIOLATION_DEVIATION and lower > MC_VIOLATION_DEVIATION
-        crossed += int(not ((not report.verdict) and refuted and dev > MC_VIOLATION_DEVIATION))
+        crossed += int(not (verdict is False and not report.verdict and refuted and dev > MC_VIOLATION_DEVIATION))
     ok = crossed == 0
     _record(8, ok, f"{crossed} crossed verdicts over 5 passing + 50 perturbed maps")
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from blochquad import (
-    check_haar_conditions,
     check_linear_isometry,
     check_positivity,
-    check_sphere_conditions,
+    check_q_purity,
     delta0,
     delta1,
     evaluate,
     has_haar_trace,
     induced_qmap,
+    is_haar_form,
     is_symmetric,
     is_trace_preserving,
     linear_family,
@@ -40,7 +40,7 @@ def test_delta0_structure():
     assert evaluate(v, [0.3, -0.4, 0.5]) == pytest.approx(
         [2 * 0.3 * -0.4, 0.09 - 0.16 - 0.25, 2 * 0.3 * 0.5]
     )
-    assert check_haar_conditions(v).verdict
+    assert check_q_purity(v)[0] is True
 
 
 def test_delta1_structure():
@@ -74,7 +74,7 @@ def test_linear_family_cases():
 
     zero = linear_family(np.zeros((3, 3)))
     assert check_positivity(zero).verdict is True
-    assert not check_sphere_conditions(induced_qmap(zero)).verdict
+    assert check_q_purity(induced_qmap(zero))[0] is False
 
 
 def test_catalog_entries_are_certified():
@@ -88,7 +88,8 @@ def test_catalog_entries_are_certified():
 def test_sphere_preserving_entries_are_not_positive():
     for name in ("delta0", "delta1"):
         entry = catalog.get(name)
-        assert check_haar_conditions(induced_qmap(entry.delta)).verdict
+        v = induced_qmap(entry.delta)
+        assert is_haar_form(v) and check_q_purity(v)[0] is True
         assert check_positivity(entry.delta).verdict is False
 
 

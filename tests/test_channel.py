@@ -8,7 +8,6 @@ import pytest
 
 from blochquad import (
     DeltaCoefficients,
-    NotHaarFormError,
     check_coassociativity,
     delta0,
     delta1,
@@ -33,6 +32,7 @@ from blochquad.qmap import _FIELDS, _MAP_LIMIT, COEFFICIENT_LIMIT, QuadraticMapC
 from algebra_reference import (
     BlochState,
     HaarEntries,
+    NotHaarFormError,
     PauliElement,
     apply,
     apply_haar_closed_form,

@@ -18,6 +18,7 @@ from blochquad.cli import (
     dumps_conjugacy,
     dumps_inspection,
     inspection_report,
+    load_config,
     main,
     parse_config,
 )
@@ -196,7 +197,7 @@ def test_inspect_refuses_overflowing_operator(tmp_path, capsys):
 
 
 def test_inspect_refuses_non_finite_report_fields(tmp_path, capsys):
-    # |a|^2 would overflow in the purity certificate: refused at load, no "inf" in a report
+    # |a|^2 would overflow in the purity bound: refused at load, no "inf" in a report
     T = np.zeros((3, 3, 3))
     T[0, 0, 0] = 1e160
     path = tmp_path / "big.json"
@@ -228,8 +229,8 @@ def test_writers_name_a_non_finite_field():
     report["positivity"]["witness"]["w"] = [1.0, float("nan"), 0.0]
     with pytest.raises(ValueError, match="^report field /positivity/witness/w/1 is nan, which JSON cannot hold$"):
         dumps_inspection(report)
-    report["q_purity"]["certificate"]["residuals"]["v.3"] = -np.inf
-    with pytest.raises(ValueError, match="^report field /q_purity/certificate/residuals/v.3 is -inf, which JSON"):
+    report["q_purity"]["sphere_deviation"] = (0.0, -np.inf)
+    with pytest.raises(ValueError, match="^report field /q_purity/sphere_deviation/1 is -inf, which JSON"):
         dumps_inspection(report)
 
 
@@ -401,6 +402,44 @@ def test_certify_expectations(tmp_path, capsys):
     assert run_cli(capsys, "certify", str(linear), "--expect", "positive", "--samples", "500")[0] == 0
     assert run_cli(capsys, "certify", str(linear), "--expect", "pure", "--samples", "100")[0] == 0
     assert run_cli(capsys, "certify", str(linear), "--expect", "impure", "--samples", "100")[0] == 2
+
+
+def test_a_map_pure_to_second_order_reads_pure(capsys):
+    # delta1 with T[1][2] = (1e-6, 0, 0): |V|^2 - 1 moves by 1e-12, while the
+    # paper's equation |B| = |b - c| is off by 1e-6
+    path = Path(__file__).parent / "golden" / "delta1_tilted.json"
+    assert json.loads(path.read_text())["T"][1][2] == [1e-6, 0, 0]
+    code, out, _ = run_cli(capsys, "inspect", str(path))
+    q_purity = json.loads(out)["q_purity"]
+    assert code == 0 and q_purity["certificate"]["verdict"] is True
+    assert q_purity["sphere_deviation"][1] <= 1e-12
+    assert run_cli(capsys, "certify", str(path), "--expect", "pure")[0] == 0
+    assert run_cli(capsys, "certify", str(path), "--expect", "impure")[0] == 2
+
+
+def test_marginal_purity_in_reports(tmp_path, capsys):
+    # delta0 with a scaled until the upper end of the sphere deviation just
+    # exceeds the tolerance, its lower end below it: inspect reports a null
+    # verdict; certify exits 2 whatever it expected and says why on stderr
+    from test_purity import band_map
+
+    v = band_map()
+    T = np.array(config_dict(catalog.get("delta0").delta)["T"])
+    T[0, 0] = v.a  # the induced map's a
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({"T": T.tolist()}))
+    assert induced_qmap(load_config(str(path))).a.tolist() == v.a.tolist()
+    code, out, _ = run_cli(capsys, "inspect", str(path))
+    q_purity = json.loads(out)["q_purity"]
+    assert code == 0 and q_purity["certificate"]["verdict"] is None
+    lower, upper = q_purity["sphere_deviation"]
+    assert lower <= 1e-9 < upper
+    for expect in ("pure", "impure"):
+        code, out, err = run_cli(capsys, "certify", str(path), "--expect", expect)
+        assert code == 2
+        detail = json.loads(out)
+        assert detail["actual"] == "marginal" and detail["verdict"] is None and detail["match"] is False
+        assert err == f"q-purity undecided: the sphere deviation lies in [{lower:.3e}, {upper:.3e}], across the tolerance 1e-09\n"
 
 
 def test_marginal_positivity_in_reports(tmp_path, capsys):

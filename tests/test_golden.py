@@ -41,6 +41,8 @@ def _built_configs() -> dict:
     configs = {
         "flat": {"B1": [[0.6, 0, 0], [0, 0.6, 0], [0, 0, 0]], "B2": [[0, 0, 0], [0, 0, 0], [0, 0, 0.8]]},
         "broken_trace": {"b": [0.1, 0, 0]},
+        # delta1 with a cross term 1e-6 orthogonal to its image: q-pure to 1e-12
+        "delta1_tilted": {"T": [[[0, 0, 1], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [1e-6, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]},
     }
     for pattern in ("plus", "minus", "random"):
         configs[f"bound_{pattern}"] = admission_bound_config(pattern)

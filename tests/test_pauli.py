@@ -91,8 +91,7 @@ def test_every_library_check_refuses_a_tolerance_that_is_not_finite_and_non_nega
         lambda: channel.is_symmetric(d, tol=tol),
         lambda: channel.has_haar_trace(d, tol=tol),
         lambda: channel.check_coassociativity(d, tol=tol),
-        lambda: purity.check_sphere_conditions(v, tol=tol),
-        lambda: purity.check_haar_conditions(v, tol=tol),
+        lambda: purity.check_q_purity(v, tol=tol),
         lambda: purity.check_linear_isometry(np.eye(3), tol=tol),
         lambda: qmap.is_haar_form(v, tol=tol),
     ]

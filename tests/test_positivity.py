@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from blochquad import (
     DeltaCoefficients,
-    NotHaarFormError,
     channel,
-    check_haar_conditions,
     check_positivity,
+    check_q_purity,
     delta0,
     delta1,
     induced_qmap,
@@ -23,7 +22,7 @@ from blochquad.qmap import COEFFICIENT_LIMIT
 from blochquad.sampling import generator, sphere_points
 from conftest import conjugate_qmap, delta_from_qmap, random_delta, rotation_matrix, sphere_faces
 from sampled_oracle import CHUNK, _clears, check_positivity_exhaustive, check_positivity_sampled
-from algebra_reference import PauliElement, apply, check_linear_positivity, simple_form_eigs, theorem_witness_eigs
+from algebra_reference import NotHaarFormError, PauliElement, apply, check_linear_positivity, simple_form_eigs, theorem_witness_eigs
 
 
 def simple_form_matrix(w0, w, r):
@@ -133,7 +132,7 @@ def rotated_benchmarks():
 def test_sphere_preserving_trace_state_operators_are_not_positive():
     # certified sphere preservation forces a negative eigenvalue at a probe
     for v in rotated_benchmarks():
-        assert check_haar_conditions(v).verdict
+        assert check_q_purity(v)[0] is True
         d = delta_from_qmap(v)
         result = check_positivity(d)
         assert result.verdict is False

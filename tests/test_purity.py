@@ -1,3 +1,6 @@
+import math
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochquad import (
-    NotHaarFormError,
     QuadraticMapCoeffs,
-    check_haar_conditions,
+    catalog,
     check_linear_isometry,
-    check_sphere_conditions,
+    check_q_purity,
     delta0,
     delta1,
     evaluate,
@@ -22,10 +24,16 @@ from blochquad import (
 )
 from blochquad.channel import DeltaCoefficients
 from blochquad.cli import load_config
-from blochquad.purity import _FORMS, _FOURTH_POWERS, _MONOMIALS, MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION
+from blochquad.purity import _FORMS, _FOURTH_POWERS, _MONOMIALS, MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION, TOL_CERT
 from blochquad.sampling import generator, sphere_points
-from conftest import admission_bound_config, rotate_qmap, rotation_matrix, rotations
-from purity_reference import check_haar_conditions_reference, check_sphere_conditions_reference
+from conftest import admission_bound_config, conjugate_qmap, rotate_qmap, rotation_matrix, rotations
+from algebra_reference import NotHaarFormError
+from purity_reference import (
+    check_haar_conditions_reference,
+    check_sphere_conditions_reference,
+    haar_conditions,
+    sphere_conditions,
+)
 
 FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 
@@ -45,25 +53,25 @@ def scaled(v, field, factor):
 
 
 def test_sphere_conditions_on_benchmarks():
-    report = check_sphere_conditions(v0())
+    report = check_sphere_conditions_reference(v0())
     assert report.verdict
     assert report.max_residual == 0.0
 
-    report = check_sphere_conditions(scaled(v0(), "a", 1.1))
+    report = check_sphere_conditions_reference(scaled(v0(), "a", 1.1))
     assert not report.verdict
     assert report.residual("i.1") == pytest.approx(0.21)
 
-    report = check_sphere_conditions(QuadraticMapCoeffs())
+    report = check_sphere_conditions_reference(QuadraticMapCoeffs())
     assert not report.verdict
     assert report.residual("i.1") == pytest.approx(1.0)
 
 
 def test_haar_conditions_on_benchmarks():
-    assert check_haar_conditions(v0()).verdict
-    assert check_haar_conditions(v1()).verdict
+    assert check_haar_conditions_reference(v0()).verdict
+    assert check_haar_conditions_reference(v1()).verdict
 
     broken = scaled(v0(), "Gamma", 0.0)
-    report = check_haar_conditions(broken)
+    report = check_haar_conditions_reference(broken)
     assert not report.verdict
     assert report.residual("ii.2") == pytest.approx(2.0)
     assert report.worst_condition == "ii.2"
@@ -71,7 +79,7 @@ def test_haar_conditions_on_benchmarks():
 
 def test_haar_conditions_reject_linear_terms():
     with pytest.raises(NotHaarFormError):
-        check_haar_conditions(QuadraticMapCoeffs(d=(1, 0, 0)))
+        check_haar_conditions_reference(QuadraticMapCoeffs(d=(1, 0, 0)))
 
 
 def test_linear_isometry_examples():
@@ -113,7 +121,7 @@ def isometric_linear_maps():
 
 def test_oracle_agreement_soundness():
     for v in [v0(), v1(), v1((1, 0, 0))] + isometric_linear_maps():
-        assert check_sphere_conditions(v).verdict
+        assert check_q_purity(v)[0] is True
         dev, _ = monte_carlo_sphere(v, samples=100000, seed=42)
         assert dev <= MC_PASS_DEVIATION
 
@@ -124,9 +132,8 @@ def test_oracle_agreement_violations(rng):
         field = fields[int(rng.integers(len(fields)))]
         factor = rng.uniform(1.05, 1.5)
         candidate = scaled(v0(), field, factor)
-        report = check_sphere_conditions(candidate)
-        assert not report.verdict
-        assert report.max_residual > MC_VIOLATION_DEVIATION
+        verdict, (lower, _) = check_q_purity(candidate)
+        assert verdict is False and lower > MC_VIOLATION_DEVIATION
         dev, _ = monte_carlo_sphere(candidate, samples=10000, seed=int(k))
         assert dev > MC_VIOLATION_DEVIATION
 
@@ -145,7 +152,7 @@ def test_certified_maps_preserve_ball():
     rng = generator(11)
     points = sphere_points(rng, 10000) * rng.uniform(0.0, 1.0, size=(10000, 1)) ** (1.0 / 3.0)
     for v in [v0(), v1()] + isometric_linear_maps():
-        assert check_sphere_conditions(v).verdict
+        assert check_q_purity(v)[0] is True
         norms = np.linalg.norm(evaluate(v, points), axis=1)
         assert norms.max() <= 1.0 + 1e-9
 
@@ -198,8 +205,8 @@ def test_sphere_deviation_bounds_every_sampled_point(v, seed):
 def test_sphere_deviation_vanishes_on_certified_pure_maps(R1, R2):
     maps = [rotate_qmap(v, R1, R2) for v in (v0(), v1())] + [induced_qmap(linear_family(R1 / 2.0))]
     for v in maps:
-        assert check_sphere_conditions(v).verdict
-        lower, upper = sphere_deviation(v)
+        verdict, (lower, upper) = check_q_purity(v)
+        assert verdict is True and (lower, upper) == sphere_deviation(v)
         assert lower == 0.0 and upper <= 1e-12
 
 
@@ -234,17 +241,205 @@ def test_sphere_deviation_fails_closed_on_non_finite_rows(bad):
         sphere_deviation(v)
 
 
-def assert_same_certificate(report, reference):
-    assert report.verdict == reference.verdict
-    assert report.worst_condition == reference.worst_condition
-    assert [name for name, _ in report.residuals] == [name for name, _ in reference.residuals]
-    assert [float(r).hex() for _, r in report.residuals] == [float(r).hex() for _, r in reference.residuals]
 
 
-def assert_certificates_match_the_references(v):
-    assert_same_certificate(check_sphere_conditions(v), check_sphere_conditions_reference(v))
-    if is_haar_form(v):
-        assert_same_certificate(check_haar_conditions(v), check_haar_conditions_reference(v))
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["bound_plus", "bound_minus", "bound_random"])
+def test_the_admission_bound_goldens_read_impure_with_a_finite_bound(name):
+    # coefficients near 1e302, whose squares overflow: math.hypot scales them
+    v = induced_qmap(load_config(GOLDEN / f"{name}.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict, (lower, upper) = check_q_purity(v)
+    assert verdict is False
+    assert 1e300 < lower <= upper < np.inf
+
+
+def delta1_tilted(size):
+    """delta1 (V(f) = (0, 0, |f|^2)) with the f2 f3 cross vector B set to (size, 0, 0), orthogonal to t."""
+    return QuadraticMapCoeffs(a=(0, 0, 1), b=(0, 0, 1), c=(0, 0, 1), B=(size, 0, 0))
+
+
+def test_a_perturbation_orthogonal_to_the_image_reads_pure():
+    # |V|^2 - 1 = size^2 f2^2 f3^2 moves at second order; the paper's
+    # equation |B| = |b - c| is off by size itself
+    verdict, (lower, upper) = check_q_purity(delta1_tilted(1e-6))
+    assert verdict is True and 0.0 < lower <= 0.25e-12 <= upper <= TOL_CERT
+    assert check_sphere_conditions_reference(delta1_tilted(1e-6)).residual("ii.3") == pytest.approx(1e-6)
+    assert check_q_purity(delta1_tilted(1e-3))[0] is False
+
+
+def allowance(v):
+    return 16.0 * np.finfo(float).eps * (1.0 + np.abs(v.coefficient_rows()).sum()) ** 2
+
+
+def band_map():
+    """delta0 with a scaled by 1 + s, s bisected until the upper end just exceeds TOL_CERT."""
+    low, high = 0.0, 1e-6
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if sphere_deviation(scaled(v0(), "a", 1.0 + mid))[1] <= TOL_CERT else (low, mid)
+    return scaled(v0(), "a", 1.0 + high)
+
+
+def test_the_verdict_reads_each_end_of_the_interval():
+    v = band_map()
+    verdict, (lower, upper) = check_q_purity(v)
+    assert verdict is None and lower <= TOL_CERT < upper
+    assert check_q_purity(v, tol=upper)[0] is True
+    assert check_q_purity(v, tol=0.5 * lower)[0] is False
+    with pytest.raises(ValueError, match="tol must be a finite number at least 0"):
+        check_q_purity(v, tol=math.inf)
+
+
+def test_the_verdict_and_the_bound_do_not_depend_on_the_frame():
+    # The Bombieri norm is rotation-invariant, so the upper end moves by
+    # rounding alone, within the allowance, and keeps its side of TOL_CERT
+    # wherever it is farther from it than that.  The lower end is read at
+    # vertices fixed in the frame; here it stays above TOL_CERT too, also for
+    # delta1 tilted by 1e-4, whose largest deviation is 2.5 TOL_CERT.
+    rng = np.random.default_rng(20)
+    frames = [rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(20)]
+    maps = [v0(), v1(), delta1_tilted(1e-6), delta1_tilted(2e-9), delta1_tilted(1e-4), scaled(v0(), "a", 1.001), band_map()]
+    for v in maps:
+        verdict, (_, upper) = check_q_purity(v)
+        for R in frames:
+            turned = conjugate_qmap(v, R)
+            turned_verdict, (_, turned_upper) = check_q_purity(turned)
+            bound = max(allowance(v), allowance(turned))
+            assert abs(turned_upper - upper) <= bound
+            if abs(upper - TOL_CERT) > bound:
+                assert turned_verdict is verdict
+
+
+# ------------------------------------------------ exact arithmetic references
+
+
+def exact_rows(v):
+    """The coefficient rows of v as a (9, 3) object array of Fractions, each the float's exact value."""
+    return np.array([[Fraction(x) for x in row] for row in v.coefficient_rows().tolist()], dtype=object)
+
+
+def _times(p, q):
+    """Product of two polynomials held as {exponent tuple: coefficient}."""
+    out = {}
+    for e, x in p.items():
+        for f, y in q.items():
+            key = tuple(i + j for i, j in zip(e, f))
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _plus(*polys):
+    out = {}
+    for p in polys:
+        for e, x in p.items():
+            out[e] = out.get(e, 0) + x
+    return out
+
+
+FEATURE_EXPONENTS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def exact_forms(rows):
+    """(E, O): the quartic and cubic forms with |V(f)|^2 - 1 = E + O on the unit sphere, expanded exactly.
+
+    E = |Q f|^2 + |L f|^2 |f|^2 - |f|^4 and O = 2 <Q f, L f>, multiplied out
+    term by term from the rows, independently of blochquad.purity's tables.
+    """
+    quadratic = [{FEATURE_EXPONENTS[i]: rows[i][k] for i in range(6)} for k in range(3)]
+    linear = [{FEATURE_EXPONENTS[i]: rows[i][k] for i in range(6, 9)} for k in range(3)]
+    square = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
+    E = _plus(
+        *[_times(q, q) for q in quadratic],
+        _times(_plus(*[_times(l, l) for l in linear]), square),
+        {e: -x for e, x in _times(square, square).items()},
+    )
+    O = _plus(*[{e: 2 * x for e, x in _times(q, l).items()} for q, l in zip(quadratic, linear)])
+    return E, O
+
+
+def bombieri_square(form):
+    """||p||_B^2 = sum (a! / k!) c_a^2, exactly."""
+    return sum(
+        Fraction(math.prod(map(math.factorial, e)), math.factorial(sum(e))) * x * x for e, x in form.items()
+    )
+
+
+def assert_upper_covers_the_exact_bound(v):
+    # sqrt(X) + sqrt(Y) <= U  iff  D = U^2 - X - Y >= 0 and 4 X Y <= D^2
+    E, O = exact_forms(exact_rows(v))
+    X, Y = bombieri_square(E), bombieri_square(O)
+    U = Fraction(sphere_deviation(v)[1])
+    D = U * U - X - Y
+    assert D >= 0 and 4 * X * Y <= D * D
+
+
+def coefficients_vanish_with_the_equations(rows):
+    """Whether the 25 exact coefficients vanish; asserts that the paper's equations vanish exactly then.
+
+    Group (ii) is taken as squared norms, which are rational.
+    """
+    E, O = exact_forms(rows)
+    coefficients_vanish = all(x == 0 for x in (*E.values(), *O.values()))
+    assert all(r == 0 for _, r in sphere_conditions(rows, root=lambda s: s)) == coefficients_vanish
+    if all(x == 0 for x in rows[6:].ravel()):
+        assert all(r == 0 for _, r in haar_conditions(rows, root=lambda s: s)) == coefficients_vanish
+    return coefficients_vanish
+
+
+def cayley(k):
+    """The rational rotation (I - K)(I + K)^-1 for the skew matrix K of the rational vector k."""
+    k1, k2, k3 = (Fraction(x) for x in k)
+    K = np.array([[0, -k3, k2], [k3, 0, -k1], [-k2, k1, 0]], dtype=object)
+    eye = np.array([[Fraction(int(i == j)) for j in range(3)] for i in range(3)], dtype=object)
+    inverse = (eye - K + np.outer([k1, k2, k3], [k1, k2, k3])) / (1 + k1 * k1 + k2 * k2 + k3 * k3)
+    R = (eye - K) @ inverse
+    assert ((R.T @ R) == eye).all()
+    return R
+
+
+def exact_image(rows, f):
+    features = [math.prod(x**p for x, p in zip(f, e)) for e in FEATURE_EXPONENTS]
+    return np.array(features, dtype=object) @ rows
+
+
+def rotate_rows(rows, R1, R2):
+    """Exact rows of f -> R1 V(R2 f), read off its values at the basis vectors, their negatives and sums."""
+    e = [np.array([Fraction(int(i == j)) for j in range(3)], dtype=object) for i in range(3)]
+
+    def image(f):
+        return R1 @ exact_image(rows, R2 @ f)
+
+    plus, minus = [image(x) for x in e], [image(-x) for x in e]
+    cross = [image(e[i] + e[j]) - plus[i] - plus[j] for i, j in ((0, 1), (1, 2), (0, 2))]
+    return np.array([*[(p + m) / 2 for p, m in zip(plus, minus)], *cross, *[(p - m) / 2 for p, m in zip(plus, minus)]])
+
+
+CAYLEY_VECTORS = [(1, 0, 0), (Fraction(1, 2), Fraction(-1, 3), 2), (3, 5, Fraction(-7, 4))]
+
+
+@pytest.mark.parametrize("name", ["delta0", "delta1", "linear"])
+def test_the_paper_equations_vanish_exactly_when_the_coefficients_do(name):
+    rows = exact_rows(induced_qmap(catalog.get(name).delta))
+    assert coefficients_vanish_with_the_equations(rows)
+    for k1, k2 in zip(CAYLEY_VECTORS, CAYLEY_VECTORS[1:] + CAYLEY_VECTORS[:1]):
+        turned = rotate_rows(rows, cayley(k1), cayley(k2))
+        assert coefficients_vanish_with_the_equations(turned)
+        # a rational planted perturbation of one entry: neither list vanishes
+        for row, column, size in ((4, 0, Fraction(1, 10**6)), (0, 2, Fraction(-1, 3)), (7, 1, Fraction(1, 10**9))):
+            planted = turned.copy()
+            planted[row, column] += size
+            assert not coefficients_vanish_with_the_equations(planted)
+
+
+def assert_the_certificate_matches_the_references(v):
+    assert_upper_covers_the_exact_bound(v)
+    verdict = check_q_purity(v)[0]
+    if coefficients_vanish_with_the_equations(exact_rows(v)):
+        assert verdict is True
 
 
 def map_at_scale(entries, exponent, zero_rows, zero, haar):
@@ -271,8 +466,13 @@ scaled_maps = st.builds(
 @settings(max_examples=400, deadline=None)
 @given(scaled_maps)
 def test_gram_certificates_match_the_per_pair_references(v):
-    # every residual with the bits of the per-pair products, signed zeros included
-    assert_certificates_match_the_references(v)
+    # the Gram matrix the certificate reads holds each per-pair product x @ y
+    # with its bits, signed zeros included, and its upper end covers the exact
+    # Bombieri bound of the map's coefficients, from 1e-160 to the admission bound
+    rows = v.coefficient_rows()
+    per_pair = np.array([[x @ y for y in rows] for x in rows])
+    assert v.gram.tobytes() == per_pair.tobytes()
+    assert_the_certificate_matches_the_references(v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,15 +481,16 @@ def test_gram_certificates_match_the_references_on_haar_form_maps(R1, R2, field,
     for v in (v0(), v1()):
         rotated = rotate_qmap(v, R1, R2)
         assert is_haar_form(rotated)
-        assert_certificates_match_the_references(rotated)
-        assert_certificates_match_the_references(scaled(rotated, field, factor))
+        assert check_q_purity(rotated)[0] is True
+        assert_the_certificate_matches_the_references(rotated)
+        assert_the_certificate_matches_the_references(scaled(rotated, field, factor))
 
 
-GOLDEN_CONFIGS = sorted(p for p in (Path(__file__).parent / "golden").glob("*.json") if p.name != "status.json")
+GOLDEN_CONFIGS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "status.json")
 
 
 @pytest.mark.parametrize("path", GOLDEN_CONFIGS, ids=lambda p: p.name)
 def test_gram_certificates_match_the_references_on_the_golden_configs(path):
     v = induced_qmap(load_config(path))
-    assert_certificates_match_the_references(v)
-    assert_certificates_match_the_references(QuadraticMapCoeffs(*v.coefficient_rows()[:6]))
+    assert_the_certificate_matches_the_references(v)
+    assert_the_certificate_matches_the_references(QuadraticMapCoeffs(*v.coefficient_rows()[:6]))

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from blochquad import (
     DeltaCoefficients,
     QuadraticMapCoeffs,
-    check_sphere_conditions,
+    check_q_purity,
     delta0,
     delta1,
     evaluate,
@@ -350,7 +350,7 @@ def test_gram_is_read_only_and_built_once_per_map(rng):
     assert np.array_equal(gram, rows @ rows.T)
     with pytest.raises(ValueError):
         gram[0, 1] = 1.0
-    check_sphere_conditions(v)
+    check_q_purity(v)
     sphere_deviation(v)
     assert v.gram is gram
     assert QuadraticMapCoeffs(*v.coefficient_rows()[:6]).gram is not gram

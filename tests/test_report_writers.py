@@ -148,21 +148,16 @@ def positivity_block(verdict, interval, witness):
 
 
 inspection_reports = st.builds(
-    lambda flags4, verdict, worst, residuals, deviation, positivity: {
+    lambda flags4, verdict, deviation, positivity: {
         "trace_preserving": flags4[0],
         "symmetric": flags4[1],
         "haar_trace": flags4[2],
         "coassociative": flags4[3],
-        "q_purity": {
-            "certificate": {"verdict": verdict, "worst_condition": worst, "residuals": residuals},
-            "sphere_deviation": deviation,
-        },
+        "q_purity": {"certificate": {"verdict": verdict}, "sphere_deviation": deviation},
         "positivity": positivity,
     },
     st.tuples(flags, flags, flags, flags),
-    flags,
-    st.text(max_size=8),
-    st.dictionaries(st.text(max_size=8), numbers, min_size=1, max_size=25),
+    verdicts,
     sequences(2),
     st.builds(positivity_block, verdicts, intervals, st.one_of(st.none(), witnesses)),
 )
