@@ -30,7 +30,6 @@ references, in tests/algebra_reference.py.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +50,9 @@ _LIFT_RIGHT = np.einsum("ap,bq,lcd->labpcqd", np.eye(4), np.eye(4), np.array(BAS
 _LIFT_LEFT = np.einsum("mab,cp,dq->mcdapbq", np.array(BASIS), np.eye(4), np.eye(4)).reshape(64, 64)
 
 
-# Field name and shape of each block, in the order of the admitted copy of all 48 entries.
-_BLOCKS = (("b", (3,)), ("B1", (3, 3)), ("B2", (3, 3)), ("T", (3, 3, 3)))
+# Field name, entries of the admitted copy of all 48 entries, and shape of each block.
+_BLOCK_VIEWS = (("b", slice(0, 3), (3,)), ("B1", slice(3, 12), (3, 3)), ("B2", slice(12, 21), (3, 3)), ("T", slice(21, 48), (3, 3, 3)))
+_BLOCKS = tuple((name, shape) for name, _, shape in _BLOCK_VIEWS)
 # Rows of T.reshape(9, 3) (row 3 m + l is T[m, l]) that make the induced
 # map's rows: a, b, c are T[i, i]; A, B, Gamma are T[0, 1] + T[1, 0],
 # T[1, 2] + T[2, 1] and T[0, 2] + T[2, 0].
@@ -78,12 +78,24 @@ class DeltaCoefficients:
     T: np.ndarray = None
 
     def __init__(self, b=None, B1=None, B2=None, T=None):
-        flat = admit(_BLOCKS, (b, B1, B2, T), COEFFICIENT_LIMIT)
-        start = 0
-        for name, shape in _BLOCKS:  # each block a view of the one read-only copy
-            stop = start + math.prod(shape)
-            object.__setattr__(self, name, flat[start:stop].reshape(shape))
-            start = stop
+        self._take_entries(admit(_BLOCKS, (b, B1, B2, T), COEFFICIENT_LIMIT))
+
+    def _take_entries(self, flat: np.ndarray) -> None:
+        fields = vars(self)  # written directly, as the instance is frozen
+        for name, entries, shape in _BLOCK_VIEWS:  # each block a view of the one read-only copy
+            fields[name] = flat[entries].reshape(shape)
+
+    @classmethod
+    def _from_admitted(cls, flat: np.ndarray) -> "DeltaCoefficients":
+        """The operator whose 48 entries, b, B1, B2 and T in that order, are flat, as qmap.admit returned them.
+
+        For entries already admitted up to COEFFICIENT_LIMIT in one piece
+        (cli.parse_config admits a config's entries as one flat array); the
+        blocks are views of flat, as with the public constructor.
+        """
+        d = object.__new__(cls)
+        d._take_entries(flat)
+        return d
 
     @classmethod
     def trace_preserving(cls, B1=None, B2=None, T=None) -> "DeltaCoefficients":

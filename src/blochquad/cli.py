@@ -8,10 +8,11 @@ Subcommands:
     conjugacy  residual of the circle-to-logistic conjugacy identity
 
 Operator configs are JSON objects {"b": [3], "B1": [3x3], "B2": [3x3],
-"T": [3x3x3]} with any field omissible (zeros).  Every verdict is a proof
-and nothing is sampled, so reports are byte-identical for identical
-inputs.  Numbers are printed with 17 significant digits so they round-trip
-exactly.
+"T": [3x3x3]} with any field omissible (zeros).  A config file is read
+once, checked leaf by leaf and admitted as one array of its 48 entries.
+Every verdict is a proof and nothing is sampled, so reports are
+byte-identical for identical inputs.  Numbers are printed with 17
+significant digits so they round-trip exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import catalog, dynamics, purity, positivity
 from .channel import DeltaCoefficients, check_coassociativity, has_haar_trace, induced_qmap, is_symmetric, is_trace_preserving
 from .pauli import TOL_STATE, vector_norm
-from .qmap import evaluate
+from .qmap import COEFFICIENT_LIMIT, admit, evaluate
 
 
 class ConfigError(ValueError):
@@ -64,23 +65,36 @@ def _check_number(value):
 _DOUBLE_MAX = sys.float_info.max
 
 
-def _check_numbers(value, dims: int):
-    """Whether value nests dims >= 1 levels of 3-lists of finite numbers; raises _Misplaced if not."""
+def _check_numbers(value, dims: int, leaves: list) -> None:
+    """Appends the leaves of value to leaves if it nests dims >= 1 levels of 3-lists of finite numbers; raises _Misplaced if not."""
     if not isinstance(value, list) or len(value) != 3:
         raise _Misplaced("expected a list of 3 entries")
-    for k, item in enumerate(value):
-        try:
-            if dims > 1:
-                _check_numbers(item, dims - 1)
-            elif type(item) is not float or not math.isfinite(item):  # a finite float, most leaves, needs no call
+    if dims > 1:
+        for k, item in enumerate(value):
+            try:
+                _check_numbers(item, dims - 1, leaves)
+            except _Misplaced as exc:
+                exc.path = f"[{k}]{exc.path}"
+                raise
+        return
+    a, b, c = value
+    if not (type(a) is type(b) is type(c) is float and math.isfinite(a + b + c)):  # three finite floats, most rows, pass
+        for k, item in enumerate(value):
+            if type(item) is not float or not math.isfinite(item):  # a finite float needs no call
                 if type(item) is not int or not -_DOUBLE_MAX <= item <= _DOUBLE_MAX:  # nor an int (not a bool) in range
-                    _check_number(item)
-        except _Misplaced as exc:
-            exc.path = f"[{k}]{exc.path}"
-            raise
+                    try:
+                        _check_number(item)
+                    except _Misplaced as exc:
+                        exc.path = f"[{k}]"
+                        raise
+    leaves += value
 
 
+# Each field's nesting depth, and the zeros that stand for it when it is missing.
 _FIELD_DIMS = {"b": 1, "B1": 2, "B2": 2, "T": 3}
+_MISSING = {key: [0.0] * 3**dims for key, dims in _FIELD_DIMS.items()}
+# The 48 entries of a config, b, B1, B2 and T in that order, as one value for qmap.admit.
+_ENTRIES = (("b, B1, B2, T", (48,)),)
 
 
 def _unique_fields(pairs: list) -> dict:
@@ -93,10 +107,23 @@ def _unique_fields(pairs: list) -> dict:
     return fields
 
 
+# What json.loads(text, parse_constant=..., object_pairs_hook=...) builds on every call, built once.
+_DECODER = json.JSONDecoder(parse_constant=_reject_nonfinite, object_pairs_hook=_unique_fields)
+
+
 def parse_config(text: str) -> DeltaCoefficients:
-    """Parse an OperatorConfig JSON document into coefficients."""
+    """Parse an OperatorConfig JSON document into coefficients.
+
+    The walk checks every entry and collects the 48 of them, zeros for a
+    missing field, and qmap.admit admits them as one array, whose views the
+    blocks are.  An entry the walk passes can still exceed the magnitude
+    bound; then the blocks are admitted one by one, so the error names its
+    block.
+    """
+    if text.startswith("\ufeff"):  # json.loads refuses a BOM before it decodes; the decoder does not
+        raise ConfigError("line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        raw = json.loads(text, parse_constant=_reject_nonfinite, object_pairs_hook=_unique_fields)
+        raw = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -104,23 +131,37 @@ def parse_config(text: str) -> DeltaCoefficients:
     for key in raw:
         if key not in _FIELD_DIMS:
             raise ConfigError(f"unknown field {key!r}; expected one of b, B1, B2, T")
+    leaves = []
     for key, dims in _FIELD_DIMS.items():
         if key in raw:
             try:
-                _check_numbers(raw[key], dims)
+                _check_numbers(raw[key], dims, leaves)
             except _Misplaced as exc:
                 raise ConfigError(f"{key}{exc.path}: {exc.problem}") from None
-    return DeltaCoefficients(
-        b=raw.get("b"), B1=raw.get("B1"), B2=raw.get("B2"), T=raw.get("T")
-    )
+        else:
+            leaves += _MISSING[key]
+    try:
+        return DeltaCoefficients._from_admitted(admit(_ENTRIES, (leaves,), COEFFICIENT_LIMIT))
+    except ValueError:  # an entry above the bound: refused again block by block, by the block's name
+        return DeltaCoefficients(b=raw.get("b"), B1=raw.get("B1"), B2=raw.get("B2"), T=raw.get("T"))
 
 
 def load_config(path: str) -> DeltaCoefficients:
+    """The coefficients of the config file at path, read in one unbuffered read.
+
+    The bytes are decoded as UTF-8, with CRLF and lone CR line ends read
+    as LF, as a text-mode read gives them; an unreadable or undecodable
+    file is a ConfigError that names path.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return parse_config(text)
     except ValueError as exc:

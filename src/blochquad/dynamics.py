@@ -21,7 +21,8 @@ from .errors import NotApplicableError
 from .pauli import TOL_STATE, vector_norm
 from .positivity import FACE_COS, FACES, ICOSAHEDRON, split_faces
 from .purity import check_q_purity
-from .qmap import QuadraticMapCoeffs, _feature_rows, evaluate, is_haar_form, jacobian
+from .qmap import QuadraticMapCoeffs, _feature_rows, _point_image, is_haar_form, jacobian
+from .qmap import evaluate  # noqa: F401  kept as dynamics.evaluate, a name perfbench's tracer wraps
 
 UNDERFLOW_FLUSH = 1e-300
 _EYE3 = np.eye(3)
@@ -48,8 +49,9 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
     leaves the ball can grow doubly exponentially and overflow, and no
     later point of the orbit means anything.  Raises ValueError for steps < 0,
     for a start point whose shape is not (3,), and for one outside the ball
-    or with a NaN entry.  Each step is one single-point evaluate(), so every
-    row is what the map gives that point alone.
+    or with a NaN entry.  The orbit is held as three Python floats, and each
+    step takes single-point evaluate()'s product (qmap._point_image), so
+    every row is what the map gives that point alone.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
@@ -59,20 +61,22 @@ def iterate(v: QuadraticMapCoeffs, f0, steps: int) -> Trajectory:
     start = vector_norm(f)
     if not start <= 1.0 + TOL_STATE:  # a NaN fails too
         raise ValueError(f"start point norm {start} exceeds 1")
-    points, norms = [f], [math.hypot(*f.tolist())]
+    rows = v.coefficient_rows()
+    point = f.tolist()
+    points, norms = list(point), [math.hypot(*point)]  # points: the rows end to end, in one flat list
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the norm test
         for n in range(1, steps + 1):
-            f = evaluate(v, f)
-            norm = math.hypot(*f.tolist())
+            point = _point_image(rows, *point).tolist()
+            norm = math.hypot(*point)
             if not math.isfinite(norm):
                 raise ValueError(f"the orbit overflows double precision at step {n} (norm {norms[-1]:.3e} at step {n - 1})")
             if norm < UNDERFLOW_FLUSH:
-                points.append(np.zeros(3))
+                points += (0.0, 0.0, 0.0)
                 norms.append(0.0)
                 break
-            points.append(f)
+            points += point
             norms.append(norm)
-    return Trajectory(points=np.array(points), norms=np.array(norms))
+    return Trajectory(points=np.array(points).reshape(-1, 3), norms=np.array(norms))
 
 
 def verify_collapse(v: QuadraticMapCoeffs, f0, steps: int) -> float:

@@ -14,8 +14,12 @@ magnitude, twice the operator bound because each map vector may sum two
 operator blocks, so the largest product formed from them, |V(f)|^2 on the
 sphere (about 1e303), stays below the double maximum of 1.8e308.  admit()
 is the one admission of coefficient arrays: this module's map and
-channel.DeltaCoefficients both take their fields through it, and every
-refusal names the field.
+channel.DeltaCoefficients both take their fields through it, as does
+cli.parse_config, which admits a config's 48 entries as one array, and
+every refusal names the field.
+
+Single-point evaluate() and every orbit step of dynamics.iterate() take
+one product, _point_image, so an orbit row is what evaluate() gives.
 """
 
 from __future__ import annotations
@@ -191,21 +195,28 @@ def _feature_rows(x: np.ndarray) -> np.ndarray:
     return features
 
 
+def _point_image(rows: np.ndarray, f1: float, f2: float, f3: float) -> np.ndarray:
+    """V at the point (f1, f2, f3) of Python floats, for the map whose (9, 3) coefficient rows are rows.
+
+    The nine features are Python float products, which round each product
+    as numpy does, and the (9,) . (9, 3) vector-matrix product is taken
+    with ndarray.dot: the product of @, bit for bit, with less dispatch.
+    Single-point evaluate() and every dynamics.iterate() step take it.
+    """
+    return np.array([f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3]).dot(rows)
+
+
 def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
     """V(f); broadcasts over a leading batch of input vectors.
 
-    One point, shape (3,), builds its nine features from Python floats,
-    which round each product as numpy does, and takes the (9,) . (9, 3)
-    vector-matrix product with ndarray.dot: the product of @, bit for bit,
-    with less dispatch.  A batch takes one (n, 9) @ (9, 3) product, which
-    may round the same point differently in the last bits; an orbit steps
-    one point at a time, so its rows do not depend on how the batch product
-    rounds.
+    One point, shape (3,), takes the product of _point_image.  A batch
+    takes one (n, 9) @ (9, 3) product, which may round the same point
+    differently in the last bits; an orbit steps one point at a time, so
+    its rows do not depend on how the batch product rounds.
     """
     f = np.asarray(f, dtype=float)
     if f.shape == (3,):
-        f1, f2, f3 = f.tolist()
-        return np.array([f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3]).dot(v.coefficient_rows())
+        return _point_image(v.coefficient_rows(), *f.tolist())
     return _features(f) @ v.coefficient_rows()
 
 

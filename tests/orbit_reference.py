@@ -1,8 +1,8 @@
 """Earlier forms of the orbit path and of the fixed-set search, kept as references.
 
 evaluate_reference forms the nine features by numpy gathers and one
-concatenate for any input shape; iterate_reference steps an orbit with it
-and takes norms with math.hypot on numpy scalars; write_trajectory_csv_reference
+concatenate for any input shape; iterate_reference steps an orbit by one
+single-point blochquad evaluate() per step, on (3,) arrays; write_trajectory_csv_reference
 writes one row per call; newton_steps_reference solves the Newton systems on
 a (9, n) copy of J - I, and cramer_steps_reference on views of (n, 3, 3)
 systems.  fixed_set_sphere_reference is the fixed-set search on faces held
@@ -33,7 +33,8 @@ from blochquad.dynamics import (
     _newton,
     _open,
 )
-from blochquad.pauli import TOL_STATE
+from blochquad.pauli import TOL_STATE, vector_norm
+from blochquad.qmap import evaluate
 from blochquad.positivity import FACES, ICOSAHEDRON
 
 _LEFT = np.array([0, 1, 2, 0, 1, 0])
@@ -51,17 +52,20 @@ def evaluate_reference(v, f) -> np.ndarray:
 
 
 def iterate_reference(v, f0, steps: int) -> Trajectory:
-    """Orbit f0, V(f0), ..., V^steps(f0); flushes to exact zero below 1e-300."""
+    """Orbit f0, V(f0), ..., V^steps(f0), one single-point evaluate() per step; flushes to exact zero below 1e-300."""
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     f = np.array(f0, dtype=float)
-    if np.linalg.norm(f) > 1.0 + TOL_STATE:
-        raise ValueError(f"start point norm {np.linalg.norm(f)} exceeds 1")
-    points, norms = [f], [math.hypot(*f)]
+    if f.shape != (3,):
+        raise ValueError(f"start point must have shape (3,), got {f.shape}")
+    start = vector_norm(f)
+    if not start <= 1.0 + TOL_STATE:
+        raise ValueError(f"start point norm {start} exceeds 1")
+    points, norms = [f], [math.hypot(*f.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            f = evaluate_reference(v, f)
-            norm = math.hypot(*f)
+            f = evaluate(v, f)
+            norm = math.hypot(*f.tolist())
             if not math.isfinite(norm):
                 raise ValueError(f"the orbit overflows double precision at step {n} (norm {norms[-1]:.3e} at step {n - 1})")
             if norm < UNDERFLOW_FLUSH:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochquad import catalog, check_positivity, induced_qmap, sampling, sphere_deviation
+from blochquad import DeltaCoefficients, catalog, check_positivity, induced_qmap, sampling, sphere_deviation
 from blochquad.channel import basis_images
 from blochquad.cli import (
     ConfigError,
@@ -124,6 +124,89 @@ def test_inspect_names_the_offending_entry(tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text('{"b": [true, 0, 0]}')
     assert run_cli(capsys, "inspect", str(path)) == (1, "", f"error: {path}: b[0]: expected a number, got True\n")
+
+
+GOLDEN_CONFIGS = sorted(path for path in (Path(__file__).parent / "golden").glob("*.json") if path.name != "status.json")
+
+
+def _front_door_configs():
+    """Config texts: the goldens, 200 random ones written with repr floats, and integral, signed-zero and partial ones."""
+    texts = [path.read_text() for path in GOLDEN_CONFIGS]
+    rng = np.random.default_rng(22)
+    shapes = {"b": (3,), "B1": (3, 3), "B2": (3, 3), "T": (3, 3, 3)}
+    for _ in range(200):
+        fields = {}
+        for name, shape in shapes.items():
+            if rng.random() < 0.85:  # some fields missing
+                values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 150, size=shape)
+                fields[name] = values.tolist()
+        texts.append(json.dumps(fields))  # json.dumps writes each float as its repr
+    texts += [
+        '{"b": [0, 1, -1], "B1": [[2, 0, 0], [0, 3, 0], [0, 0, -4]]}',
+        '{"B2": [[-0.0, 0, -0], [0.0, -0.0, 0], [0, 0, -0.0]], "T": [[[-0.0, 0, 0], [0, 0, 0], [0, 0, 0]], '
+        '[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, -0.0]]]}',
+        '{"b": [%d, 0.5, -%d], "T": [[[%d, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], '
+        '[[0, 0, 0], [0, 0, 0], [0, 0, %d]]]}' % (10**150, 10**150, 10**150, -(10**150)),
+        '{"B1": [[%d, 0, 0], [0, 0, 0], [0, 0, 0]]}' % 10**150,
+        "{}",
+        '{"T": [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]}',
+    ]
+    return texts
+
+
+def test_load_config_gives_the_blocks_of_json_loads_and_the_constructor(tmp_path):
+    # one read, one walk and one admission of all 48 entries give, bit for bit,
+    # what json.loads and a block-by-block admission give
+    path = tmp_path / "op.json"
+    for text in _front_door_configs():
+        path.write_text(text)
+        got, expected = load_config(str(path)), DeltaCoefficients(**json.loads(text))
+        for block in ("b", "B1", "B2", "T"):
+            assert getattr(got, block).tobytes() == getattr(expected, block).tobytes(), (block, text)
+            assert not getattr(got, block).flags.writeable
+
+
+@pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=[path.stem for path in GOLDEN_CONFIGS])
+def test_crlf_and_lone_cr_configs_inspect_as_the_golden(tmp_path, capsys, config):
+    # a text-mode read translates both line ends to \n, and so does load_config
+    expected = run_cli(capsys, "inspect", str(config))
+    assert expected[1] == (config.parent / f"{config.stem}.inspect.out").read_text()
+    for name, end in (("crlf", b"\r\n"), ("cr", b"\r")):
+        copy = tmp_path / f"{name}.json"
+        copy.write_bytes(config.read_bytes().replace(b"\n", end))
+        assert run_cli(capsys, "inspect", str(copy)) == expected
+
+
+def test_config_errors_keep_their_messages(tmp_path, capsys):
+    delta0 = Path(__file__).parent / "golden" / "delta0.json"
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + delta0.read_bytes())
+    assert run_cli(capsys, "inspect", str(bom)) == (
+        1, "", f"error: {bom}: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+    )
+    assert run_cli(capsys, "inspect", str(tmp_path)) == (1, "", f"error: {tmp_path}: Is a directory\n")
+    missing = tmp_path / "missing.json"
+    assert run_cli(capsys, "inspect", str(missing)) == (1, "", f"error: {missing}: No such file or directory\n")
+    T = np.zeros((3, 3, 3))
+    T[1, 2, 0] = 1e200
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"b": [0.5, 0, 0], "T": T.tolist()}))
+    assert run_cli(capsys, "inspect", str(huge)) == (
+        1, "", f"error: {huge}: T: entries must be numbers of magnitude at most 1e+150, "
+        "or their products overflow double precision\n"
+    )
+    # json counts lines by \n only, so the error's line number needs the read's translation
+    syntax = tmp_path / "syntax.json"
+    syntax.write_bytes(b'{\r"b": [0, 0, 0],\r"B1": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],\r"T": [[[0, 0, 0], [0, 0, 0], [0, 0,  ]]]}')
+    assert run_cli(capsys, "inspect", str(syntax)) == (1, "", f"error: {syntax}: line 4, column 38: Expecting value\n")
+
+
+def test_a_config_that_is_not_utf8_is_named_by_its_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"b": [0, 0, 0\xff]}')
+    assert run_cli(capsys, "inspect", str(path)) == (
+        1, "", f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"
+    )
 
 
 def test_inspection_report_does_not_depend_on_the_cache(tmp_path, capsys):

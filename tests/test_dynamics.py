@@ -701,6 +701,56 @@ def test_iterate_and_csv_match_the_reference_bit_for_bit(v, f0, steps):
     assert text.getvalue() == expected_text.getvalue()
 
 
+def _reference_maps():
+    """The catalog maps, 40 rotated delta0 maps and random maps at scales 1e-3 .. 2 * COEFFICIENT_LIMIT."""
+    rng = np.random.default_rng(2022)
+    maps = [induced_qmap(entry.delta) for entry in catalog.entries()]
+    maps += [conjugate_qmap(v0(), rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 2.0 * math.pi))) for _ in range(40)]
+    for scale in (1e-3, 0.3, 1.0, 3.0, 1e3, 1e100, 2 * COEFFICIENT_LIMIT):
+        maps += [QuadraticMapCoeffs(*(scale * rng.uniform(-1.0, 1.0, size=(9, 3)))) for _ in range(4)]
+    return maps
+
+
+def _reference_starts():
+    """Sphere starts, interior starts and the centre, signs of zero included."""
+    rng = np.random.default_rng(2023)
+    sphere = rng.normal(size=(4, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    interior = sphere * rng.uniform(0.05, 0.95, size=(4, 1))
+    return [(0.6, 0.8, 0.0), (-0.0, 0.0, 1.0), (0.0, 0.0, 0.0), *sphere, *interior]
+
+
+def test_iterate_matches_the_per_step_evaluate_loop_byte_for_byte():
+    # three floats per step give the rows and norms of one single-point
+    # evaluate per step, and the same error text, step numbers included
+    outcomes = set()
+    for v in _reference_maps():
+        for f0 in _reference_starts():
+            for steps in (0, 1, 50):
+                traj, expected = _orbit(iterate, v, f0, steps), _orbit(iterate_reference, v, f0, steps)
+                if isinstance(expected, str):
+                    assert traj == expected
+                    outcomes.add("overflow")
+                    continue
+                assert traj.points.tobytes() == expected.points.tobytes()
+                assert traj.norms.tobytes() == expected.norms.tobytes()
+                outcomes.add("flush" if len(traj) < steps + 1 else "full")
+    assert outcomes == {"overflow", "flush", "full"}
+
+
+def test_flushing_and_overflowing_orbits_match_the_reference():
+    v = v0()  # |V(f)| = |f|^2: an interior orbit flushes at step 10, one outside the ball overflows
+    flushed, expected = iterate(v, [0.5, 0.0, 0.0], 50), iterate_reference(v, [0.5, 0.0, 0.0], 50)
+    assert len(flushed) == 11 and flushed.norms[-1] == 0.0 and np.signbit(flushed.points[-1]).sum() == 0
+    assert flushed.points.tobytes() == expected.points.tobytes()
+    assert flushed.norms.tobytes() == expected.norms.tobytes()
+    grow = QuadraticMapCoeffs(a=[4.0, 0.0, 0.0])
+    with pytest.raises(ValueError) as exc:
+        iterate(grow, [0.9, 0.0, 0.0], 50)
+    assert str(exc.value) == _orbit(iterate_reference, grow, [0.9, 0.0, 0.0], 50)
+    assert str(exc.value).startswith("the orbit overflows double precision at step ")
+
+
 def test_trajectory_csv_format(tmp_path):
     traj = iterate(v0(), [0.9, 0, 0], 2)
     out = tmp_path / "traj.csv"

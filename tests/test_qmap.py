@@ -19,6 +19,7 @@ from blochquad import (
 )
 from blochquad.qmap import COEFFICIENT_LIMIT, _feature_rows, _features, jacobian
 from conftest import random_delta
+from orbit_reference import evaluate_reference
 
 
 def test_evaluate_benchmark_values():
@@ -36,6 +37,14 @@ def test_evaluate_batches_match_single_calls(rng):
     batch = evaluate(v, points)
     for f, out in zip(points, batch):
         assert np.abs(evaluate(v, f) - out).max() < 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3, 2 * COEFFICIENT_LIMIT]), arrays(float, (3,), elements=st.floats(-1, 1)))
+def test_a_single_point_takes_the_batch_forms_product_bit_for_bit(seed, scale, f):
+    # the one-point product, which every orbit step takes, is the batch form's (9,) @ (9, 3)
+    v = QuadraticMapCoeffs(*(scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, 3))))
+    assert evaluate(v, f).tobytes() == evaluate_reference(v, f).tobytes()
 
 
 def test_homogeneous_linear_decomposition(rng):
