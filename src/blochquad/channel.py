@@ -61,7 +61,7 @@ _CROSS_ROWS = np.array([1, 5, 2])
 _SWAPPED_ROWS = np.array([3, 7, 6])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class DeltaCoefficients:
     """Real coefficient blocks of Delta in the Pauli tensor basis.
 

@@ -409,8 +409,11 @@ def _cmd_conjugacy(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first main() call and reused.
+    """The command-line parser, built on the first main() call and reused, with its action table.
 
+    argparse is the one definition of the grammar: help, types, choices and
+    defaults are written here only.  parser.action_table, built once with
+    the parser, holds what _read_plain needs of each sub-command's parser.
     Parsing leaves the parser unchanged, so every later call, also one after
     a rejected command line, parses as a fresh parser would.
     """
@@ -456,26 +459,104 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=10000)
     p.set_defaults(func=_cmd_conjugacy)
 
-    parser.commands = sub.choices  # sub-command name -> its parser, for main()
+    parser.action_table = _action_table(sub.choices)
     return parser
+
+
+def _action_table(commands: dict) -> dict:
+    """Each sub-command name -> (options, positionals, required, defaults), read off its parser's actions.
+
+    options maps the option strings of each single-value store option to
+    its action; positionals lists the positional actions in order; required
+    is the set of actions argparse requires; defaults is the namespace of a
+    command line that gives no argument: every action default, then the
+    set_defaults entries (func).  A sub-command whose positionals are not
+    all single values, nor one optional value, is left out, as argparse
+    may split its positionals around the options otherwise than in order.
+    """
+    table = {}
+    for name, command in commands.items():
+        actions = command._actions
+        positionals = [action for action in actions if not action.option_strings]
+        if not (all(action.nargs is None for action in positionals) or [action.nargs for action in positionals] == ["?"]):
+            continue
+        options = {
+            string: action
+            for action in actions
+            if type(action) is argparse._StoreAction and action.nargs is None
+            for string in action.option_strings
+        }
+        defaults = {}
+        for action in actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        for dest, value in command._defaults.items():
+            defaults.setdefault(dest, value)
+        required = frozenset(action for action in actions if action.required)
+        table[name] = (options, positionals, required, defaults)
+    return table
+
+
+def _read_plain(argv: list, table: dict) -> argparse.Namespace | None:
+    """The full parser's namespace for a plain command line, read off the action table; None for any other line.
+
+    A line is plain when argv[0] names a sub-command and every other token
+    is either an exact option string of one of its single-value store
+    options, given at most once, with the value after "=" or as the next
+    token, which must not start with "-"; or a token that does not start
+    with "-" and fills the next positional.  Each value must convert with
+    its action's type and lie in its choices, and every required action
+    must be given.  argparse reads such a line to the same namespace;
+    help, abbreviations, "--", values that start with "-" and every line it
+    refuses are left to it.
+    """
+    reading = table.get(argv[0]) if argv else None
+    if reading is None:
+        return None
+    options, positionals, required, defaults = reading
+    values = dict(defaults)
+    given = set()
+    unfilled = iter(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            option, joined, value = token.partition("=")
+            action = options.get(option)
+            if action is None or action in given:
+                return None
+            if not joined:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+        else:
+            action, value = next(unfilled, None), token
+            if action is None:
+                return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        given.add(action)
+    if not required <= given:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
     """The arguments of argv as the full parser reads them.
 
-    A command line that starts with a sub-command name is read by that
-    sub-command's parser alone, which is what the full parser hands it to;
-    one that leaves any argument unread goes back to the full parser, so an
-    unrecognized argument is reported with the full parser's usage as
-    before.  Help, errors and the namespace are those of the full parser.
+    A plain command line (see _read_plain), which is what scripts and the
+    benchmark send, is read off the action table built with the parser,
+    without an argparse pass; any other line, help and every refusal
+    included, is read by the full parser.  Help, errors and the namespace
+    are those of the full parser either way.
     """
     parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, unread = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not unread:
-            return args
-    return parser.parse_args(argv)
+    args = _read_plain(argv, parser.action_table)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class Trajectory:
     """Orbit points and their norms, one row per step (step 0 is the start)."""
 
@@ -192,7 +192,7 @@ _COFACTOR = np.stack(
 ).reshape(4, 9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class FixedComponent:
     """A connected region of the sphere where fixed_set_sphere could neither rule out nor isolate fixed points.
 
@@ -212,7 +212,7 @@ class FixedComponent:
         return bool((np.sqrt((gap * gap).sum(axis=1)) <= self.radii).any())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class FixedSet:
     """The fixed points of V on the unit sphere (see fixed_set_sphere).
 

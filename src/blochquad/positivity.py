@@ -32,7 +32,7 @@ def operator_norm3(B: np.ndarray):
     return np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False)[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class Witness:
     """A positive input 1 + w.sigma whose image has a negative eigenvalue."""
 
@@ -40,7 +40,7 @@ class Witness:
     min_eigenvalue: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class PositivityVerdict:
     """verdict None is marginal.  interval, where set, is a certified [lower, upper] around
     min over unit w of lambda_min Delta(1 + w.sigma); min_eigenvalue_seen is the least computed."""

@@ -95,7 +95,7 @@ _HESSIAN_ROWS = np.array([0, 3, 5, 3, 1, 4, 5, 4, 2])
 _HESSIAN_WEIGHTS = np.array([2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class QuadraticMapCoeffs:
     """Coefficient vectors in the fixed order (a, b, c, A, B, Gamma, d, e, g)."""
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from blochquad import DeltaCoefficients, catalog, check_positivity, induced_qmap, sampling, sphere_deviation
+from blochquad import DeltaCoefficients, catalog, cli, check_positivity, induced_qmap, sampling, sphere_deviation
 from blochquad.channel import basis_images
 from blochquad.cli import (
     ConfigError,
@@ -564,12 +567,17 @@ def test_conjugacy_command(capsys):
     assert json.loads(out)["residual"] == 0.0
 
 
-def test_main_builds_one_parser(capsys):
+def test_main_builds_one_parser(capsys, monkeypatch):
+    # one parser and one action table per process, whichever way each line is read
+    tables = []
+    build_table = cli._action_table
+    monkeypatch.setattr(cli, "_action_table", lambda commands: tables.append(commands) or build_table(commands))
     _build_parser.cache_clear()
-    run_cli(capsys, "catalog")
+    run_cli(capsys, "catalog")  # read off the table
     run_cli(capsys, "conjugacy", "--grid", "2")
+    run_cli(capsys, "conjugacy", "--grid", "2", "--grid", "3")  # read by the full parser
     info = _build_parser.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert (info.misses, info.currsize, len(tables)) == (1, 1, 1)
 
 
 def test_rejected_command_line_leaves_the_parser_unchanged(tmp_path, capsys):
@@ -634,7 +642,8 @@ def golden(name):
     return str(GOLDEN / f"{name}.json")
 
 
-ROUTED_COMMAND_LINES = [
+# Command lines that _read_plain reads off the action table, without argparse.
+PLAIN_COMMAND_LINES = [
     ["inspect", golden("linear")],
     ["inspect", golden("delta1"), "--tol", "1e-6", "--samples", "100", "--seed", "3"],
     ["inspect", golden("delta0"), "--tol=-1"],
@@ -647,12 +656,19 @@ ROUTED_COMMAND_LINES = [
     ["certify", golden("delta0"), "--expect", "pure"],
     ["certify", golden("delta1"), "--expect=positive"],
     ["certify", golden("flat"), "--expect", "nonpositive"],
-    ["certify", golden("linear"), "--exp", "positive"],
     ["catalog"],
     ["catalog", "delta1"],
     ["catalog", "nosuch"],
     ["conjugacy", "--grid", "3"],
     ["conjugacy", "--grid=1"],
+]
+ROUTED_COMMAND_LINES = PLAIN_COMMAND_LINES + [
+    # an abbreviation, a repeated option, values that start with "-" and "--"
+    ["certify", golden("linear"), "--exp", "positive"],
+    ["inspect", golden("linear"), "--seed", "1", "--seed", "2"],
+    ["inspect", golden("linear"), "--tol", "-1"],
+    ["simulate", golden("delta0"), "--f0", "-0.6,-0.8,0"],
+    ["catalog", "--", "delta1"],
     # help at every level, and command lines the parser refuses
     ["--help"],
     ["-h", "inspect"],
@@ -694,19 +710,142 @@ def test_a_routed_command_line_gets_the_full_parsers_namespace(capsys):
         assert vars(_parse_args(list(argv))) == expected
 
 
-def test_a_sub_command_line_takes_one_parser_hop(capsys, monkeypatch):
-    # the full parser reads only what its sub-command's parser cannot
-    parser = _build_parser()
-    full_reads = []
-    parse_args = parser.parse_args
-    monkeypatch.setattr(parser, "parse_args", lambda argv: full_reads.append(argv) or parse_args(argv))
-    assert run_cli(capsys, "simulate", golden("delta1"), "--f0=0,0,1", "--steps", "2")[0] == 0
-    assert run_cli(capsys, "catalog")[0] == 0
-    assert full_reads == []
+def test_the_action_table_leaves_out_positionals_argparse_may_split_otherwise(capsys):
+    parser = argparse.ArgumentParser(prog="toy")
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("one").add_argument("a")
+    split = sub.add_parser("split")
+    split.add_argument("a")
+    split.add_argument("b", nargs="?")
+    split.add_argument("--o")
+    sub.add_parser("many").add_argument("a", nargs="*")
+    assert set(cli._action_table(sub.choices)) == {"one"}
+    # filled in order, X --o v Y would give b = Y; argparse gives b its default at --o and refuses Y
+    with pytest.raises(SystemExit):
+        parser.parse_args(["split", "X", "--o", "v", "Y"])
+    assert "unrecognized arguments: Y" in capsys.readouterr().err
+
+
+def perfbench_lines():
+    """Command lines of the shapes perfbench's client sends: inspect, certify and simulate on a config."""
+    for config, seed in zip(["linear", "delta0", "delta1"], ["0", "1234567", "2147483647"]):
+        yield ["inspect", golden(config), "--seed", seed]
+        for expect in ("pure", "impure", "positive", "nonpositive"):
+            yield ["certify", golden(config), "--expect", expect, "--seed", seed]
+        for f0 in ((0.6, 0.8, 0.0), (-0.6, -0.8, 1e-4), (0.0, 0.0, -1.0), (-1e-3, 0.25, -0.5)):
+            yield ["simulate", golden(config), "--f0=" + ",".join(repr(x) for x in f0)]
+
+
+def test_a_plain_command_line_reaches_no_argparse_parse(capsys, monkeypatch):
+    # plain lines are read off the action table: no parser, neither the full
+    # one nor a sub-command's, parses them; every other line is the full parser's
+    parses = []
+
+    def spy(name):
+        method = getattr(argparse.ArgumentParser, name)
+        return lambda parser, *args, **kwargs: parses.append((parser.prog, name)) or method(parser, *args, **kwargs)
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, spy(name))
+    for argv in [*perfbench_lines(), *PLAIN_COMMAND_LINES]:
+        assert isinstance(outcome(capsys, main, list(argv))[0], int)
+    assert parses == []
     for argv in (["inspect", golden("linear"), "--bogus"], ["nosuch"]):
         with pytest.raises(SystemExit):
             main(argv)
-    assert full_reads == [["inspect", golden("linear"), "--bogus"], ["nosuch"]]
+    assert parses[0] == ("blochquad", "parse_args")
+
+
+# The token alphabet of the equivalence test, read off a fresh parser so that it grows with the grammar.
+SUB_PARSERS = next(action for action in _build_parser.__wrapped__()._actions if action.dest == "command").choices
+OPTION_STRINGS = sorted({string for command in SUB_PARSERS.values() for action in command._actions for string in action.option_strings})
+# Relative paths, to copies in the test's working directory, so that --out writes there whatever it names.
+CONFIGS = ["linear", "delta0", "delta1"]
+VALUE = st.sampled_from([
+    *[f"{name}.json" for name in CONFIGS], "nosuch.json", "out.csv", ".", "",
+    "3", "0", "70", "1e-6", "x", "-1", "-0.5", "-inf",
+    "pure", "impure", "positive", "nonpositive", "sure", "delta1", "nosuch",
+    "0.6,0.8,0", "-0.6,-0.8,0", "0,0,1", "1,2", "1.5,0,0",
+])
+OPTION = st.sampled_from(OPTION_STRINGS)
+TOKEN = st.one_of(
+    st.sampled_from([*SUB_PARSERS, *OPTION_STRINGS, "--", "-", "--bogus", "extra", "-x y"]),
+    VALUE,
+    OPTION.flatmap(lambda string: st.integers(1, len(string)).map(lambda k: string[:k])),  # abbreviations
+    st.tuples(OPTION, VALUE).map("=".join),
+)
+
+
+def typed_value(action):
+    """Values for action: mostly of its type or in its choices, and some that are not."""
+    if action.choices is not None:
+        return st.sampled_from([*action.choices, "sure"])
+    if action.type is int:
+        return st.sampled_from(["3", "0", "70", "x", "-1"])
+    if action.type is float:
+        return st.sampled_from(["1e-6", "0", "3", "x", "-0.5"])
+    return VALUE
+
+
+def given_once(actions, value):
+    """Units of at most three distinct actions, each an option string of it and a value that value(action) draws, as two
+    tokens or joined by "="."""
+    if not actions:
+        return st.just([])
+    unit = lambda action: st.tuples(st.sampled_from(action.option_strings), value(action)).flatmap(
+        lambda pair: st.sampled_from([list(pair), ["=".join(pair)]])
+    )
+    return st.lists(st.sampled_from(actions), max_size=3, unique=True).flatmap(lambda drawn: st.tuples(*map(unit, drawn)).map(list))
+
+
+def singles(tokens, max_size):
+    """Units of one token each."""
+    return st.lists(tokens.map(lambda token: [token]), max_size=max_size)
+
+
+def any_order(first, *units):
+    """Lines of the first token, then the units that each of units draws, in any order."""
+    rest = st.tuples(*units).flatmap(lambda drawn: st.permutations([unit for part in drawn for unit in part]))
+    return st.tuples(first, rest).map(lambda line: [line[0], *[token for unit in line[1] for token in unit]])
+
+
+OPTION_ACTIONS = {name: [action for action in command._actions if action.option_strings] for name, command in SUB_PARSERS.items()}
+# Any tokens; a sub-command with its own options and any tokens; and a sub-command with a value for each positional
+# and its own options that take a value, most of them plain.
+COMMAND_LINES = st.one_of(
+    st.just([]),
+    any_order(TOKEN, singles(VALUE, 2), given_once(sum(OPTION_ACTIONS.values(), []), lambda action: VALUE), singles(TOKEN, 1)),
+    *[any_order(st.just(name), singles(VALUE, 2), given_once(OPTION_ACTIONS[name], typed_value), singles(TOKEN, 1)) for name in SUB_PARSERS],
+    *[
+        any_order(
+            st.just(name),
+            st.tuples(*[VALUE.map(lambda token: [token]) for action in command._actions if not action.option_strings]).map(list),
+            given_once([action for action in OPTION_ACTIONS[name] if action.nargs is None], typed_value),
+        )
+        for name, command in SUB_PARSERS.items()
+    ],
+)
+
+
+def parsed(capsys, parse, argv):
+    """The namespace that parse reads argv to, as a dict, or its exit code and output."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=COMMAND_LINES)
+def test_any_command_line_is_read_as_a_fresh_full_parser_reads_it(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    outcomes = []
+    for command in (reference_main, main):
+        for name in CONFIGS:  # put back any config that the other run's --out overwrote
+            (tmp_path / f"{name}.json").write_bytes(Path(golden(name)).read_bytes())
+        outcomes.append(outcome(capsys, command, list(argv)))
+    assert outcomes[1] == outcomes[0]
+    assert parsed(capsys, _parse_args, argv) == parsed(capsys, _build_parser.__wrapped__().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [["simulate", golden("delta0"), "--f0", "0.6,0.8,0"], ["inspect", golden("linear"), "--bogus"], []])
