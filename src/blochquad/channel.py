@@ -19,12 +19,17 @@ entry (about 2.6e302), stays below the double maximum of 1.8e308; the
 structural checks compare as `residual <= tol`.  A refusal names its block.
 
 bloch_images, the images the positivity proof solves, and the structural
-checks are built on the three basis images Delta(sigma_i).  An
-operator's basis images and its induced map are built on first use and
-kept with it, read-only, so every check of one operator shares them.  The
-matrix of Delta(x) for a general x, its closed form for symmetric
-operators and the pair functional (phi (x) psi)(Delta(x)) are the tests'
-references, in tests/algebra_reference.py.
+checks are built on the three basis images Delta(sigma_i).  An operator
+keeps its 48 admitted entries as one read-only array, and every table
+below is derived from it by constants built at import: its coefficients
+c[i, m, l] are one take of the entries by a fixed permutation, its basis
+images one product of c with the sixteen tensor-basis matrices, and the
+tensor swap and both partial traces of the images takes by fixed flat
+index tables.  Coefficients, basis images and the induced map are built
+on first use and kept with the operator, read-only, so every check of one
+operator shares them.  The matrix of Delta(x) for a general x, its closed
+form for symmetric operators and the pair functional (phi (x) psi)(Delta(x))
+are the tests' references, in tests/algebra_reference.py.
 """
 
 from __future__ import annotations
@@ -37,12 +42,22 @@ import numpy as np
 from .pauli import TOL_ALG, BASIS, checked_tol, kron, vector_norm
 from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, admit
 
-# All sixteen tensor-basis matrices kron(e_m, e_l), m outermost.
+# All sixteen tensor-basis matrices kron(e_m, e_l), m outermost; row 4 m + l
+# of _TENSOR_ROWS is kron(e_m, e_l) flattened, so c.reshape(3, 16) @ _TENSOR_ROWS
+# is the three basis images flattened.
 TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])
+_TENSOR_ROWS = TENSOR_BASIS.reshape(16, 16)
 _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
-# The tensor swap on the product basis indices (1,2,3,4) -> (1,3,2,4).
-_SWAP = np.array([0, 2, 1, 3])
+# Flat entries 4 a + b of a 4x4 image, for the residuals.  The tensor swap
+# U X U reads entry (s(a), s(b)) into (a, b), s = (0, 2, 1, 3) on the product
+# basis.  With a = 2 r + s and b = 2 t + u (flat 8 r + 4 s + 2 t + u), the
+# right partial trace sums the terms s = u, the left one the terms r = t:
+# _TRACE_FIRST holds the terms s = u = 0, then r = t = 0, and _TRACE_SECOND
+# their partners s = u = 1, 5 flat entries later, and r = t = 1, 10 later.
+_SWAP16 = np.array([4 * sa + sb for sa in (0, 2, 1, 3) for sb in (0, 2, 1, 3)])
+_TRACE_FIRST = np.array([8 * r + 2 * t for r in (0, 1) for t in (0, 1)] + [4 * s + u for s in (0, 1) for u in (0, 1)])
+_TRACE_SECOND = _TRACE_FIRST + np.repeat([5, 10], 4)
 # sum_l kron(X_l, e_l) = X @ _LIFT_RIGHT and sum_m kron(e_m, Y_m) = Y @ _LIFT_LEFT
 # for four 4x4 matrices X_l (Y_m) flattened to one row of 64; the products
 # come out as flattened 8x8 matrices.
@@ -53,6 +68,21 @@ _LIFT_LEFT = np.einsum("mab,cp,dq->mcdapbq", np.array(BASIS), np.eye(4), np.eye(
 # Field name, entries of the admitted copy of all 48 entries, and shape of each block.
 _BLOCK_VIEWS = (("b", slice(0, 3), (3,)), ("B1", slice(3, 12), (3, 3)), ("B2", slice(12, 21), (3, 3)), ("T", slice(21, 48), (3, 3, 3)))
 _BLOCKS = tuple((name, shape) for name, _, shape in _BLOCK_VIEWS)
+
+
+def _coefficient_order() -> np.ndarray:
+    """Entry numbers of the admitted copy placed as c[i, m, l], flattened (see _basis_coefficients)."""
+    block = {name: np.arange(48)[entries].reshape(shape) for name, entries, shape in _BLOCK_VIEWS}
+    order = np.empty((3, 4, 4), dtype=np.intp)
+    order[:, 0, 0] = block["b"]
+    order[:, 0, 1:] = block["B1"].T
+    order[:, 1:, 0] = block["B2"].T
+    order[:, 1:, 1:] = block["T"].transpose(2, 0, 1)
+    return order.ravel()
+
+
+_COEFFICIENT_ORDER = _coefficient_order()
+
 # Rows of T.reshape(9, 3) (row 3 m + l is T[m, l]) that make the induced
 # map's rows: a, b, c are T[i, i]; A, B, Gamma are T[0, 1] + T[1, 0],
 # T[1, 2] + T[2, 1] and T[0, 2] + T[2, 0].
@@ -82,6 +112,7 @@ class DeltaCoefficients:
 
     def _take_entries(self, flat: np.ndarray) -> None:
         fields = vars(self)  # written directly, as the instance is frozen
+        fields["_entries"] = flat
         for name, entries, shape in _BLOCK_VIEWS:  # each block a view of the one read-only copy
             fields[name] = flat[entries].reshape(shape)
 
@@ -103,8 +134,14 @@ class DeltaCoefficients:
         return cls(b=None, B1=B1, B2=B2, T=T)
 
     @functools.cached_property
+    def _coefficients(self) -> np.ndarray:
+        c = self._entries.take(_COEFFICIENT_ORDER).reshape(3, 4, 4)
+        c.setflags(write=False)
+        return c
+
+    @functools.cached_property
     def _basis_images(self) -> np.ndarray:
-        images = np.einsum("iml,mlab->iab", _basis_coefficients(self), TENSOR_BASIS)
+        images = (self._coefficients.reshape(3, 16) @ _TENSOR_ROWS).reshape(3, 4, 4)
         images.setflags(write=False)
         return images
 
@@ -122,13 +159,13 @@ class DeltaCoefficients:
 
 
 def _basis_coefficients(d: DeltaCoefficients) -> np.ndarray:
-    """c[i, m, l]: weight of sigma_m (x) sigma_l in Delta(sigma_i), sigma_0 = 1."""
-    c = np.zeros((3, 4, 4))
-    c[:, 0, 0] = d.b
-    c[:, 0, 1:] = d.B1.T
-    c[:, 1:, 0] = d.B2.T
-    c[:, 1:, 1:] = d.T.transpose(2, 0, 1)
-    return c
+    """c[i, m, l]: weight of sigma_m (x) sigma_l in Delta(sigma_i), sigma_0 = 1.
+
+    c[:, 0, 0] is b, c[:, 0, 1:] is B1.T, c[:, 1:, 0] is B2.T and c[:, 1:, 1:]
+    is T.transpose(2, 0, 1).  Built on the first call for d; every later call
+    returns the same read-only array.
+    """
+    return d._coefficients
 
 
 def basis_images(d: DeltaCoefficients) -> np.ndarray:
@@ -157,8 +194,8 @@ def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
 
 def _symmetry_residual(d: DeltaCoefficients) -> float:
     """Largest entry of |U Delta(sigma_i) U - Delta(sigma_i)|, U the tensor swap."""
-    images = basis_images(d)
-    return float(np.abs(images[:, _SWAP[:, None], _SWAP] - images).max())
+    images = basis_images(d).reshape(3, 16)
+    return float(np.abs(images.take(_SWAP16, axis=1) - images).max())
 
 
 def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
@@ -168,9 +205,8 @@ def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
 
 def _haar_trace_residual(d: DeltaCoefficients) -> float:
     """Largest entry of the right and left normalized partial traces of the Delta(sigma_i)."""
-    m = basis_images(d).reshape(3, 2, 2, 2, 2)  # [i, left row, right row, left column, right column]
-    traces = np.stack([m[:, :, 0, :, 0] + m[:, :, 1, :, 1], m[:, 0, :, 0] + m[:, 1, :, 1]])
-    return 0.5 * float(np.abs(traces).max())
+    m = basis_images(d).reshape(3, 16)
+    return 0.5 * float(np.abs(m.take(_TRACE_FIRST, axis=1) + m.take(_TRACE_SECOND, axis=1)).max())
 
 
 def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
@@ -192,7 +228,7 @@ def _coassociativity_residual(d: DeltaCoefficients) -> float:
     (Delta(sigma_0) = 1(x)1): two matrix products per side.
     """
     c = _basis_coefficients(d)
-    images = np.concatenate([np.eye(4)[None], basis_images(d)]).reshape(4, 16)
+    images = np.concatenate([_EYE4[None], basis_images(d)]).reshape(4, 16)
     lhs = (c.transpose(0, 2, 1) @ images).reshape(3, 64) @ _LIFT_RIGHT
     rhs = (c @ images).reshape(3, 64) @ _LIFT_LEFT
     return float(np.abs(lhs - rhs).max())

@@ -165,7 +165,7 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
 
 
 # perfbench traces and patches the check by its former name (tracing.py
-# TARGETS, its tests), so the CLI calls it by that name.  ROADMAP item 6.
+# TARGETS, its tests), so the CLI calls it by that name.  ROADMAP item 7.
 check_positivity_sampled = check_positivity
 
 

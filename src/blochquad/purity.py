@@ -29,6 +29,7 @@ from .positivity import ICOSAHEDRON
 from .qmap import QuadraticMapCoeffs, evaluate
 
 TOL_CERT = 1e-9
+_EPS = float(np.finfo(float).eps)
 # Sphere-deviation thresholds: rounding noise vs genuine sphere violation
 # are separated by six orders of magnitude.
 MC_PASS_DEVIATION = 1e-9
@@ -144,7 +145,7 @@ def sphere_deviation(v: QuadraticMapCoeffs) -> tuple:
     weighted = (_ROOT_WEIGHTS * (_FORMS @ v.gram.ravel() - _FOURTH_POWERS)).tolist()
     at_vertices = np.abs((evaluate(v, ICOSAHEDRON) ** 2).sum(axis=1) - 1.0)
     scale = 1.0 + float(np.abs(v.coefficient_rows()).sum())
-    allowance = 16.0 * float(np.finfo(float).eps) * scale * scale
+    allowance = 16.0 * _EPS * scale * scale
     upper = math.hypot(*weighted[:_QUARTIC]) + math.hypot(*weighted[_QUARTIC:]) + allowance
     if not (math.isfinite(upper) and np.isfinite(at_vertices).all()):  # hypot is inf or nan on a non-finite coefficient
         raise ValueError("sphere deviation overflows double precision; purity cannot be bounded")

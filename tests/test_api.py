@@ -16,9 +16,9 @@ SRC = Path(blochquad.__file__).parent
 NAMED_ONLY_BY_TESTS = {
     "verify_collapse": "ROADMAP item 2: simulate reaches the collapse law, or it moves to tests/",
     "estimate_divergence_rate": "ROADMAP item 2: simulate reports the shadowing horizon, or it moves to tests/",
-    "fixed_points_sphere": "ROADMAP item 6: perfbench's orbits workload calls it",
-    "check_linear_isometry": "ROADMAP item 6: perfbench traces it",
-    "monte_carlo_sphere": "ROADMAP item 7a: moves to tests/ with the sampling layer",
+    "fixed_points_sphere": "ROADMAP items 5 and 7: perfbench's orbits workload calls it",
+    "check_linear_isometry": "ROADMAP item 7: perfbench traces it",
+    "monte_carlo_sphere": "ROADMAP item 7: moves to tests/ with the sampling layer",
 }
 
 

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blochquad import (
     DeltaCoefficients,
@@ -19,6 +22,7 @@ from blochquad import (
     linear_family,
 )
 from blochquad.channel import (
+    TENSOR_BASIS,
     _basis_coefficients,
     _coassociativity_residual,
     _haar_trace_residual,
@@ -279,17 +283,15 @@ def test_coassociativity_cases():
 
 def test_tensor_basis_enumeration():
     # layout sanity for the assembly path: kron(e_m, e_l), m outermost
-    from blochquad.channel import TENSOR_BASIS
-
     for m in range(4):
         for l in range(4):
             assert np.abs(TENSOR_BASIS[m, l] - np.kron(BASIS[m], BASIS[l])).max() == 0
 
 
-# Per-matrix references for the structural checks, which channel.py runs as
-# array operations on the stack of basis images: the swap and the partial
-# traces one image at a time, and both coassociativity lifts as one
-# three-operand einsum each.
+# Per-matrix references for the structural checks, which channel.py reads off
+# the three basis images flattened to a (3, 16) array: the swap and the
+# partial traces as takes by constant flat index tables, here one image at a
+# time, and both coassociativity lifts as one three-operand einsum each.
 
 
 def reference_symmetry_residual(d):
@@ -355,6 +357,71 @@ def test_structural_residuals_match_the_per_matrix_references():
     assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {v[2] for v in verdicts} == {True, False}
 
 
+# The array builds that channel.py replaced by takes of the admitted entries
+# and of the images by constant index tables, and by one product with the
+# tensor basis: every table must keep their bytes, signed zeros included.
+
+
+def reference_basis_coefficients(d):
+    c = np.zeros((3, 4, 4))
+    c[:, 0, 0] = d.b
+    c[:, 0, 1:] = d.B1.T
+    c[:, 1:, 0] = d.B2.T
+    c[:, 1:, 1:] = d.T.transpose(2, 0, 1)
+    return c
+
+
+def reference_basis_images(d):
+    return np.einsum("iml,mlab->iab", reference_basis_coefficients(d), TENSOR_BASIS)
+
+
+def reference_swap_residual(images):
+    swap = np.array([0, 2, 1, 3])
+    return float(np.abs(images[:, swap[:, None], swap] - images).max())
+
+
+def reference_partial_trace_residual(images):
+    m = images.reshape(3, 2, 2, 2, 2)  # [i, left row, right row, left column, right column]
+    traces = np.stack([m[:, :, 0, :, 0] + m[:, :, 1, :, 1], m[:, 0, :, 0] + m[:, 1, :, 1]])
+    return 0.5 * float(np.abs(traces).max())
+
+
+def assert_tables_keep_the_bytes(d):
+    images = reference_basis_images(d)
+    assert _basis_coefficients(d).tobytes() == reference_basis_coefficients(d).tobytes()
+    assert basis_images(d).tobytes() == images.tobytes()
+    assert np.float64(_symmetry_residual(d)).tobytes() == np.float64(reference_swap_residual(images)).tobytes()
+    assert np.float64(_haar_trace_residual(d)).tobytes() == np.float64(reference_partial_trace_residual(images)).tobytes()
+
+
+def golden_operators():
+    golden = Path(__file__).parent / "golden"
+    return [load_config(str(path)) for path in sorted(golden.glob("*.json")) if path.name != "status.json"]
+
+
+def test_index_tables_keep_the_bytes_of_the_array_builds(rng):
+    cases = structural_cases() + induced_map_operators(rng) + golden_operators()
+    for d in cases:
+        assert_tables_keep_the_bytes(d)
+    # the cases hold signed zeros, entries at the admission bound and both residuals nonzero
+    entries = np.concatenate([d._entries for d in cases])
+    assert np.signbit(entries[entries == 0]).any() and np.abs(entries).max() == COEFFICIENT_LIMIT
+    assert any(_symmetry_residual(d) > 0 and _haar_trace_residual(d) > 0 for d in cases)
+
+
+signed_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(float.__mul__, st.sampled_from([-1.0, 1.0]), st.floats(1e-160, COEFFICIENT_LIMIT)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, (48,), elements=signed_entries))
+def test_index_tables_keep_the_bytes_on_drawn_operators(x):
+    # magnitudes mixed from 1e-160 to the admission bound within one operator, and signed zeros
+    assert_tables_keep_the_bytes(DeltaCoefficients(b=x[:3], B1=x[3:12].reshape(3, 3), B2=x[12:21].reshape(3, 3), T=x[21:].reshape(3, 3, 3)))
+
+
 def exact_coassociativity_residual(d):
     """Largest |left - right| over the lift weights of the three Delta(sigma_i), in exact arithmetic.
 
@@ -376,8 +443,7 @@ def exact_coassociativity_residual(d):
 
 def test_coassociativity_verdicts_agree_with_the_exact_lift_weights():
     golden = Path(__file__).parent / "golden"
-    cases = [load_config(str(path)) for path in sorted(golden.glob("*.json")) if path.name != "status.json"]
-    cases += structural_cases()
+    cases = golden_operators() + structural_cases()
     for s in 10.0 ** np.arange(-150, 151, 10):  # group-like: Delta(sigma_i) = s sigma_i (x) sigma_i
         T = np.zeros((3, 3, 3))
         T[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = s
@@ -401,6 +467,17 @@ def test_images_and_map_are_built_once_per_operator(rng):
     fresh = DeltaCoefficients(b=d.b, B1=d.B1, B2=d.B2, T=d.T)
     assert basis_images(fresh) is not basis_images(d)
     assert np.array_equal(basis_images(fresh), basis_images(d))
+
+
+def test_coefficients_are_built_once_and_read_only(rng):
+    d = random_delta(rng)
+    c = _basis_coefficients(d)
+    assert _basis_coefficients(d) is c
+    with pytest.raises(ValueError):
+        c[0, 0, 0] = 1.0
+    # a derived operator takes its own entries, so its own coefficients
+    replaced = dataclasses.replace(d, T=np.zeros((3, 3, 3)))
+    assert _basis_coefficients(replaced) is not c and not _basis_coefficients(replaced)[:, 1:, 1:].any()
 
 
 def test_cached_images_and_map_are_read_only(rng):
