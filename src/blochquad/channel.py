@@ -15,31 +15,39 @@ M_2(C), unital and *-preserving by construction.
 Blocks are admitted by qmap.admit, as one read-only copy whose views they
 are, with entries up to qmap.COEFFICIENT_LIMIT (1e150) in magnitude, so
 the largest product any check forms from them, an 8x8 coassociativity
-entry (about 2.6e302), stays below the double maximum of 1.8e308; the
-structural checks compare as `residual <= tol`.  A refusal names its block.
+entry (about 2.6e302), stays below the double maximum of 1.8e308.  A
+refusal names its block.
 
-bloch_images, the images the positivity proof solves, and the structural
-checks are built on the three basis images Delta(sigma_i).  An operator
-keeps its 48 admitted entries as one read-only array, and every table
-below is derived from it by constants built at import: its coefficients
-c[i, m, l] are one take of the entries by a fixed permutation, its basis
-images one product of c with the sixteen tensor-basis matrices, and the
-tensor swap and both partial traces of the images takes by fixed flat
-index tables.  Coefficients, basis images and the induced map are built
-on first use and kept with the operator, read-only, so every check of one
-operator shares them.  The matrix of Delta(x) for a general x, its closed
-form for symmetric operators and the pair functional (phi (x) psi)(Delta(x))
-are the tests' references, in tests/algebra_reference.py.
+Trace preservation (b = 0), symmetry (B1 = B2, T[m, l, i] = T[l, m, i])
+and the Haar trace (b = B1 = B2 = 0) are read off the blocks: the Frobenius
+norm of the residual blocks must be at most tol times that of all 48
+entries.  A change of frame maps each block by an orthogonal Kronecker
+product (b -> R b, B -> R B R', T -> (R (x) R (x) R) T), so the verdict
+depends on neither the frame nor the scale.  Coassociativity compares its
+residual with an absolute tol.
+
+bloch_images, the images the positivity proof solves, and coassociativity
+are built on the three basis images Delta(sigma_i).  An operator keeps its
+48 admitted entries as one read-only array; its coefficients c[i, m, l]
+are one take of them by a fixed permutation, and its basis images one
+product of c with the sixteen tensor-basis matrices.  Coefficients, basis
+images and the induced map are built on first use and kept with the
+operator, read-only, so every check of one operator shares them.  The
+tests' references, in tests/algebra_reference.py, hold the matrix of
+Delta(x), its closed form for symmetric operators, the pair functional
+(phi (x) psi)(Delta(x)), and the tensor swap and partial traces that
+define symmetry and the Haar trace on the images.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import TOL_ALG, BASIS, checked_tol, kron, vector_norm
+from .pauli import TOL_ALG, BASIS, checked_tol, kron
 from .qmap import COEFFICIENT_LIMIT, QuadraticMapCoeffs, admit
 
 # All sixteen tensor-basis matrices kron(e_m, e_l), m outermost; row 4 m + l
@@ -49,15 +57,6 @@ TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])
 _TENSOR_ROWS = TENSOR_BASIS.reshape(16, 16)
 _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
-# Flat entries 4 a + b of a 4x4 image, for the residuals.  The tensor swap
-# U X U reads entry (s(a), s(b)) into (a, b), s = (0, 2, 1, 3) on the product
-# basis.  With a = 2 r + s and b = 2 t + u (flat 8 r + 4 s + 2 t + u), the
-# right partial trace sums the terms s = u, the left one the terms r = t:
-# _TRACE_FIRST holds the terms s = u = 0, then r = t = 0, and _TRACE_SECOND
-# their partners s = u = 1, 5 flat entries later, and r = t = 1, 10 later.
-_SWAP16 = np.array([4 * sa + sb for sa in (0, 2, 1, 3) for sb in (0, 2, 1, 3)])
-_TRACE_FIRST = np.array([8 * r + 2 * t for r in (0, 1) for t in (0, 1)] + [4 * s + u for s in (0, 1) for u in (0, 1)])
-_TRACE_SECOND = _TRACE_FIRST + np.repeat([5, 10], 4)
 # sum_l kron(X_l, e_l) = X @ _LIFT_RIGHT and sum_m kron(e_m, Y_m) = Y @ _LIFT_LEFT
 # for four 4x4 matrices X_l (Y_m) flattened to one row of 64; the products
 # come out as flattened 8x8 matrices.
@@ -187,36 +186,33 @@ def bloch_images(d: DeltaCoefficients, W) -> np.ndarray:
     return _EYE4 + np.dot(W, basis_images(d).reshape(3, 16)).reshape(-1, 4, 4)
 
 
+def _within(d: DeltaCoefficients, tol: float, residual: list) -> bool:
+    """Whether the Frobenius norm of the residual entries is at most tol times that of d's 48 entries.
+
+    math.hypot scales internally, so neither norm overflows at the admission
+    bound or underflows to a false pass; as a product, not a quotient, the
+    zero operator passes instead of reading 0/0.
+    """
+    return math.hypot(*residual) <= checked_tol(tol) * math.hypot(*d._entries.tolist())
+
+
 def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
-    """True iff the constant block vanishes."""
-    return vector_norm(d.b) <= checked_tol(tol)
-
-
-def _symmetry_residual(d: DeltaCoefficients) -> float:
-    """Largest entry of |U Delta(sigma_i) U - Delta(sigma_i)|, U the tensor swap."""
-    images = basis_images(d).reshape(3, 16)
-    return float(np.abs(images.take(_SWAP16, axis=1) - images).max())
+    """True iff the constant block vanishes, relative to all entries."""
+    return _within(d, tol, d.b.tolist())
 
 
 def is_symmetric(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
-    """Invariance under the tensor swap, checked on every basis image."""
-    return _symmetry_residual(d) <= checked_tol(tol)
-
-
-def _haar_trace_residual(d: DeltaCoefficients) -> float:
-    """Largest entry of the right and left normalized partial traces of the Delta(sigma_i)."""
-    m = basis_images(d).reshape(3, 16)
-    return 0.5 * float(np.abs(m.take(_TRACE_FIRST, axis=1) + m.take(_TRACE_SECOND, axis=1)).max())
+    """Invariance under the tensor swap: B1 = B2 and T[m, l, i] = T[l, m, i], relative to all entries."""
+    return _within(d, tol, (d.B1 - d.B2).ravel().tolist() + (d.T - d.T.transpose(1, 0, 2)).ravel().tolist())
 
 
 def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
-    """Whether the normalized trace is invariant on both legs.
+    """Whether the normalized trace is invariant on both legs: b = B1 = B2 = 0, relative to all entries.
 
-    Checked on the matrices themselves: both partial traces of every basis
-    image Delta(sigma_i) must vanish, which for trace-preserving operators
-    is the same as B1 = B2 = 0.
+    The normalized partial traces of Delta(sigma_i) are b_i 1 + sum_m B2[m, i] sigma_m
+    and b_i 1 + sum_l B1[l, i] sigma_l.
     """
-    return _haar_trace_residual(d) <= checked_tol(tol)
+    return _within(d, tol, d._entries[:21].tolist())  # b, B1 and B2
 
 
 def _coassociativity_residual(d: DeltaCoefficients) -> float:

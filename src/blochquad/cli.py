@@ -432,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", parents=[ignored], help="full classification report as JSON")
     p.add_argument("path", help="operator config JSON file")
-    p.add_argument("--tol", type=float, default=1e-9, help="classifier/certificate tolerance")
+    tol_help = "tolerance, relative to the coefficients' Frobenius norm for trace_preserving, symmetric and haar_trace"
+    p.add_argument("--tol", type=float, default=1e-9, help=tol_help + ", absolute for coassociative and q_purity")
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("simulate", help="iterate the induced Bloch map")

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from blochquad import DeltaCoefficients, QuadraticMapCoeffs, evaluate
+from blochquad.cli import load_config
 from blochquad.positivity import FACES, ICOSAHEDRON
 
 
@@ -22,6 +24,33 @@ def random_delta(rng, symmetric=False, haar=False, trace_preserving=True):
     B2 = B1 if symmetric else (np.zeros((3, 3)) if haar else rng.normal(size=(3, 3)))
     b = None if trace_preserving else rng.normal(size=3)
     return DeltaCoefficients(b=b, B1=B1, B2=B2, T=T)
+
+
+def golden_operators():
+    """The operators of every golden config, in file name order."""
+    golden = Path(__file__).parent / "golden"
+    return [load_config(str(path)) for path in sorted(golden.glob("*.json")) if path.name != "status.json"]
+
+
+def delta_from_entries(x):
+    """The operator whose 48 entries are x: b, B1, B2 and T, each block row-major, in that order."""
+    x = np.asarray(x, dtype=float)
+    return DeltaCoefficients(b=x[:3], B1=x[3:12].reshape(3, 3), B2=x[12:21].reshape(3, 3), T=x[21:].reshape(3, 3, 3))
+
+
+def rotate_delta(d, R):
+    """The operator d read in the frame rotated by R: b -> R b, B -> R B R', T -> (R (x) R (x) R) T.
+
+    Its basis image Delta'(sigma_i) is (U (x) U) (sum_j R[i, j] Delta(sigma_j)) (U (x) U)^H
+    for the U in SU(2) with U sigma_j U^H = sum_k R[k, j] sigma_k.
+    """
+    R = np.asarray(R, dtype=float)
+    return DeltaCoefficients(
+        b=R @ d.b,
+        B1=R @ d.B1 @ R.T,
+        B2=R @ d.B2 @ R.T,
+        T=np.einsum("ma,lb,ic,abc->mli", R, R, R, d.T),
+    )
 
 
 def delta_from_qmap(v):
