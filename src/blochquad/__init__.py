@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .errors import NotApplicableError
 from .pauli import kron
-from .positivity import PositivityVerdict, Witness, check_positivity, operator_norm3
+from .positivity import PositivityVerdict, Witness, check_positivity
 from .purity import (
     CertificateReport,
     check_linear_isometry,
@@ -73,7 +73,6 @@ __all__ = [
     "linear_family",
     "logistic_conjugacy_residual",
     "monte_carlo_sphere",
-    "operator_norm3",
     "sphere_deviation",
     "verify_collapse",
 ]

@@ -1,9 +1,13 @@
-"""The positivity proof: probes, a closed form for linear operators, and a branch and bound.
+"""The positivity proof: probes, an exact certificate for linear operators, a norm bound, and a branch and bound.
 
-Every spectrum comes from LAPACK through numpy's eigvalsh, on the images
-Delta(1 + w.sigma) of channel.bloch_images.  The paper's closed-form
-spectra, and the |B| <= 1/2 criterion for linear operators, are the
-tests' references for it, in tests/algebra_reference.py.
+check_positivity runs four stages, and its verdict names the one that
+decided: probes (with the top singular directions of B1 and B2 for
+T = 0, b = 0), the S-lemma certificate for T = 0, b = 0, the norm bound
+sqrt(sum_i |Delta(sigma_i)|^2) <= 1, and a branch and bound on the sphere.
+Every spectrum comes from LAPACK: eigvalsh on the images Delta(1 + w.sigma)
+of channel.bloch_images, eigh on the certificate's 3x3 matrices.  The
+paper's closed-form spectra, and the |B| <= 1/2 criterion for linear
+operators, are the tests' references for it, in tests/algebra_reference.py.
 """
 
 from __future__ import annotations
@@ -22,14 +26,8 @@ TOL_EIG = 1e-9
 _EPS = float(np.finfo(float).eps)
 # Vertices the branch and bound may solve before it gives up as marginal.
 VERTEX_CAP = 20000
-
-
-def operator_norm3(B: np.ndarray):
-    """Largest singular value of a real 3x3 matrix, or of each in a stack (..., 3, 3).
-
-    One batched LAPACK call; it returns the singular values in descending order.
-    """
-    return np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False)[..., 0]
+# Rounds of the linear certificate's search before it hands over.
+SEARCH_ROUNDS = 16
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
@@ -43,12 +41,16 @@ class Witness:
 @dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
 class PositivityVerdict:
     """verdict None is marginal.  interval, where set, is a certified [lower, upper] around
-    min over unit w of lambda_min Delta(1 + w.sigma); min_eigenvalue_seen is the least computed."""
+    min over unit w of lambda_min Delta(1 + w.sigma); min_eigenvalue_seen is the least computed.
+    stage names the stage of check_positivity that decided it: "probe", "linear",
+    "norm" or "branch-and-bound"; l_star is the linear certificate's l."""
 
     verdict: bool | None
     min_eigenvalue_seen: float
     witness: Witness | None = None
     interval: tuple | None = None
+    stage: str | None = None
+    l_star: float | None = None
 
 
 _EYE3 = np.eye(3)
@@ -125,16 +127,23 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
     With M = channel.basis_images(d) and g(u) = lambda_max(u.M),
     lambda_min(Delta(1 + w.sigma)) = 1 - g(-w): Delta is positive iff g <= 1
     on the unit sphere (interior inputs are dominated; w0 = 1 suffices).
-    Stages: (1) the probes, each scanned as +w, then -w, where
-    sphere-preserving operators fail; (2) for T = 0, b = 0,
-    g(u) = |B1 u| + |B2 u| <= |B1| + |B2|, which proves flat maxima such as
-    linear(I/2)'s that no vertex bound can; (3) _branch_and_bound, whose
-    faces carry their geometry min_j <c, v_j> from where they are created
-    (FACE_COS, computed at import, for the 10 icosahedron face pairs).
+    The stage that decides is the verdict's stage:
+    (1) "probe": the probes, each scanned as +w, then -w, where
+        sphere-preserving operators fail; for T = 0, b = 0 the top right
+        singular vectors of B1 and B2 follow them;
+    (2) "linear", for T = 0, b = 0, where g(u) = |B1 u| + |B2 u|:
+        _linear_certificate, exact by the S-lemma;
+    (3) "norm", otherwise: g(u) <= |u.M| <= reach = sqrt(sum_i |M_i|^2);
+    (4) "branch-and-bound": _branch_and_bound, whose faces carry their
+        geometry min_j <c, v_j> from where they are created (FACE_COS,
+        computed at import, for the 10 icosahedron face pairs).
     verdict: True when the certified minimum is at least -TOL_EIG, False
-    with a witness (the first probe, or a vertex, below -TOL_EIG), None
-    (marginal) at VERTEX_CAP.  interval: upper is the least eigenvalue seen
-    plus allowance; on a witness lower is 1 - sqrt(sum_i |M_i|^2) - allowance.
+    with a witness (the first probe, a certificate's eigenvector or a
+    vertex below -TOL_EIG), None (marginal) at VERTEX_CAP; only operators
+    with T != 0 or b != 0, or linear ones whose minimum is within allowance
+    of -TOL_EIG, can be marginal.  interval: upper is the least
+    eigenvalue seen plus allowance; on a witness lower is 1 - |B1| - |B2| -
+    allowance for T = 0, b = 0 and 1 - reach - allowance otherwise.
 
     allowance = 128 eps * scale, where scale = 1 + sum |entries of M| bounds
     |Delta(1 + w.sigma)| for |w| <= 1 and the Lipschitz constant of g.  It
@@ -143,25 +152,36 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
     8 eps * scale for cones the leaf triangles miss (a rounded midpoint lies
     within 8 eps of the plane of its edge, and a neighbour keeping the edge
     covers the gap); 32 eps * scale for the norms, centroids, <c, v_j> and
-    the division, on bounds that pass only below 2.  A positive operator
-    has |M_i| <= 1 (to TOL_EIG): there scale <= 25, allowance < 1e-12.
+    the division, on bounds that pass only below 2.  reach errs by under
+    32 eps * scale: M's entries by 4 eps * scale, the SVD by 16 eps * |M_i|
+    and the sum and root by 4 eps * reach, with reach <= scale.  A positive
+    operator has |M_i| <= 1 (to TOL_EIG): there scale <= 25, allowance < 1e-12.
     """
     M = channel.basis_images(d)
     allowance = 128.0 * _EPS * (1.0 + float(np.abs(M).sum()))
     W = _probe_directions(induced_qmap(d))
+    linear = len(W) == 3 and not d.T.any() and not d.b.any()  # a quadratic probe needs T != 0
+    if linear:
+        _, s, vt = np.linalg.svd(np.stack([d.B1, d.B2]))  # |B1|, |B2| and their top right singular vectors
+        norms = s[:, 0].tolist()
+        floor = 1.0 - norms[0] - norms[1] - allowance
+        if floor < -TOL_EIG:  # else g <= |B1| + |B2| settles it, and no probe can fail
+            W = np.concatenate((W, vt[:, 0]))
+    else:
+        s = np.linalg.svd(M, compute_uv=False)[:, 0]  # |M_i|: the values come sorted descending
+        floor = 1.0 - math.sqrt(s @ s) - allowance
     mins = _minima(d, W).ravel()  # (w, +), (w, -), ...
     seen = float(mins.min())
     bad = (mins < -TOL_EIG).nonzero()[0]
     if bad.size:
         first = int(bad[0])
         w = W[first // 2] if first % 2 == 0 else -W[first // 2]
-        return _refuted(M, allowance, Witness(w=w, min_eigenvalue=float(mins[first])), seen)
-    if not d.b.any() and not d.T.any():
-        norm1, norm2 = operator_norm3(np.stack([d.B1, d.B2]))
-        bound = float(norm1) + float(norm2) + allowance
-        if 1.0 - bound >= -TOL_EIG:
-            return PositivityVerdict(True, seen, interval=(1.0 - bound, seen + allowance))
-    return _branch_and_bound(d, M, allowance, seen)
+        return PositivityVerdict(False, seen, Witness(w=w, min_eigenvalue=float(mins[first])), (floor, seen + allowance), "probe")
+    if linear:
+        return _linear_certificate(d, norms, allowance, seen, floor)
+    if floor >= -TOL_EIG:
+        return PositivityVerdict(True, seen, interval=(floor, seen + allowance), stage="norm")
+    return _branch_and_bound(d, allowance, seen, floor)
 
 
 # perfbench traces and patches the check by its former name (tracing.py
@@ -169,15 +189,80 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
 check_positivity_sampled = check_positivity
 
 
-def _refuted(M: np.ndarray, allowance: float, witness: Witness, seen: float) -> PositivityVerdict:
-    """Nonpositive verdict; its lower end from g(u) <= |u.M| <= sqrt(sum_i |M_i|^2) for unit u."""
-    s = np.linalg.svd(M, compute_uv=False)[:, 0]  # |M_i|: the values come sorted descending
-    reach = math.sqrt(s @ s)
-    return PositivityVerdict(False, seen, witness, (1.0 - reach - allowance, seen + allowance))
+def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, seen: float, floor: float) -> PositivityVerdict:
+    """Stage 2 of check_positivity, for T = 0, b = 0, where g(u) = |B1 u| + |B2 u|.
+
+    (a + b)^2 = min over l in (0, 1) of a^2/l + b^2/(1 - l), and the joint
+    range {(u'Pu, u'Qu) : |u| = 1} of P = B1'B1 and Q = B2'B2 is convex
+    (Brickman, Proc. AMS 12, 1961), so max g^2 = min_l f(l) with
+    f(l) = lambda_max(P/l + Q/(1 - l)): one l with f(l) <= 1 proves Delta
+    positive, and it is the verdict's l_star.  l = |B1| / (|B1| + |B2|)
+    gives f(l) <= (|B1| + |B2|)^2, the norms' bound, exact when B1 = B2.
+
+    Otherwise f is minimized over t = log(l / (1 - l)), where
+    A(t) = P/l + Q/(1 - l) = P + Q + e^-t P + e^t Q is convex, from the
+    bracket l = |B1|^2 / (|B1| + |B2|)^2 ... 1 - |B2|^2 / (|B1| + |B2|)^2
+    (f is at least |B1|^2 / l and |B2|^2 / (1 - l)).  For a unit v,
+    h_v(t) = v'A(t)v = v'Pv (1 + e^-t) + v'Qv (1 + e^t) <= f(t), with
+    equality where v is a top eigenvector.  The bracket ends are the nearest
+    solved points on each side whose h_v has slope <= 0 and >= 0.  Each
+    round solves, in one batched eigh, where the two ends' curves take
+    their minima, where they cross (exact for the kink of commuting P and Q,
+    as on flat) and at the midpoint.  min_t h_v = g(v)^2, so a solved v with
+    g(v) > 1 + TOL_EIG ends the search as a witness candidate, confirmed by
+    _minima; what stays open after SEARCH_ROUNDS goes to _branch_and_bound.
+
+    Accepted at sqrt(f) + allowance <= 1 + TOL_EIG, so f < 1.01: forming A(t)
+    from B1, B2 and e^t errs by under 36 eps * f (|B1|^2 / l and
+    |B2|^2 / (1 - l) are at most f), eigh by 16 eps * f, and the root at
+    most halves that above f = 1/4 (below it g stays under 0.51).
+    """
+    n1, n2 = norms
+    if floor >= -TOL_EIG:
+        return PositivityVerdict(True, seen, interval=(floor, seen + allowance), stage="linear", l_star=n1 / (n1 + n2) if n1 else 0.0)
+    if min(n1, n2) <= allowance:  # max g >= max(n1, n2): no l beats the norms by more than allowance
+        return _branch_and_bound(d, allowance, seen, floor)
+    B = np.vstack([d.B1, d.B2])
+    P, Q = d.B1.T @ d.B1, d.B2.T @ d.B2
+    terms = np.stack([P + Q, P, Q]).reshape(3, 9)
+    ts = [math.log(n1 * n1 / (n2 * (2.0 * n1 + n2))), math.log(n1 * (n1 + 2.0 * n2) / (n2 * n2))]
+    best, far, lo, hi = (math.inf, 0.0), (0.0, None), None, None
+    for _ in range(SEARCH_ROUNDS):
+        x = [math.exp(t) for t in ts]
+        vals, vecs = np.linalg.eigh((np.array([[1.0, 1.0 / e, e] for e in x]) @ terms).reshape(-1, 3, 3))
+        top = vecs[:, :, -1]
+        y = top @ B.T
+        pq = (y * y).reshape(-1, 2, 3).sum(axis=2).tolist()  # v'Pv, v'Qv
+        for t, e, f, (p, q), v in zip(ts, x, vals[:, -1].tolist(), pq, top):
+            best = (f, t) if f < best[0] else best
+            g = math.sqrt(p) + math.sqrt(q)
+            far = (g, v) if g > far[0] else far
+            if q * e <= p / e and (lo is None or t > lo[0]):
+                lo = (t, p, q)
+            if q * e >= p / e and (hi is None or t < hi[0]):
+                hi = (t, p, q)
+        bound = math.sqrt(best[0]) + allowance
+        if 1.0 - bound >= -TOL_EIG:
+            return PositivityVerdict(True, seen, interval=(1.0 - bound, seen + allowance), stage="linear", l_star=1.0 / (1.0 + math.exp(-best[1])))
+        if far[0] > 1.0 + TOL_EIG or lo is None or hi is None or hi[0] - lo[0] <= 8.0 * _EPS * (1.0 + abs(lo[0])):
+            break
+        (ta, pa, qa), (tb, pb, qb) = lo, hi
+        ts = [0.5 * (math.log(p) - math.log(q)) for p, q in ((pa, qa), (pb, qb)) if p > 0.0 and q > 0.0]
+        if (pb - pa) * (qa - qb) > 0.0:
+            ts.append(math.log((pb - pa) / (qa - qb)))
+        ts = [min(max(t, ta), tb) for t in ts] + [0.5 * (ta + tb)]
+    v = far[1]
+    mins = _minima(d, v[None]).ravel()
+    seen = min(seen, float(mins.min()))
+    k = int(mins.argmin())
+    if mins[k] < -TOL_EIG:
+        witness = Witness(w=-v if k else v.copy(), min_eigenvalue=float(mins[k]))
+        return PositivityVerdict(False, seen, witness, (floor, seen + allowance), "linear")
+    return _branch_and_bound(d, allowance, seen, floor)
 
 
-def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, seen: float) -> PositivityVerdict:
-    """Stage 3 of check_positivity: bound g on spherical triangles, splitting the open ones.
+def _branch_and_bound(d: DeltaCoefficients, allowance: float, seen: float, floor: float) -> PositivityVerdict:
+    """Stage 4 of check_positivity: bound g on spherical triangles, splitting the open ones.
 
     g is sublinear, so u = sum_j mu_j v_j (mu_j >= 0) in the cone of a
     triangle with vertices v_j and unit centroid c has g(u) <= sum_j mu_j
@@ -187,7 +272,7 @@ def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, see
     split in four (split_faces).  min_j <c, v_j> is computed once
     per face, where the face is created (FACE_COS for the icosahedron).  The
     first vertex batch with an eigenvalue below -TOL_EIG gives the witness,
-    its most negative one.
+    its most negative one, and floor is its interval's lower end.
     """
     V, F, cos, g, fresh, settled_top = ICOSAHEDRON, FACES, FACE_COS, np.empty((0, 2)), ICOSAHEDRON, 0.0
     while True:
@@ -196,18 +281,19 @@ def _branch_and_bound(d: DeltaCoefficients, M: np.ndarray, allowance: float, see
         if (minima < -TOL_EIG).any():
             k = int(minima.argmin())
             w = fresh[k // 2] if k % 2 == 0 else -fresh[k // 2]
-            return _refuted(M, allowance, Witness(w=w, min_eigenvalue=float(minima.flat[k])), seen)
+            witness = Witness(w=w, min_eigenvalue=float(minima.flat[k]))
+            return PositivityVerdict(False, seen, witness, (floor, seen + allowance), "branch-and-bound")
         g = np.vstack([g, 1.0 - minima])  # g(-v), g(v)
         bound = (np.maximum(0.0, g[F].max(axis=(1, 2))) + allowance) / cos
         settled = 1.0 - bound >= -TOL_EIG  # NaN stays open
         settled_top = max(settled_top, float(bound[settled].max(initial=0.0)))
         F = F[~settled]
         if not len(F):
-            return PositivityVerdict(True, seen, interval=(1.0 - settled_top, seen + allowance))
+            return PositivityVerdict(True, seen, interval=(1.0 - settled_top, seen + allowance), stage="branch-and-bound")
         n = len(V)
         V, F = split_faces(V, F)
         if len(V) > VERTEX_CAP:
             top = max(settled_top, float(bound[~settled].max()))
-            return PositivityVerdict(None, seen, interval=(1.0 - top, seen + allowance))
+            return PositivityVerdict(None, seen, interval=(1.0 - top, seen + allowance), stage="branch-and-bound")
         fresh = V[n:]
         cos = _face_cos(V, F)

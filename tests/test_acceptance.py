@@ -6,7 +6,6 @@ tolerance is pinned here, nothing is deferred to later calibration.
 
 import math
 import time
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -26,10 +25,8 @@ from blochquad import (
     linear_family,
     logistic_conjugacy_residual,
     monte_carlo_sphere,
-    operator_norm3,
     verify_collapse,
 )
-from blochquad import positivity
 from blochquad.channel import DeltaCoefficients
 from blochquad.positivity import _probe_directions
 from blochquad.purity import MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION
@@ -100,7 +97,7 @@ def test_criterion_3_linear_dichotomy():
     blocks = []
     for _ in range(100):
         raw = rng.standard_normal((3, 3))
-        blocks.append(raw * (rng.uniform(0.0, 1.0) / operator_norm3(raw)))
+        blocks.append(raw * (rng.uniform(0.0, 1.0) / np.linalg.norm(raw, 2)))
     # 1 - 2|B| = -1.4e-9, between the proof's acceptance line -TOL_EIG and -2 TOL_EIG
     blocks.append((0.5 + 7e-10) * np.eye(3))
     disagreements = 0
@@ -125,13 +122,12 @@ def test_criterion_3_linear_dichotomy():
 @settings(max_examples=60, deadline=None)
 @given(rotations)
 def test_criterion_3_half_rotations_are_positive_by_the_closed_form(R):
-    # A half-rotation is q-pure and linear, so positive: the closed form must
-    # prove it, with the minimum 0 inside the certified interval.
+    # A half-rotation is q-pure and linear, so positive: the linear
+    # certificate must prove it, with the minimum 0 inside the certified interval.
     B = R / 2.0
-    with mock.patch.object(positivity, "_branch_and_bound", side_effect=AssertionError("branch and bound ran")):
-        result = check_positivity(linear_family(B))
+    result = check_positivity(linear_family(B))
     lower, upper = result.interval
-    ok = check_linear_isometry(B).verdict and result.verdict is True and lower <= 0.0 <= upper
+    ok = check_linear_isometry(B).verdict and result.verdict is True and result.stage == "linear" and lower <= 0.0 <= upper
     _record(3, ok, f"half-rotation: verdict {result.verdict}, interval [{lower:.2e}, {upper:.2e}]")
 
 

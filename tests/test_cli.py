@@ -529,11 +529,11 @@ def test_marginal_purity_in_reports(tmp_path, capsys):
 
 
 def test_marginal_positivity_in_reports(tmp_path, capsys):
-    # g(u) = 0.6 |(u1, u2)| + 0.8 |u3| reaches 1 on a whole circle: the proof
+    # g(u) = 0.8 u3 + 0.6 |(u1, u2)| reaches 1 on a whole circle: the proof
     # runs out of vertices.  inspect reports a null verdict and the interval;
     # certify exits 2 whatever it expected and says why on stderr.
-    path = tmp_path / "flat.json"
-    path.write_text(json.dumps({"B1": np.diag([0.6, 0.6, 0.0]).tolist(), "B2": np.diag([0.0, 0.0, 0.8]).tolist()}))
+    path = tmp_path / "flat_offset.json"
+    path.write_text(json.dumps({"b": [0.0, 0.0, 0.8], "B1": np.diag([0.6, 0.6, 0.0]).tolist()}))
     code, out, _ = run_cli(capsys, "inspect", str(path), "--samples", "100")
     assert code == 0
     positivity = json.loads(out)["positivity"]

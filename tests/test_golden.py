@@ -40,6 +40,8 @@ def _built_configs() -> dict:
 
     configs = {
         "flat": {"B1": [[0.6, 0, 0], [0, 0.6, 0], [0, 0, 0]], "B2": [[0, 0, 0], [0, 0, 0], [0, 0, 0.8]]},
+        # g(u) = 0.8 u3 + 0.6 |(u1, u2)| is 1 on a circle: marginal at the vertex cap
+        "flat_offset": {"b": [0, 0, 0.8], "B1": [[0.6, 0, 0], [0, 0.6, 0], [0, 0, 0]]},
         "broken_trace": {"b": [0.1, 0, 0]},
         # delta1 with a cross term 1e-6 orthogonal to its image: q-pure to 1e-12
         "delta1_tilted": {"T": [[[0, 0, 1], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [1e-6, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]},
