@@ -14,8 +14,8 @@ M_2(C), unital and *-preserving by construction.
 
 Blocks are admitted by qmap.admit, as one read-only copy whose views they
 are, with entries up to qmap.COEFFICIENT_LIMIT (1e150) in magnitude, so
-the largest product any check forms from them, an 8x8 coassociativity
-entry (about 2.6e302), stays below the double maximum of 1.8e308.  A
+the largest number any check forms from them, the coassociativity
+residual (at most 2.7e302), stays below the double maximum of 1.8e308.  A
 refusal names its block.
 
 Trace preservation (b = 0), symmetry (B1 = B2, T[m, l, i] = T[l, m, i])
@@ -23,20 +23,25 @@ and the Haar trace (b = B1 = B2 = 0) are read off the blocks: the Frobenius
 norm of the residual blocks must be at most tol times that of all 48
 entries.  A change of frame maps each block by an orthogonal Kronecker
 product (b -> R b, B -> R B R', T -> (R (x) R (x) R) T), so the verdict
-depends on neither the frame nor the scale.  Coassociativity compares its
-residual with an absolute tol.
+depends on neither the frame nor the scale.  Coassociativity compares the
+Frobenius norm of its three 8x8 residuals, computed from the 192 Pauli
+weights of the two sides, with an absolute tol; inside the rounding band
+of tol it is decided in exact arithmetic.  It does not depend on the
+frame, but it does on the scale.
 
 bloch_images, the images the positivity proof solves, and coassociativity
-are built on the three basis images Delta(sigma_i).  An operator keeps its
-48 admitted entries as one read-only array; its coefficients c[i, m, l]
-are one take of them by a fixed permutation, and its basis images one
-product of c with the sixteen tensor-basis matrices.  Coefficients, basis
-images and the induced map are built on first use and kept with the
+are built on the coefficients c[i, m, l] of the three basis images
+Delta(sigma_i).  An operator keeps its 48 admitted entries as one
+read-only array; its coefficients are one take of them by a fixed
+permutation, and its basis images one product of c with the sixteen
+tensor-basis matrices.  Coefficients, basis images, the
+entries' norm and the induced map are built on first use and kept with the
 operator, read-only, so every check of one operator shares them.  The
-tests' references, in tests/algebra_reference.py, hold the matrix of
-Delta(x), its closed form for symmetric operators, the pair functional
-(phi (x) psi)(Delta(x)), and the tensor swap and partial traces that
-define symmetry and the Haar trace on the images.
+tests' references, in tests/algebra_reference.py and tests/test_channel.py,
+hold the matrix of Delta(x), its closed form for symmetric operators, the
+pair functional (phi (x) psi)(Delta(x)), the tensor swap and partial
+traces that define symmetry and the Haar trace on the images, and the two
+8x8 lifts that define coassociativity.
 """
 
 from __future__ import annotations
@@ -57,11 +62,6 @@ TENSOR_BASIS = np.array([[kron(em, el) for el in BASIS] for em in BASIS])
 _TENSOR_ROWS = TENSOR_BASIS.reshape(16, 16)
 _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
-# sum_l kron(X_l, e_l) = X @ _LIFT_RIGHT and sum_m kron(e_m, Y_m) = Y @ _LIFT_LEFT
-# for four 4x4 matrices X_l (Y_m) flattened to one row of 64; the products
-# come out as flattened 8x8 matrices.
-_LIFT_RIGHT = np.einsum("ap,bq,lcd->labpcqd", np.eye(4), np.eye(4), np.array(BASIS)).reshape(64, 64)
-_LIFT_LEFT = np.einsum("mab,cp,dq->mcdapbq", np.array(BASIS), np.eye(4), np.eye(4)).reshape(64, 64)
 
 
 # Field name, entries of the admitted copy of all 48 entries, and shape of each block.
@@ -81,6 +81,31 @@ def _coefficient_order() -> np.ndarray:
 
 
 _COEFFICIENT_ORDER = _coefficient_order()
+
+
+def _lift_tables() -> tuple:
+    """Index tables of the coassociativity weights; see _coassociativity_residual.
+
+    Returns the entry numbers of c placed as the rows of the (24, 4) factor
+    (row 4 i + r is c[i, :, r], row 12 + 4 i + p is c[i, p, :]), and the
+    entries of the (24, 16) product holding L[i, p, q, r] and R[i, p, q, r],
+    each flattened in (i, p, q, r) order.
+    """
+    slots = np.arange(48).reshape(3, 4, 4)
+    rows = np.concatenate([slots.transpose(0, 2, 1).reshape(12, 4), slots.reshape(12, 4)])
+    i, p, q, r = np.indices((3, 4, 4, 4))
+    return rows.ravel(), ((4 * i + r) * 16 + 4 * p + q).ravel(), ((12 + 4 * i + p) * 16 + 4 * q + r).ravel()
+
+
+_LIFT_ROWS, _LEFT_WEIGHTS, _RIGHT_WEIGHTS = _lift_tables()
+# The weights of Delta(sigma_0) = 1(x)1 in row 0, above the rows of c.
+_UNIT_IMAGE = np.zeros((4, 16))
+_UNIT_IMAGE[0, 0] = 1.0
+_UNIT_IMAGE.setflags(write=False)
+_SQRT8 = math.sqrt(8.0)
+# k of the coassociativity filter's rounding bound k eps (1 + N)^2; see check_coassociativity.
+_COASSOCIATIVITY_ROUNDING = 32.0
+_EPS = float(np.finfo(float).eps)
 
 # Rows of T.reshape(9, 3) (row 3 m + l is T[m, l]) that make the induced
 # map's rows: a, b, c are T[i, i]; A, B, Gamma are T[0, 1] + T[1, 0],
@@ -133,10 +158,21 @@ class DeltaCoefficients:
         return cls(b=None, B1=B1, B2=B2, T=T)
 
     @functools.cached_property
+    def _stacked_coefficients(self) -> np.ndarray:
+        # (4, 16): row m the weights of Delta(sigma_m), Delta(sigma_0) = 1(x)1
+        stacked = _UNIT_IMAGE.copy()
+        self._entries.take(_COEFFICIENT_ORDER, out=stacked[1:].reshape(48))
+        stacked.setflags(write=False)
+        return stacked
+
+    @functools.cached_property
     def _coefficients(self) -> np.ndarray:
-        c = self._entries.take(_COEFFICIENT_ORDER).reshape(3, 4, 4)
-        c.setflags(write=False)
-        return c
+        return self._stacked_coefficients[1:].reshape(3, 4, 4)  # a read-only view
+
+    @functools.cached_property
+    def _norm(self) -> float:
+        # math.hypot scales internally: no overflow at the admission bound
+        return math.hypot(*self._entries.tolist())
 
     @functools.cached_property
     def _basis_images(self) -> np.ndarray:
@@ -193,7 +229,7 @@ def _within(d: DeltaCoefficients, tol: float, residual: list) -> bool:
     bound or underflows to a false pass; as a product, not a quotient, the
     zero operator passes instead of reading 0/0.
     """
-    return math.hypot(*residual) <= checked_tol(tol) * math.hypot(*d._entries.tolist())
+    return math.hypot(*residual) <= checked_tol(tol) * d._norm
 
 
 def is_trace_preserving(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
@@ -216,27 +252,88 @@ def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
 
 
 def _coassociativity_residual(d: DeltaCoefficients) -> float:
-    """Largest entry of |(Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)|.
+    """(sum_i |(Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)|_F^2)^(1/2).
 
-    With c[i, m, l] the weight of sigma_m (x) sigma_l in Delta(sigma_i), the
-    left side is sum_l kron(X_l, sigma_l) for X_l = sum_m c[i, m, l] Delta(sigma_m),
-    the right side sum_m kron(sigma_m, Y_m) for Y_m = sum_l c[i, m, l] Delta(sigma_l)
-    (Delta(sigma_0) = 1(x)1): two matrix products per side.
+    With C[m, p, q] the weight of sigma_p (x) sigma_q in Delta(sigma_m) and
+    C[0] = 1(x)1, (Delta (x) id) Delta(sigma_i) gives sigma_p (x) sigma_q (x) sigma_r
+    the weight L[i, p, q, r] = sum_m C[i, m, r] C[m, p, q], and
+    (id (x) Delta) Delta(sigma_i) the weight R[i, p, q, r] = sum_l C[i, p, l] C[l, q, r].
+    Both sides are one (24, 4) @ (4, 16) product, read out by _LEFT_WEIGHTS
+    and _RIGHT_WEIGHTS.  The 64 products sigma_p (x) sigma_q (x) sigma_r are
+    orthogonal, each of Frobenius norm sqrt(8), so the residual is sqrt(8)
+    times the 2-norm of the 192 differences L - R; math.hypot takes that
+    without overflow at the admission bound.  A rotation of the frame acts
+    on the differences of each image by an orthogonal map and mixes the
+    three images orthogonally, so the residual does not depend on the frame.
     """
-    c = _basis_coefficients(d)
-    images = np.concatenate([_EYE4[None], basis_images(d)]).reshape(4, 16)
-    lhs = (c.transpose(0, 2, 1) @ images).reshape(3, 64) @ _LIFT_RIGHT
-    rhs = (c @ images).reshape(3, 64) @ _LIFT_LEFT
-    return float(np.abs(lhs - rhs).max())
+    weights = _basis_coefficients(d).take(_LIFT_ROWS).reshape(24, 4) @ d._stacked_coefficients
+    return _SQRT8 * math.hypot(*(weights.take(_LEFT_WEIGHTS) - weights.take(_RIGHT_WEIGHTS)).tolist())
+
+
+def _exact_coassociativity_within(c: np.ndarray, tol: float) -> bool:
+    """Whether the exact residual of the operator with coefficients c is at most tol.
+
+    The weights of _coassociativity_residual as Fractions of the float
+    entries, and their squared differences summed and compared with
+    tol^2 / 8, so no root is taken.  About 10 ms: check_coassociativity
+    calls it only inside its rounding band.
+    """
+    from fractions import Fraction  # off the import path: only operators inside the band need it
+
+    zero = Fraction(0)
+    unit = [[zero] * 4 for _ in range(4)]
+    unit[0][0] = Fraction(1)
+    C = [unit] + [[[Fraction(x) for x in row] for row in block] for block in c.tolist()]
+    total = zero
+    for i in range(1, 4):
+        for p in range(4):
+            for q in range(4):
+                for r in range(4):
+                    left = sum(C[i][m][r] * C[m][p][q] for m in range(4))
+                    right = sum(C[i][p][l] * C[l][q][r] for l in range(4))
+                    total += (left - right) ** 2
+    return 8 * total <= Fraction(tol) ** 2
 
 
 def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
-    """Compare (Delta (x) id) Delta and (id (x) Delta) Delta on the basis.
+    """Whether (Delta (x) id) Delta = (id (x) Delta) Delta on the basis, to within tol.
 
-    Both sides are 8x8 matrices: each basis image expanded in the
-    tensor-Pauli basis, with one leg lifted through Delta again.
+    Both sides of each Delta(sigma_i) are 8x8 matrices: the image expanded
+    in the tensor-Pauli basis, with one leg lifted through Delta again.
+    Their residual, _coassociativity_residual, is the Frobenius norm of the
+    three differences, compared with an absolute tol.
+
+    The float residual r is within bound = 32 eps (1 + N)^2 of the exact
+    one, for N = d._norm, the 2-norm of all 48 entries, which is that of c.
+    With u = eps / 2, to first order, in units of u N (1 + N) in the 2-norm
+    of the differences: each weight is a sum of four products, off by at
+    most 4.01u times the sum of their magnitudes, and those sums form the
+    product |A| |C| of the (24, 4) and (4, 16) factors' magnitudes, whose
+    left and right halves have Frobenius norm at most N sqrt(1 + N^2) each
+    (8.02).  The differences, of 2-norm at most 2 N (1 + N), round by u each
+    (2), math.hypot errs by under 1 ulp (4), and sqrt(8) and the product
+    by 2u (4): 18.02u sqrt(8) N (1 + N) < 25.5 eps (1 + N)^2.  N itself
+    (1 ulp) and bound round by a few u relative, and the comparisons
+    r + bound and r - bound with tol by u (r + tol), inside the remaining
+    6.5 eps (1 + N)^2 wherever tol is at most 13 (1 + N)^2.  Above that,
+    tol exceeds every residual, exact or float, which is at most
+    2 sqrt(8) N (1 + N) (1 + 25.5 eps), and the float verdict is True, as it
+    should be.
+
+    So r + bound <= tol proves the verdict True and r - bound > tol proves it
+    False (Shewchuk's floating-point filter, Discrete Comput. Geom. 18,
+    1997).  Between them _exact_coassociativity_within decides.  Admitted
+    entries keep every intermediate finite: with all 48 at 1e150, r is at
+    most 2 sqrt(8) N (1 + N) = 2.7e302 and bound 3.4e287.
     """
-    return _coassociativity_residual(d) <= checked_tol(tol)
+    tol = checked_tol(tol)
+    r = _coassociativity_residual(d)
+    bound = _COASSOCIATIVITY_ROUNDING * _EPS * (1.0 + d._norm) ** 2
+    if r + bound <= tol:
+        return True
+    if r - bound > tol:
+        return False
+    return _exact_coassociativity_within(_basis_coefficients(d), tol)
 
 
 def induced_qmap(d: DeltaCoefficients) -> QuadraticMapCoeffs:

@@ -433,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", parents=[ignored], help="full classification report as JSON")
     p.add_argument("path", help="operator config JSON file")
     tol_help = "tolerance, relative to the coefficients' Frobenius norm for trace_preserving, symmetric and haar_trace"
-    p.add_argument("--tol", type=float, default=1e-9, help=tol_help + ", absolute for coassociative and q_purity")
+    tol_help += ", absolute for coassociative (the Frobenius norm of its 8x8 residuals, decided exactly near tol) and q_purity"
+    p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("simulate", help="iterate the induced Bloch map")

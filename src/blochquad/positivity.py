@@ -210,7 +210,16 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
     their minima, where they cross (exact for the kink of commuting P and Q,
     as on flat) and at the midpoint.  min_t h_v = g(v)^2, so a solved v with
     g(v) > 1 + TOL_EIG ends the search as a witness candidate, confirmed by
-    _minima; what stays open after SEARCH_ROUNDS goes to _branch_and_bound.
+    _minima.  So does a round whose minima and crossing are all solved
+    already: the ends' curves have nothing new to offer.  If that candidate
+    fails, one more is tried on the circle through the bracket ends' top
+    eigenvectors va and vb, cos(th) va + sin(th) vb with
+    tan(th) = g(vb) / g(va).  Where P and Q commute, with Q va = 0 and
+    P vb = 0 (B1 = s diag(0.6, 0.6, 0), B2 = s diag(0, 0, 0.8)), g is
+    g(va) cos(th) + g(vb) sin(th) on that circle and peaks there; the search
+    finds that kink in its second round and could only re-solve it.  What
+    stays open after both candidates, or after SEARCH_ROUNDS, goes to
+    _branch_and_bound.
 
     Accepted at sqrt(f) + allowance <= 1 + TOL_EIG, so f < 1.01: forming A(t)
     from B1, B2 and e^t errs by under 36 eps * f (|B1|^2 / l and
@@ -226,7 +235,7 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
     P, Q = d.B1.T @ d.B1, d.B2.T @ d.B2
     terms = np.stack([P + Q, P, Q]).reshape(3, 9)
     ts = [math.log(n1 * n1 / (n2 * (2.0 * n1 + n2))), math.log(n1 * (n1 + 2.0 * n2) / (n2 * n2))]
-    best, far, lo, hi = (math.inf, 0.0), (0.0, None), None, None
+    best, far, lo, hi, solved = (math.inf, 0.0), (0.0, None), None, None, set()
     for _ in range(SEARCH_ROUNDS):
         x = [math.exp(t) for t in ts]
         vals, vecs = np.linalg.eigh((np.array([[1.0, 1.0 / e, e] for e in x]) @ terms).reshape(-1, 3, 3))
@@ -238,26 +247,36 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
             g = math.sqrt(p) + math.sqrt(q)
             far = (g, v) if g > far[0] else far
             if q * e <= p / e and (lo is None or t > lo[0]):
-                lo = (t, p, q)
+                lo = (t, p, q, g, v)
             if q * e >= p / e and (hi is None or t < hi[0]):
-                hi = (t, p, q)
+                hi = (t, p, q, g, v)
+        solved.update(ts)
         bound = math.sqrt(best[0]) + allowance
         if 1.0 - bound >= -TOL_EIG:
             return PositivityVerdict(True, seen, interval=(1.0 - bound, seen + allowance), stage="linear", l_star=1.0 / (1.0 + math.exp(-best[1])))
         if far[0] > 1.0 + TOL_EIG or lo is None or hi is None or hi[0] - lo[0] <= 8.0 * _EPS * (1.0 + abs(lo[0])):
             break
-        (ta, pa, qa), (tb, pb, qb) = lo, hi
+        (ta, pa, qa), (tb, pb, qb) = lo[:3], hi[:3]
         ts = [0.5 * (math.log(p) - math.log(q)) for p, q in ((pa, qa), (pb, qb)) if p > 0.0 and q > 0.0]
         if (pb - pa) * (qa - qb) > 0.0:
             ts.append(math.log((pb - pa) / (qa - qb)))
-        ts = [min(max(t, ta), tb) for t in ts] + [0.5 * (ta + tb)]
-    v = far[1]
-    mins = _minima(d, v[None]).ravel()
-    seen = min(seen, float(mins.min()))
-    k = int(mins.argmin())
-    if mins[k] < -TOL_EIG:
-        witness = Witness(w=-v if k else v.copy(), min_eigenvalue=float(mins[k]))
-        return PositivityVerdict(False, seen, witness, (floor, seen + allowance), "linear")
+        ts = [min(max(t, ta), tb) for t in ts]
+        if ts and solved.issuperset(ts):  # the ends' curves point only at solved points
+            break
+        ts.append(0.5 * (ta + tb))
+    candidates = [far[1]]
+    if far[0] <= 1.0 + TOL_EIG and lo is not None and hi is not None:
+        u = lo[3] * lo[4] + hi[3] * hi[4]  # cos(th) va + sin(th) vb, tan(th) = g(vb) / g(va), scaled
+        size = math.sqrt(u @ u)
+        if size > 0.0:  # 0 only for va = -vb
+            candidates.append(u / size)
+    for v in candidates:
+        mins = _minima(d, v[None]).ravel()
+        seen = min(seen, float(mins.min()))
+        k = int(mins.argmin())
+        if mins[k] < -TOL_EIG:
+            witness = Witness(w=-v if k else v.copy(), min_eigenvalue=float(mins[k]))
+            return PositivityVerdict(False, seen, witness, (floor, seen + allowance), "linear")
     return _branch_and_bound(d, allowance, seen, floor)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import sampling
 from .pauli import checked_tol
 from .positivity import ICOSAHEDRON
-from .qmap import QuadraticMapCoeffs, evaluate
+from .qmap import QuadraticMapCoeffs, _features, evaluate
 
 TOL_CERT = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -101,6 +101,9 @@ def _deviation_forms() -> tuple:
 
 
 _FORMS, _FOURTH_POWERS = _deviation_forms()
+# The nine features of the positivity.ICOSAHEDRON vertices, as qmap.evaluate forms them for a batch.
+_VERTEX_FEATURES = _features(ICOSAHEDRON)
+_VERTEX_FEATURES.setflags(write=False)
 
 
 def sphere_deviation(v: QuadraticMapCoeffs) -> tuple:
@@ -143,7 +146,7 @@ def sphere_deviation(v: QuadraticMapCoeffs) -> tuple:
     of the map at 2e150, upper is about 1.8e302.
     """
     weighted = (_ROOT_WEIGHTS * (_FORMS @ v.gram.ravel() - _FOURTH_POWERS)).tolist()
-    at_vertices = np.abs((evaluate(v, ICOSAHEDRON) ** 2).sum(axis=1) - 1.0)
+    at_vertices = np.abs(((_VERTEX_FEATURES @ v.coefficient_rows()) ** 2).sum(axis=1) - 1.0)
     scale = 1.0 + float(np.abs(v.coefficient_rows()).sum())
     allowance = 16.0 * _EPS * scale * scale
     upper = math.hypot(*weighted[:_QUARTIC]) + math.hypot(*weighted[_QUARTIC:]) + allowance

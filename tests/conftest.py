@@ -53,6 +53,11 @@ def rotate_delta(d, R):
     )
 
 
+def rescaled(d, factor):
+    """The operator whose 48 entries are d's times factor."""
+    return DeltaCoefficients(b=d.b * factor, B1=d.B1 * factor, B2=d.B2 * factor, T=d.T * factor)
+
+
 def delta_from_qmap(v):
     """Symmetric operator without linear blocks whose induced map is v.
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -22,6 +25,7 @@ from blochquad import (
     is_trace_preserving,
     linear_family,
 )
+from blochquad import channel
 from blochquad.channel import (
     TENSOR_BASIS,
     _basis_coefficients,
@@ -45,7 +49,7 @@ from algebra_reference import (
     partial_trace_right,
     swap_conjugate,
 )
-from conftest import admission_bound_config, golden_operators, random_delta
+from conftest import admission_bound_config, golden_operators, random_delta, rescaled, rotate_delta, rotation_matrix
 
 
 def sigma(i):
@@ -291,9 +295,9 @@ def test_tensor_basis_enumeration():
 # Per-matrix references for the structural checks.  Symmetry and the Haar
 # trace are defined on the basis images, by the tensor swap and the partial
 # traces; channel.py reads them off the coefficient blocks, which are the
-# Pauli weights of those matrices.  Both coassociativity lifts, which
-# channel.py forms by products with constant tables, are here one
-# three-operand einsum each.
+# Pauli weights of those matrices.  Both coassociativity lifts, whose Pauli
+# weights channel.py forms by one product of the coefficients, are here one
+# three-operand einsum each, as 8x8 matrices.
 
 
 def reference_symmetry_blocks(d):
@@ -311,12 +315,13 @@ def reference_haar_trace_blocks(d):
 
 
 def reference_coassociativity_residual(d):
+    """Frobenius norm of the three 8x8 matrices (Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)."""
     c = _basis_coefficients(d)
     images = np.concatenate([np.eye(4)[None], basis_images(d)])  # Delta(sigma_m), m = 0..3
     basis = np.array(BASIS)
     lhs = np.einsum("iml,mab,lcd->iacbd", c, images, basis).reshape(3, 8, 8)
     rhs = np.einsum("iml,mab,lcd->iacbd", c, basis, images).reshape(3, 8, 8)
-    return float(np.abs(lhs - rhs).max())
+    return math.hypot(*np.abs(lhs - rhs).ravel().tolist())
 
 
 def structural_cases():
@@ -346,10 +351,11 @@ def test_structural_residuals_match_the_per_matrix_references():
     eps = float(np.finfo(float).eps)
     verdicts = set()
     for d in structural_cases():
-        # the lifts sum in another order: equal up to rounding in entries of size (1 + S)^2
+        # the weights sum in another order than the 8x8 lifts: equal up to
+        # rounding in entries of size (1 + S)^2 (0.14 eps (1 + S)^2 at most here)
         scale = 1.0 + float(np.abs(_basis_coefficients(d)).sum())
         reference = reference_coassociativity_residual(d)
-        assert abs(_coassociativity_residual(d) - reference) <= 64.0 * eps * scale * scale
+        assert abs(_coassociativity_residual(d) - reference) <= eps * scale * scale
         verdicts.add((is_symmetric(d), has_haar_trace(d), check_coassociativity(d)))
         # every verdict is the reference's at the default tolerance: symmetry and
         # the Haar trace relative to the norm of all entries, coassociativity absolute
@@ -406,8 +412,8 @@ def test_index_tables_keep_the_bytes_on_drawn_operators(x):
     assert_tables_keep_the_bytes(DeltaCoefficients(b=x[:3], B1=x[3:12].reshape(3, 3), B2=x[12:21].reshape(3, 3), T=x[21:].reshape(3, 3, 3)))
 
 
-def exact_coassociativity_residual(d):
-    """Largest |left - right| over the lift weights of the three Delta(sigma_i), in exact arithmetic.
+def exact_weight_differences(d):
+    """The 192 differences left - right of the lift weights of the three Delta(sigma_i), in exact arithmetic.
 
     With C[m, p, q] the weight of sigma_p (x) sigma_q in Delta(sigma_m) and
     C[0] = 1(x)1, (Delta (x) id) Delta(sigma_i) gives sigma_p (x) sigma_q (x) sigma_r
@@ -418,11 +424,21 @@ def exact_coassociativity_residual(d):
     C = [[[Fraction(int(m == p == q == 0)) for q in range(4)] for p in range(4)] for m in range(4)]
     for i, block in enumerate(_basis_coefficients(d).tolist(), start=1):
         C[i] = [[Fraction(x) for x in row] for row in block]
-    return max(
-        abs(sum(C[i][m][r] * C[m][p][q] for m in range(4)) - sum(C[i][p][l] * C[l][q][r] for l in range(4)))
+    return [
+        sum(C[i][m][r] * C[m][p][q] for m in range(4)) - sum(C[i][p][l] * C[l][q][r] for l in range(4))
         for i in range(1, 4)
         for p, q, r in product(range(4), repeat=3)
-    )
+    ]
+
+
+def exact_coassociativity_residual(d):
+    """Largest |left - right| over the lift weights, in exact arithmetic."""
+    return max(abs(x) for x in exact_weight_differences(d))
+
+
+def exact_squared_residual(d):
+    """The square of the Frobenius norm of the three 8x8 residuals, in exact arithmetic: 8 times the weights' sum of squares."""
+    return 8 * sum(x * x for x in exact_weight_differences(d))
 
 
 def test_coassociativity_verdicts_agree_with_the_exact_lift_weights():
@@ -442,6 +458,87 @@ def test_coassociativity_verdicts_agree_with_the_exact_lift_weights():
     # every entry s = 1e150: 1(x)1(x)sigma_r weighs s + 3 s^2 on the left and 3 s^2 on the right
     for name in ("bound_plus", "bound_minus"):
         assert exact_coassociativity_residual(load_config(str(golden / f"{name}.json"))) == Fraction(1e150)
+
+
+def bound_operators():
+    golden = Path(__file__).parent / "golden"
+    return [load_config(str(golden / f"{name}.json")) for name in ("bound_plus", "bound_minus")]
+
+
+def test_verdict_is_exact_at_the_threshold():
+    # On bound_plus and bound_minus the float weights cancel to 0, while the
+    # exact residual is about 1e151: every tol near it lies inside the
+    # rounding band, and the verdict must flip exactly where tol^2 passes
+    # the exact squared residual.
+    for d in bound_operators():
+        squared = exact_squared_residual(d)
+        near = math.sqrt(float(squared))
+        tols = [near]
+        for _ in range(3):
+            tols = [math.nextafter(tols[0], 0.0)] + tols + [math.nextafter(tols[-1], math.inf)]
+        verdicts = [check_coassociativity(d, tol=t) for t in tols]
+        assert verdicts == [Fraction(t) ** 2 >= squared for t in tols]
+        assert set(verdicts) == {True, False}
+
+
+def test_the_exact_path_keeps_the_bound_operators_non_coassociative(monkeypatch):
+    # Without the rounding band their float residual, 0, would pass: the
+    # exact path is what reads them false.
+    reached = []
+    exact = channel._exact_coassociativity_within
+    monkeypatch.setattr(channel, "_exact_coassociativity_within", lambda c, tol: reached.append(tol) or exact(c, tol))
+    assert not any(check_coassociativity(d) for d in bound_operators()) and len(reached) == 2
+    assert all(_coassociativity_residual(d) == 0.0 for d in bound_operators())
+    monkeypatch.setattr(channel, "_COASSOCIATIVITY_ROUNDING", 0.0)
+    assert all(check_coassociativity(d) for d in bound_operators()) and len(reached) == 2
+
+
+def test_operators_of_moderate_size_never_reach_the_exact_path(monkeypatch):
+    def refuse(c, tol):
+        raise AssertionError("reached the exact path")
+
+    monkeypatch.setattr(channel, "_exact_coassociativity_within", refuse)
+    cases = [d for d in structural_cases() + golden_operators() if np.abs(d._entries).max() < 1e3]
+    assert len(cases) >= 90
+    verdicts = {check_coassociativity(d) for d in cases}
+    assert verdicts == {True, False}
+
+
+def residual_at(raw, target):
+    """raw scaled by the factor, found by bisection, at which its coassociativity residual is target to within 1e-6."""
+    lo, hi = 0.0, 1.0
+    while _coassociativity_residual(rescaled(raw, hi)) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        d = rescaled(raw, mid)
+        r = _coassociativity_residual(d)
+        if abs(r - target) <= 1e-6 * target:
+            return d
+        lo, hi = (mid, hi) if r < target else (lo, mid)
+
+
+def test_coassociativity_verdict_does_not_depend_on_the_frame():
+    # Operators 0.1% above and below the default tol of 1e-9: the residual
+    # is a Frobenius norm, so no rotation of the frame moves it across.
+    rng = np.random.default_rng(31)
+    raw = random_delta(rng, trace_preserving=False)
+    above, below = residual_at(raw, 1.001e-9), residual_at(raw, 0.999e-9)
+    flips = 0
+    for _ in range(200):
+        R = rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 2.0 * np.pi))
+        flips += check_coassociativity(rotate_delta(above, R)) + (not check_coassociativity(rotate_delta(below, R)))
+    assert not check_coassociativity(above) and check_coassociativity(below) and flips == 0
+
+
+def test_importing_the_command_line_leaves_fractions_unloaded():
+    # fractions (with decimal) costs milliseconds of start-up; only the exact
+    # coassociativity path imports it.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, blochquad.cli; print('fractions' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_images_and_map_are_built_once_per_operator(rng):

@@ -21,7 +21,7 @@ from blochquad.channel import basis_images
 from blochquad.positivity import TOL_EIG, VERTEX_CAP, _probe_directions
 from blochquad.qmap import COEFFICIENT_LIMIT
 from blochquad.sampling import generator, sphere_points
-from conftest import conjugate_qmap, delta_from_qmap, random_delta, rotation_matrix, sphere_faces
+from conftest import conjugate_qmap, delta_from_qmap, random_delta, rescaled, rotation_matrix, sphere_faces
 from sampled_oracle import CHUNK, _clears, check_positivity_exhaustive, check_positivity_sampled
 from algebra_reference import NotHaarFormError, PauliElement, apply, check_linear_positivity, simple_form_eigs, theorem_witness_eigs
 
@@ -178,10 +178,6 @@ def assert_matches_exhaustive(d, samples, seed):
         assert result.witness.min_eigenvalue == reference.witness.min_eigenvalue
     assert abs(result.min_eigenvalue_seen - reference.min_eigenvalue_seen) <= 1e-12 * oracle_scale(d)
     return result
-
-
-def rescaled(d, factor):
-    return DeltaCoefficients(b=d.b * factor, B1=d.B1 * factor, B2=d.B2 * factor, T=d.T * factor)
 
 
 def narrow_cap_operator(s, t):
@@ -541,6 +537,20 @@ def test_rotated_flat_family_is_positive():
         result = check_positivity(d)
         assert result.verdict is True and result.stage == "linear"
         assert result.l_star == pytest.approx(a * a, rel=1e-6)
+
+
+def test_certificate_refutes_flat_scaled_past_its_circle(monkeypatch):
+    # s * flat: g peaks at s on flat's circle, on the kink of the commuting P
+    # and Q.  The search finds the kink in its second round, stops there, and
+    # the witness lies on the circle through the bracket ends' eigenvectors.
+    solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(1) or eigh(a))
+    for s in (1.000001, 1.001, 1.05):
+        solves.clear()
+        result = check_positivity(rescaled(FLAT, s))
+        assert result.verdict is False and result.stage == "linear" and len(solves) <= 3
+        assert result.witness.min_eigenvalue == pytest.approx(1.0 - s, abs=1e-12)
 
 
 def test_linear_certificate_agrees_with_the_branch_and_bound():
