@@ -270,29 +270,34 @@ def _coassociativity_residual(d: DeltaCoefficients) -> float:
     return _SQRT8 * math.hypot(*(weights.take(_LEFT_WEIGHTS) - weights.take(_RIGHT_WEIGHTS)).tolist())
 
 
+def _scaled_weight_differences(c: np.ndarray) -> np.ndarray:
+    """2^2148 times the 192 differences L - R of _coassociativity_residual, exactly, as Python ints.
+
+    Every double is an integer multiple of 2^-1074, so 2^1074 times each
+    entry of c, and the unit weight 2^1074 of C[0] = 1(x)1, are ints; the
+    same (24, 4) @ (4, 16) product and takes, on an object array, give the
+    weights times 2^2148 with no rounding.
+    """
+    stacked = np.zeros((4, 16), dtype=object)
+    stacked[0, 0] = 1 << 1074
+    # x = n / 2^k with k <= 1074, and m = 2^k has k + 1 bits
+    scaled = [n << (1075 - m.bit_length()) for n, m in map(float.as_integer_ratio, c.ravel().tolist())]
+    stacked[1:] = np.array(scaled, dtype=object).reshape(3, 16)
+    weights = stacked[1:].ravel().take(_LIFT_ROWS).reshape(24, 4) @ stacked
+    return weights.take(_LEFT_WEIGHTS) - weights.take(_RIGHT_WEIGHTS)
+
+
 def _exact_coassociativity_within(c: np.ndarray, tol: float) -> bool:
     """Whether the exact residual of the operator with coefficients c is at most tol.
 
-    The weights of _coassociativity_residual as Fractions of the float
-    entries, and their squared differences summed and compared with
-    tol^2 / 8, so no root is taken.  About 10 ms: check_coassociativity
-    calls it only inside its rounding band.
+    The sum of squares of _scaled_weight_differences, 2^4296 times that of
+    the weights, is compared with 2^4296 tol^2 / 8 in ints, so no root is
+    taken.  About 0.05 ms: check_coassociativity calls it only inside its
+    rounding band.
     """
-    from fractions import Fraction  # off the import path: only operators inside the band need it
-
-    zero = Fraction(0)
-    unit = [[zero] * 4 for _ in range(4)]
-    unit[0][0] = Fraction(1)
-    C = [unit] + [[[Fraction(x) for x in row] for row in block] for block in c.tolist()]
-    total = zero
-    for i in range(1, 4):
-        for p in range(4):
-            for q in range(4):
-                for r in range(4):
-                    left = sum(C[i][m][r] * C[m][p][q] for m in range(4))
-                    right = sum(C[i][p][l] * C[l][q][r] for l in range(4))
-                    total += (left - right) ** 2
-    return 8 * total <= Fraction(tol) ** 2
+    total = sum(x * x for x in _scaled_weight_differences(c).tolist())
+    n, m = float(tol).as_integer_ratio()
+    return 8 * total * m * m <= (n * n) << 4296
 
 
 def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:

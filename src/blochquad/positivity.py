@@ -3,9 +3,11 @@
 check_positivity runs four stages, and its verdict names the one that
 decided: probes (with the top singular directions of B1 and B2 for
 T = 0, b = 0), the S-lemma certificate for T = 0, b = 0, the norm bound
-sqrt(sum_i |Delta(sigma_i)|^2) <= 1, and a branch and bound on the sphere.
-Every spectrum comes from LAPACK: eigvalsh on the images Delta(1 + w.sigma)
-of channel.bloch_images, eigh on the certificate's 3x3 matrices.  The
+sqrt(sum_i |Delta(sigma_i)|^2) <= 1, whose norms are read off the axis
+probes, and a branch and bound on the sphere.  Every spectrum comes from
+LAPACK: eigvalsh on the images Delta(1 + w.sigma) of channel.bloch_images,
+eigh on the certificate's 3x3 matrices, and one SVD of B1 and B2 for
+T = 0, b = 0.  The
 paper's closed-form spectra, and the |B| <= 1/2 criterion for linear
 operators, are the tests' references for it, in tests/algebra_reference.py.
 """
@@ -133,7 +135,9 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
         singular vectors of B1 and B2 follow them;
     (2) "linear", for T = 0, b = 0, where g(u) = |B1 u| + |B2 u|:
         _linear_certificate, exact by the S-lemma;
-    (3) "norm", otherwise: g(u) <= |u.M| <= reach = sqrt(sum_i |M_i|^2);
+    (3) "norm", otherwise: g(u) <= |u.M| <= reach = sqrt(sum_i |M_i|^2),
+        with |M_i| = max(g(e_i), g(-e_i)) read off the probes' last rows
+        e1, e2, e3, so the probes' one eigvalsh gives both;
     (4) "branch-and-bound": _branch_and_bound, whose faces carry their
         geometry min_j <c, v_j> from where they are created (FACE_COS,
         computed at import, for the 10 icosahedron face pairs).
@@ -142,8 +146,10 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
     vertex below -TOL_EIG), None (marginal) at VERTEX_CAP; only operators
     with T != 0 or b != 0, or linear ones whose minimum is within allowance
     of -TOL_EIG, can be marginal.  interval: upper is the least
-    eigenvalue seen plus allowance; on a witness lower is 1 - |B1| - |B2| -
-    allowance for T = 0, b = 0 and 1 - reach - allowance otherwise.
+    eigenvalue seen plus allowance (the linear certificate's search also
+    takes 1 - g at the points it solved); on a witness lower is
+    1 - |B1| - |B2| - allowance for T = 0, b = 0 and 1 - reach - allowance
+    otherwise.
 
     allowance = 128 eps * scale, where scale = 1 + sum |entries of M| bounds
     |Delta(1 + w.sigma)| for |w| <= 1 and the Lipschitz constant of g.  It
@@ -153,9 +159,13 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
     within 8 eps of the plane of its edge, and a neighbour keeping the edge
     covers the gap); 32 eps * scale for the norms, centroids, <c, v_j> and
     the division, on bounds that pass only below 2.  reach errs by under
-    32 eps * scale: M's entries by 4 eps * scale, the SVD by 16 eps * |M_i|
-    and the sum and root by 4 eps * reach, with reach <= scale.  A positive
-    operator has |M_i| <= 1 (to TOL_EIG): there scale <= 25, allowance < 1e-12.
+    120 eps * scale: the probe e_i's image is 1 + M_i, where only the four
+    diagonal entries round, so each |M_i| is off by the 64 eps * scale of
+    building an image and eigvalsh, plus 2u * scale for 2 - lambda_max and
+    1 - min; the three errors by sqrt(3) * 66 eps * scale in 2-norm, the
+    sum and root by 4 eps * reach, with reach <= scale, and the
+    subtractions of floor by eps * scale.  A positive operator has
+    |M_i| <= 1 (to TOL_EIG): there scale <= 25, allowance < 1e-12.
     """
     M = channel.basis_images(d)
     allowance = 128.0 * _EPS * (1.0 + float(np.abs(M).sum()))
@@ -167,10 +177,11 @@ def check_positivity(d: DeltaCoefficients) -> PositivityVerdict:
         floor = 1.0 - norms[0] - norms[1] - allowance
         if floor < -TOL_EIG:  # else g <= |B1| + |B2| settles it, and no probe can fail
             W = np.concatenate((W, vt[:, 0]))
-    else:
-        s = np.linalg.svd(M, compute_uv=False)[:, 0]  # |M_i|: the values come sorted descending
+    minima = _minima(d, W)
+    if not linear:  # W ends with e1, e2, e3: |M_i| = max(g(e_i), g(-e_i))
+        s = 1.0 - minima[-3:].min(axis=1)
         floor = 1.0 - math.sqrt(s @ s) - allowance
-    mins = _minima(d, W).ravel()  # (w, +), (w, -), ...
+    mins = minima.ravel()  # (w, +), (w, -), ...
     seen = float(mins.min())
     bad = (mins < -TOL_EIG).nonzero()[0]
     if bad.size:
@@ -225,6 +236,18 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
     from B1, B2 and e^t errs by under 36 eps * f (|B1|^2 / l and
     |B2|^2 / (1 - l) are at most f), eigh by 16 eps * f, and the root at
     most halves that above f = 1/4 (below it g stays under 0.51).
+
+    A proof's upper end is min(seen, 1 - peak) + allowance, where peak is
+    the largest g(v) = sqrt(p) + sqrt(q), p = |B1 v|^2, q = |B2 v|^2, over
+    the solved top eigenvectors and the circle point of the bracket ends:
+    max g >= g(v) for unit v.  On flat the eigenvectors are the axes
+    (g = 0.6 and 0.8) and the circle point lies on its circle (g = 1).
+    Each v is unit to within 4 eps (eigh, or the circle point's sum, root
+    and division); y = B v errs by under 3u (|B1|_F + |B2|_F) in 2-norm,
+    with 3u the three-term dot products' bound; the sums of squares, roots
+    and sum by under 4u g(v).  So the computed g(v) is within
+    8 eps * scale of g(v / |v|): |B1|_F + |B2|_F and g(v) are at most
+    sum |entries of M|, inside the allowance.
     """
     n1, n2 = norms
     if floor >= -TOL_EIG:
@@ -253,7 +276,12 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
         solved.update(ts)
         bound = math.sqrt(best[0]) + allowance
         if 1.0 - bound >= -TOL_EIG:
-            return PositivityVerdict(True, seen, interval=(1.0 - bound, seen + allowance), stage="linear", l_star=1.0 / (1.0 + math.exp(-best[1])))
+            peak, u = far[0], _circle_point(lo, hi)
+            if u is not None:
+                y = B @ u
+                peak = max(peak, math.sqrt(y[:3] @ y[:3]) + math.sqrt(y[3:] @ y[3:]))
+            interval = (1.0 - bound, min(seen, 1.0 - peak) + allowance)
+            return PositivityVerdict(True, seen, interval=interval, stage="linear", l_star=1.0 / (1.0 + math.exp(-best[1])))
         if far[0] > 1.0 + TOL_EIG or lo is None or hi is None or hi[0] - lo[0] <= 8.0 * _EPS * (1.0 + abs(lo[0])):
             break
         (ta, pa, qa), (tb, pb, qb) = lo[:3], hi[:3]
@@ -265,11 +293,9 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
             break
         ts.append(0.5 * (ta + tb))
     candidates = [far[1]]
-    if far[0] <= 1.0 + TOL_EIG and lo is not None and hi is not None:
-        u = lo[3] * lo[4] + hi[3] * hi[4]  # cos(th) va + sin(th) vb, tan(th) = g(vb) / g(va), scaled
-        size = math.sqrt(u @ u)
-        if size > 0.0:  # 0 only for va = -vb
-            candidates.append(u / size)
+    u = _circle_point(lo, hi)
+    if far[0] <= 1.0 + TOL_EIG and u is not None:
+        candidates.append(u)
     for v in candidates:
         mins = _minima(d, v[None]).ravel()
         seen = min(seen, float(mins.min()))
@@ -278,6 +304,18 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
             witness = Witness(w=-v if k else v.copy(), min_eigenvalue=float(mins[k]))
             return PositivityVerdict(False, seen, witness, (floor, seen + allowance), "linear")
     return _branch_and_bound(d, allowance, seen, floor)
+
+
+def _circle_point(lo, hi) -> np.ndarray | None:
+    """cos(th) va + sin(th) vb, tan(th) = g(vb) / g(va), for the top eigenvectors va, vb of the bracket ends lo, hi.
+
+    None while an end is missing, or for va = -vb.
+    """
+    if lo is None or hi is None:
+        return None
+    u = lo[3] * lo[4] + hi[3] * hi[4]
+    size = math.sqrt(u @ u)
+    return u / size if size > 0.0 else None
 
 
 def _branch_and_bound(d: DeltaCoefficients, allowance: float, seen: float, floor: float) -> PositivityVerdict:

@@ -49,7 +49,7 @@ from algebra_reference import (
     partial_trace_right,
     swap_conjugate,
 )
-from conftest import admission_bound_config, golden_operators, random_delta, rescaled, rotate_delta, rotation_matrix
+from conftest import admission_bound_config, delta_from_entries, golden_operators, random_delta, rescaled, rotate_delta, rotation_matrix
 
 
 def sigma(i):
@@ -455,6 +455,8 @@ def test_coassociativity_verdicts_agree_with_the_exact_lift_weights():
         elif residual > 1e-9:
             assert not check_coassociativity(d)
     assert exact.count(0) >= 31 and sum(residual > 1e-9 for residual in exact) >= 31
+    # At tol = 0 the exactly coassociative ones pass only through the exact path.
+    assert [check_coassociativity(d, tol=0.0) for d in cases] == [residual == 0 for residual in exact]
     # every entry s = 1e150: 1(x)1(x)sigma_r weighs s + 3 s^2 on the left and 3 s^2 on the right
     for name in ("bound_plus", "bound_minus"):
         assert exact_coassociativity_residual(load_config(str(golden / f"{name}.json"))) == Fraction(1e150)
@@ -479,6 +481,31 @@ def test_verdict_is_exact_at_the_threshold():
         verdicts = [check_coassociativity(d, tol=t) for t in tols]
         assert verdicts == [Fraction(t) ** 2 >= squared for t in tols]
         assert set(verdicts) == {True, False}
+
+
+exact_path_entries = st.one_of(
+    signed_entries,
+    st.builds(float.__mul__, st.sampled_from([-1.0, 1.0]), st.floats(5e-324, 2.2250738585072009e-308)),  # subnormal
+    st.sampled_from([-COEFFICIENT_LIMIT, COEFFICIENT_LIMIT]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(float, (48,), elements=exact_path_entries))
+def test_integer_weights_are_the_exact_weights(x):
+    # Signed zeros, subnormals and the admission bound, mixed in one
+    # operator: the ints are 2^2148 times the Fraction weights, and the
+    # exact path's verdict is the Fraction comparison at every tol.
+    d = delta_from_entries(x)
+    c = _basis_coefficients(d)
+    exact = exact_weight_differences(d)
+    assert [Fraction(v, 1 << 2148) for v in channel._scaled_weight_differences(c).tolist()] == exact
+    squared = 8 * sum(v * v for v in exact)
+    tols = [0.0, 5e-324, 1e-300, 1e-9, 1.0, 1e300]
+    if squared < 1e300:
+        near = math.sqrt(float(squared))
+        tols += [math.nextafter(near, 0.0), near, math.nextafter(near, math.inf)]
+    assert [channel._exact_coassociativity_within(c, t) for t in tols] == [Fraction(t) ** 2 >= squared for t in tols]
 
 
 def test_the_exact_path_keeps_the_bound_operators_non_coassociative(monkeypatch):
@@ -532,8 +559,8 @@ def test_coassociativity_verdict_does_not_depend_on_the_frame():
 
 
 def test_importing_the_command_line_leaves_fractions_unloaded():
-    # fractions (with decimal) costs milliseconds of start-up; only the exact
-    # coassociativity path imports it.
+    # fractions (with decimal) costs milliseconds of start-up; the exact
+    # coassociativity path decides on ints without it.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     code = "import sys, blochquad.cli; print('fractions' in sys.modules)"

@@ -21,7 +21,7 @@ from blochquad.channel import basis_images
 from blochquad.positivity import TOL_EIG, VERTEX_CAP, _probe_directions
 from blochquad.qmap import COEFFICIENT_LIMIT
 from blochquad.sampling import generator, sphere_points
-from conftest import conjugate_qmap, delta_from_qmap, random_delta, rescaled, rotation_matrix, sphere_faces
+from conftest import conjugate_qmap, delta_from_qmap, golden_operators, random_delta, rescaled, rotation_matrix, sphere_faces
 from sampled_oracle import CHUNK, _clears, check_positivity_exhaustive, check_positivity_sampled
 from algebra_reference import NotHaarFormError, PauliElement, apply, check_linear_positivity, simple_form_eigs, theorem_witness_eigs
 
@@ -476,13 +476,65 @@ def test_proof_agrees_with_the_exhaustive_oracle(s):
 
 
 def reach(d):
-    """sqrt(sum_i |Delta(sigma_i)|^2), the norm stage's bound on g."""
-    return math.sqrt(sum(np.abs(np.linalg.eigvalsh(m)).max() ** 2 for m in basis_images(d)))
+    """sqrt(sum_i |Delta(sigma_i)|^2), the norm stage's bound on g, from an SVD of each basis image."""
+    s = np.linalg.svd(basis_images(d), compute_uv=False)[:, 0]
+    return math.sqrt(s @ s)
 
 
 def oracle_allowance(d):
     """check_positivity's rounding allowance, 128 eps * (1 + sum |entries of M|)."""
     return 128.0 * np.finfo(float).eps * oracle_scale(d)
+
+
+def norm_floor(d):
+    """The floor check_positivity gives an operator with T != 0 or b != 0: the argument it hands the branch and bound, else its interval's lower end."""
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(positivity, "_branch_and_bound", lambda d, allowance, seen, floor: handed.append(floor) or positivity.PositivityVerdict(None, seen))
+        result = check_positivity(d)
+    return result, handed[0] if handed else result.interval[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(-500.0, 500.0), st.none() | st.floats(1.0 - 3e-9, 1.0 + 3e-9))
+def test_norm_bound_from_the_probes_matches_the_svd_reach(seed, trace_preserving, log2_scale, reach_ratio):
+    # Random operators with T != 0 (and b != 0 when not trace-preserving),
+    # scaled by 2^log2_scale up to the admission bound, or to reach within
+    # 3e-9 of 1, where the norm stage's verdict turns.
+    raw = random_delta(np.random.default_rng(seed), trace_preserving=trace_preserving)
+    if reach_ratio is None:
+        factor = min(2.0**log2_scale, COEFFICIENT_LIMIT / float(np.abs(raw._entries).max()))
+    else:
+        factor = reach_ratio / reach(raw)
+    d = rescaled(raw, factor)
+    result, floor = norm_floor(d)
+    allowance = oracle_allowance(d)
+    floor_svd = 1.0 - reach(d) - allowance
+    assert abs(floor - floor_svd) <= allowance
+    if floor_svd > -TOL_EIG + allowance:
+        assert result.verdict is True and result.stage == "norm"
+    elif floor_svd < -TOL_EIG - allowance:
+        assert result.stage != "norm"
+
+
+def test_no_svd_decides_an_operator_with_t_or_b(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    cases = [d for d in golden_operators() + bit_identity_operators() if d.T.any() or d.b.any()]
+    assert len(cases) >= 58
+    monkeypatch.setattr(positivity.np.linalg, "svd", refuse)
+    verdicts = {check_positivity(d).verdict for d in cases}
+    assert verdicts == {True, False, None}
+
+
+def test_probe_and_norm_verdicts_make_one_eigen_solve(monkeypatch):
+    broken_trace = DeltaCoefficients(b=[0.1, 0.0, 0.0])
+    for d, stage in ((delta0(), "probe"), (delta1((0, 0, 1)), "probe"), (broken_trace, "norm")):
+        solved = count_solves(monkeypatch)
+        result = check_positivity(d)
+        monkeypatch.undo()
+        assert result.stage == stage and len(solved) == 1
 
 
 def test_branch_and_bound_spends_few_solves(monkeypatch):
@@ -523,13 +575,17 @@ def test_flat_maximum_is_marginal(monkeypatch):
     result = check_positivity(FLAT)
     assert result.verdict is True and result.stage == "linear"
     assert result.l_star == pytest.approx(0.36, abs=1e-12)
-    assert result.interval[0] <= 0.0 <= result.interval[1]
+    # The circle point of the bracket ends, 0.6 e1 + 0.8 e3, lies on the circle.
+    assert result.interval[0] <= 0.0 <= result.interval[1] <= oracle_allowance(FLAT)
 
 
 def test_rotated_flat_family_is_positive():
     # B1 = R diag(a, a, 0) R', B2 = R diag(0, 0, c) R' with a^2 + c^2 = 1: g
-    # is 1 on a circle, and P/l + Q/(1 - l) = I at l = a^2.
+    # is 1 on a circle, and P/l + Q/(1 - l) = I at l = a^2.  The minimum is
+    # 0 (to the rounding of the entries), so the upper end may not pass
+    # below -allowance, and it is never looser than the probes' one.
     rng = np.random.default_rng(29)
+    tighter = 0
     for _ in range(300):
         a = rng.uniform(0.01, 0.99)
         R = rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 2.0 * np.pi))
@@ -537,6 +593,11 @@ def test_rotated_flat_family_is_positive():
         result = check_positivity(d)
         assert result.verdict is True and result.stage == "linear"
         assert result.l_star == pytest.approx(a * a, rel=1e-6)
+        allowance = oracle_allowance(d)
+        lower, upper = result.interval
+        assert -allowance <= upper <= result.min_eigenvalue_seen + allowance and lower <= 0.0
+        tighter += upper < result.min_eigenvalue_seen
+    assert tighter >= 150
 
 
 def test_certificate_refutes_flat_scaled_past_its_circle(monkeypatch):
@@ -566,6 +627,8 @@ def test_linear_certificate_agrees_with_the_branch_and_bound():
         reference = positivity._branch_and_bound(d, oracle_allowance(d), math.inf, -math.inf)
         if reference.verdict is not None:
             assert result.verdict is reference.verdict
+        if result.verdict is True and reference.verdict is True:  # both intervals hold the minimum
+            assert max(result.interval[0], reference.interval[0]) <= min(result.interval[1], reference.interval[1])
         if result.verdict is False:
             assert np.linalg.eigvalsh(apply(d, PauliElement(1.0, result.witness.w)))[0] < -TOL_EIG
         stages.append((result.stage, result.verdict))
