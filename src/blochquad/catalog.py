@@ -35,7 +35,7 @@ def delta0() -> DeltaCoefficients:
     T[0, 0, 1] = 1.0
     T[1, 1, 1] = T[2, 2, 1] = -1.0
     T[0, 2, 2] = T[2, 0, 2] = 1.0
-    return DeltaCoefficients.trace_preserving(T=T)
+    return DeltaCoefficients(T=T)
 
 
 def delta1(t) -> DeltaCoefficients:
@@ -53,13 +53,13 @@ def delta1(t) -> DeltaCoefficients:
     T = np.zeros((3, 3, 3))
     for m in range(3):
         T[m, m, :] = t
-    return DeltaCoefficients.trace_preserving(T=T)
+    return DeltaCoefficients(T=T)
 
 
 def linear_family(B) -> DeltaCoefficients:
     """Purely linear operator x -> w0*1(x)1 + Bw.sigma(x)1 + 1(x)Bw.sigma."""
     B = np.asarray(B, dtype=float)
-    return DeltaCoefficients.trace_preserving(B1=B, B2=B)
+    return DeltaCoefficients(B1=B, B2=B)
 
 
 def entries() -> list:

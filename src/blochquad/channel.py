@@ -26,15 +26,15 @@ product (b -> R b, B -> R B R', T -> (R (x) R (x) R) T), so the verdict
 depends on neither the frame nor the scale.  Coassociativity compares the
 Frobenius norm of its three 8x8 residuals, computed from the 192 Pauli
 weights of the two sides, with an absolute tol; inside the rounding band
-of tol it is decided in exact arithmetic.  It does not depend on the
-frame, but it does on the scale.
+of tol it is decided exactly, on the entries scaled to integers (_scaled).
+It does not depend on the frame, but it does on the scale.
 
 bloch_images, the images the positivity proof solves, and coassociativity
-are built on the coefficients c[i, m, l] of the three basis images
-Delta(sigma_i).  An operator keeps its 48 admitted entries as one
-read-only array; its coefficients are one take of them by a fixed
-permutation, and its basis images one product of c with the sixteen
-tensor-basis matrices.  Coefficients, basis images, the
+are built on one (4, 16) coefficient table, row m the weights of
+Delta(sigma_m), Delta(sigma_0) = 1(x)1.  An operator keeps its 48 admitted
+entries as one read-only array; rows 1 to 3 of its table are one take of
+them by a fixed permutation, and its basis images one product of those
+rows with the sixteen tensor-basis matrices.  The table, basis images, the
 entries' norm and the induced map are built on first use and kept with the
 operator, read-only, so every check of one operator shares them.  The
 tests' references, in tests/algebra_reference.py and tests/test_channel.py,
@@ -70,7 +70,7 @@ _BLOCKS = tuple((name, shape) for name, _, shape in _BLOCK_VIEWS)
 
 
 def _coefficient_order() -> np.ndarray:
-    """Entry numbers of the admitted copy placed as c[i, m, l], flattened (see _basis_coefficients)."""
+    """Entry numbers of the admitted copy placed as c[i, m, l], flattened: rows 1 to 3 of the coefficient table."""
     block = {name: np.arange(48)[entries].reshape(shape) for name, entries, shape in _BLOCK_VIEWS}
     order = np.empty((3, 4, 4), dtype=np.intp)
     order[:, 0, 0] = block["b"]
@@ -84,14 +84,14 @@ _COEFFICIENT_ORDER = _coefficient_order()
 
 
 def _lift_tables() -> tuple:
-    """Index tables of the coassociativity weights; see _coassociativity_residual.
+    """Index tables of the coassociativity weights; see _weight_differences.
 
-    Returns the entry numbers of c placed as the rows of the (24, 4) factor
-    (row 4 i + r is c[i, :, r], row 12 + 4 i + p is c[i, p, :]), and the
-    entries of the (24, 16) product holding L[i, p, q, r] and R[i, p, q, r],
-    each flattened in (i, p, q, r) order.
+    Returns the entry numbers of the coefficient table C placed as the rows
+    of the (24, 4) factor (row 4 i + r is C[1 + i, :, r], row 12 + 4 i + p
+    is C[1 + i, p, :]), and the entries of the (24, 16) product holding
+    L[i, p, q, r] and R[i, p, q, r], each flattened in (i, p, q, r) order.
     """
-    slots = np.arange(48).reshape(3, 4, 4)
+    slots = np.arange(16, 64).reshape(3, 4, 4)
     rows = np.concatenate([slots.transpose(0, 2, 1).reshape(12, 4), slots.reshape(12, 4)])
     i, p, q, r = np.indices((3, 4, 4, 4))
     return rows.ravel(), ((4 * i + r) * 16 + 4 * p + q).ravel(), ((12 + 4 * i + p) * 16 + 4 * q + r).ravel()
@@ -152,11 +152,6 @@ class DeltaCoefficients:
         d._take_entries(flat)
         return d
 
-    @classmethod
-    def trace_preserving(cls, B1=None, B2=None, T=None) -> "DeltaCoefficients":
-        """Constructor that pins the constant block to zero."""
-        return cls(b=None, B1=B1, B2=B2, T=T)
-
     @functools.cached_property
     def _stacked_coefficients(self) -> np.ndarray:
         # (4, 16): row m the weights of Delta(sigma_m), Delta(sigma_0) = 1(x)1
@@ -166,17 +161,13 @@ class DeltaCoefficients:
         return stacked
 
     @functools.cached_property
-    def _coefficients(self) -> np.ndarray:
-        return self._stacked_coefficients[1:].reshape(3, 4, 4)  # a read-only view
-
-    @functools.cached_property
     def _norm(self) -> float:
         # math.hypot scales internally: no overflow at the admission bound
         return math.hypot(*self._entries.tolist())
 
     @functools.cached_property
     def _basis_images(self) -> np.ndarray:
-        images = (self._coefficients.reshape(3, 16) @ _TENSOR_ROWS).reshape(3, 4, 4)
+        images = (self._stacked_coefficients[1:] @ _TENSOR_ROWS).reshape(3, 4, 4)
         images.setflags(write=False)
         return images
 
@@ -197,10 +188,10 @@ def _basis_coefficients(d: DeltaCoefficients) -> np.ndarray:
     """c[i, m, l]: weight of sigma_m (x) sigma_l in Delta(sigma_i), sigma_0 = 1.
 
     c[:, 0, 0] is b, c[:, 0, 1:] is B1.T, c[:, 1:, 0] is B2.T and c[:, 1:, 1:]
-    is T.transpose(2, 0, 1).  Built on the first call for d; every later call
-    returns the same read-only array.
+    is T.transpose(2, 0, 1).  A read-only view of rows 1 to 3 of d's
+    coefficient table, which is built on first use and kept with d.
     """
-    return d._coefficients
+    return d._stacked_coefficients[1:].reshape(3, 4, 4)
 
 
 def basis_images(d: DeltaCoefficients) -> np.ndarray:
@@ -251,51 +242,53 @@ def has_haar_trace(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
     return _within(d, tol, d._entries[:21].tolist())  # b, B1 and B2
 
 
-def _coassociativity_residual(d: DeltaCoefficients) -> float:
-    """(sum_i |(Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)|_F^2)^(1/2).
+def _weight_differences(stacked: np.ndarray) -> np.ndarray:
+    """The 192 differences L - R of the lift weights of the operator whose (4, 16) coefficient table is stacked.
 
-    With C[m, p, q] the weight of sigma_p (x) sigma_q in Delta(sigma_m) and
-    C[0] = 1(x)1, (Delta (x) id) Delta(sigma_i) gives sigma_p (x) sigma_q (x) sigma_r
-    the weight L[i, p, q, r] = sum_m C[i, m, r] C[m, p, q], and
-    (id (x) Delta) Delta(sigma_i) the weight R[i, p, q, r] = sum_l C[i, p, l] C[l, q, r].
+    With C[m, p, q] = stacked[m, 4 p + q] the weight of sigma_p (x) sigma_q
+    in Delta(sigma_m) and C[0] = 1(x)1, (Delta (x) id) Delta(sigma_i) gives
+    sigma_p (x) sigma_q (x) sigma_r the weight L[i, p, q, r] = sum_m C[i, m, r] C[m, p, q],
+    and (id (x) Delta) Delta(sigma_i) the weight R[i, p, q, r] = sum_l C[i, p, l] C[l, q, r].
     Both sides are one (24, 4) @ (4, 16) product, read out by _LEFT_WEIGHTS
-    and _RIGHT_WEIGHTS.  The 64 products sigma_p (x) sigma_q (x) sigma_r are
-    orthogonal, each of Frobenius norm sqrt(8), so the residual is sqrt(8)
-    times the 2-norm of the 192 differences L - R; math.hypot takes that
-    without overflow at the admission bound.  A rotation of the frame acts
-    on the differences of each image by an orthogonal map and mixes the
-    three images orthogonally, so the residual does not depend on the frame.
+    and _RIGHT_WEIGHTS.  On a float table the differences are rounded; on
+    an object table of Python ints (see _scaled) they are exact.
     """
-    weights = _basis_coefficients(d).take(_LIFT_ROWS).reshape(24, 4) @ d._stacked_coefficients
-    return _SQRT8 * math.hypot(*(weights.take(_LEFT_WEIGHTS) - weights.take(_RIGHT_WEIGHTS)).tolist())
-
-
-def _scaled_weight_differences(c: np.ndarray) -> np.ndarray:
-    """2^2148 times the 192 differences L - R of _coassociativity_residual, exactly, as Python ints.
-
-    Every double is an integer multiple of 2^-1074, so 2^1074 times each
-    entry of c, and the unit weight 2^1074 of C[0] = 1(x)1, are ints; the
-    same (24, 4) @ (4, 16) product and takes, on an object array, give the
-    weights times 2^2148 with no rounding.
-    """
-    stacked = np.zeros((4, 16), dtype=object)
-    stacked[0, 0] = 1 << 1074
-    # x = n / 2^k with k <= 1074, and m = 2^k has k + 1 bits
-    scaled = [n << (1075 - m.bit_length()) for n, m in map(float.as_integer_ratio, c.ravel().tolist())]
-    stacked[1:] = np.array(scaled, dtype=object).reshape(3, 16)
-    weights = stacked[1:].ravel().take(_LIFT_ROWS).reshape(24, 4) @ stacked
+    weights = stacked.take(_LIFT_ROWS).reshape(24, 4) @ stacked
     return weights.take(_LEFT_WEIGHTS) - weights.take(_RIGHT_WEIGHTS)
 
 
-def _exact_coassociativity_within(c: np.ndarray, tol: float) -> bool:
-    """Whether the exact residual of the operator with coefficients c is at most tol.
+def _coassociativity_residual(d: DeltaCoefficients) -> float:
+    """(sum_i |(Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)|_F^2)^(1/2).
 
-    The sum of squares of _scaled_weight_differences, 2^4296 times that of
-    the weights, is compared with 2^4296 tol^2 / 8 in ints, so no root is
-    taken.  About 0.05 ms: check_coassociativity calls it only inside its
-    rounding band.
+    The 64 products sigma_p (x) sigma_q (x) sigma_r are orthogonal, each of
+    Frobenius norm sqrt(8), so the residual is sqrt(8) times the 2-norm of
+    the 192 _weight_differences; math.hypot takes that without overflow at
+    the admission bound.  A rotation of the frame acts on the differences
+    of each image by an orthogonal map and mixes the three images
+    orthogonally, so the residual does not depend on the frame.
     """
-    total = sum(x * x for x in _scaled_weight_differences(c).tolist())
+    return _SQRT8 * math.hypot(*_weight_differences(d._stacked_coefficients).tolist())
+
+
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """2^1074 times each entry of the finite float array x, exactly, as Python ints in an object array of x's shape.
+
+    Every double is an integer multiple of 2^-1074: x = n / 2^k with
+    k <= 1074, and m = 2^k has k + 1 bits.
+    """
+    scaled = [n << (1075 - m.bit_length()) for n, m in map(float.as_integer_ratio, x.ravel().tolist())]
+    return np.array(scaled, dtype=object).reshape(x.shape)
+
+
+def _exact_coassociativity_within(stacked: np.ndarray, tol: float) -> bool:
+    """Whether the exact residual of the operator whose (4, 16) coefficient table is stacked is at most tol.
+
+    On _scaled(stacked) the _weight_differences are 2^2148 times the exact
+    ones.  Their sum of squares is compared with 2^4296 tol^2 / 8 in ints,
+    so no root is taken.  About 0.06 ms: check_coassociativity calls it
+    only inside its rounding band.
+    """
+    total = sum(x * x for x in _weight_differences(_scaled(stacked)).tolist())
     n, m = float(tol).as_integer_ratio()
     return 8 * total * m * m <= (n * n) << 4296
 
@@ -338,7 +331,7 @@ def check_coassociativity(d: DeltaCoefficients, tol: float = TOL_ALG) -> bool:
         return True
     if r - bound > tol:
         return False
-    return _exact_coassociativity_within(_basis_coefficients(d), tol)
+    return _exact_coassociativity_within(d._stacked_coefficients, tol)
 
 
 def induced_qmap(d: DeltaCoefficients) -> QuadraticMapCoeffs:

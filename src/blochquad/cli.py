@@ -392,16 +392,12 @@ def _cmd_catalog(args) -> int:
     try:
         entry = catalog.get(args.name)
     except KeyError:
-        sys.stderr.write(f"unknown catalog entry {args.name!r}\n")
-        return 1
+        raise ConfigError(f"unknown catalog entry {args.name!r}") from None
     sys.stdout.write(dumps_config(config_dict(entry.delta)))
     return 0
 
 
 def _cmd_conjugacy(args) -> int:
-    if args.grid < 2:
-        sys.stderr.write("--grid must be >= 2\n")
-        return 1
     residual = dynamics.logistic_conjugacy_residual(args.grid)
     sys.stdout.write(dumps_conjugacy(args.grid, residual))
     return 0 if residual <= 1e-10 else 2

@@ -47,42 +47,30 @@ def admit(fields: tuple, values, limit: float) -> np.ndarray:
     A value of None is zeros.  Each value must be an array, or nested
     lists, of real numbers in its shape with every |x| <= limit, which
     refuses NaN and +-inf as well; complex values and strings (also numeric
-    ones) are refused rather than converted.  Otherwise the first offending
-    field raises ValueError "<name>: ...".  A value is converted once, by
-    np.asarray without a dtype; the one float copy is the concatenation.
+    ones) are refused rather than converted.  The fields are checked in
+    order: the first offending one raises ValueError "<name>: ...".  A value
+    is converted once, by np.asarray without a dtype; the one float copy is
+    the concatenation.
     """
-    admitted = False
-    try:
-        arrays = []
-        for (_, shape), value in zip(fields, values):
-            arrays.append(np.zeros(shape) if value is None else np.asarray(value))
-            if arrays[-1].shape != shape or arrays[-1].dtype.kind not in _REAL_KINDS:
-                break
-        else:  # every value is real numbers in its shape: one copy, and one bound check on it
-            flat = np.concatenate(arrays, axis=None, dtype=float)
-            admitted = np.abs(flat).max() <= limit  # a NaN maximum fails too
-    except (TypeError, ValueError, OverflowError):  # ragged, or an integer beyond the double range
-        pass
-    if not admitted:  # walk the fields: the first offending one raises, by name
-        arrays = []
-        for (name, shape), value in zip(fields, values):
-            try:
-                array = np.zeros(shape) if value is None else np.asarray(value)
-                if array.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in array.flat):
-                    array = array.astype(float)  # Python integers beyond 64 bits, fractions
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{name}: expected numbers in shape {shape}: {exc}") from None
-            if array.dtype.kind not in _REAL_KINDS:
-                raise ValueError(f"{name}: expected real numbers, got {array.dtype} entries")
-            if array.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {array.shape}")
-            if not np.abs(array).max() <= limit:
-                raise ValueError(
-                    f"{name}: entries must be numbers of magnitude at most {limit:g}, "
-                    "or their products overflow double precision"
-                )
-            arrays.append(array)
-        flat = np.concatenate(arrays, axis=None, dtype=float)
+    arrays = []
+    for (name, shape), value in zip(fields, values):
+        try:
+            array = np.zeros(shape) if value is None else np.asarray(value)
+            if array.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in array.flat):
+                array = array.astype(float)  # Python integers beyond 64 bits, fractions
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged, or an integer beyond the double range
+            raise ValueError(f"{name}: expected numbers in shape {shape}: {exc}") from None
+        if array.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"{name}: expected real numbers, got {array.dtype} entries")
+        if array.shape != shape:
+            raise ValueError(f"{name}: expected shape {shape}, got {array.shape}")
+        if not float(np.abs(array).max()) <= limit:  # compared as a double, not cast to float32; a NaN fails too
+            raise ValueError(
+                f"{name}: entries must be numbers of magnitude at most {limit:g}, "
+                "or their products overflow double precision"
+            )
+        arrays.append(array)
+    flat = np.concatenate(arrays, axis=None, dtype=float)
     flat.setflags(write=False)
     return flat
 

@@ -71,7 +71,7 @@ def delta_from_qmap(v):
     T[0, 1] = T[1, 0] = v.A / 2.0
     T[1, 2] = T[2, 1] = v.B / 2.0
     T[0, 2] = T[2, 0] = v.Gamma / 2.0
-    return DeltaCoefficients.trace_preserving(T=T)
+    return DeltaCoefficients(T=T)
 
 
 def rotation_matrix(axis, angle):

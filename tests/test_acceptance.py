@@ -217,7 +217,7 @@ def test_criterion_9_representation_cross_check():
     worst = 0.0
     for _ in range(100):
         T = rng.standard_normal((3, 3, 3))
-        d = DeltaCoefficients.trace_preserving(T=0.5 * (T + T.transpose(1, 0, 2)))
+        d = DeltaCoefficients(T=0.5 * (T + T.transpose(1, 0, 2)))
         x = PauliElement(rng.normal(), rng.normal(size=3))
         gap = np.abs(apply_haar_closed_form(d, x) - apply(d, x)).max()
         worst = max(worst, float(gap))

@@ -131,10 +131,10 @@ def test_the_image_side_definitions_have_the_kernels_of_the_block_residuals():
 def motivation_reproducers():
     """(check, operator) pairs that an absolute tolerance passed, though each residual is of the order of the entries."""
     T = np.random.default_rng(3).normal(size=(3, 3, 3))
-    small_linear = DeltaCoefficients.trace_preserving(B1=1e-10 * np.eye(3))
+    small_linear = DeltaCoefficients(B1=1e-10 * np.eye(3))
     return [
-        ("symmetric", DeltaCoefficients.trace_preserving(T=1e-10 * T)),
-        ("symmetric", DeltaCoefficients.trace_preserving(T=1e-160 * T)),
+        ("symmetric", DeltaCoefficients(T=1e-10 * T)),
+        ("symmetric", DeltaCoefficients(T=1e-160 * T)),
         ("symmetric", small_linear),
         ("haar_trace", small_linear),
         ("trace_preserving", DeltaCoefficients(b=(1e-10, 0.0, 0.0))),

@@ -142,7 +142,7 @@ def test_closed_form_agreement_random(rng):
 def test_closed_form_preconditions(rng):
     with pytest.raises(NotHaarFormError):
         apply_haar_closed_form(linear_family(np.eye(3) / 2), PauliElement(1.0, (0, 0, 1)))
-    asymmetric = DeltaCoefficients.trace_preserving(T=rng.normal(size=(3, 3, 3)))
+    asymmetric = DeltaCoefficients(T=rng.normal(size=(3, 3, 3)))
     with pytest.raises(ValueError, match="requires a symmetric tensor block"):
         apply_haar_closed_form(asymmetric, PauliElement(1.0, (0, 0, 1)))
     with pytest.raises(ValueError, match="requires a self-adjoint input"):
@@ -169,7 +169,7 @@ def test_is_trace_preserving():
 
 def test_is_symmetric():
     assert is_symmetric(delta0())
-    assert not is_symmetric(DeltaCoefficients.trace_preserving(B2=np.eye(3)))  # x -> x(x)1
+    assert not is_symmetric(DeltaCoefficients(B2=np.eye(3)))  # x -> x(x)1
     assert is_symmetric(linear_family(np.eye(3) / 2))
 
 
@@ -207,7 +207,7 @@ def test_dual_pair_examples():
 def test_dual_pair_requires_symmetric():
     with pytest.raises(ValueError, match="requires a symmetric operator"):
         dual_pair(
-            DeltaCoefficients.trace_preserving(B2=np.eye(3)),
+            DeltaCoefficients(B2=np.eye(3)),
             BlochState((0, 0, 0)),
             BlochState((0, 0, 0)),
         )
@@ -273,16 +273,16 @@ def test_split_reconstruction(rng):
 
 
 def test_coassociativity_cases():
-    right_leg = DeltaCoefficients.trace_preserving(B2=np.eye(3))  # x -> x(x)1
+    right_leg = DeltaCoefficients(B2=np.eye(3))  # x -> x(x)1
     assert check_coassociativity(right_leg)
     assert not check_coassociativity(linear_family(np.eye(3) / 2))
     assert check_coassociativity(DeltaCoefficients())  # x -> w0 * 1(x)1
     T = np.random.default_rng(3).normal(size=(3, 3, 3))
-    assert not check_coassociativity(DeltaCoefficients.trace_preserving(T=T))
+    assert not check_coassociativity(DeltaCoefficients(T=T))
     with pytest.raises(ValueError, match="T: .*overflow"):
-        DeltaCoefficients.trace_preserving(T=1e200 * T)
+        DeltaCoefficients(T=1e200 * T)
     # at the admission bound the 8x8 products stay finite and the check still fails
-    assert not check_coassociativity(DeltaCoefficients.trace_preserving(T=1e150 * T / np.abs(T).max()))
+    assert not check_coassociativity(DeltaCoefficients(T=1e150 * T / np.abs(T).max()))
 
 
 def test_tensor_basis_enumeration():
@@ -332,7 +332,7 @@ def structural_cases():
         delta1((0, 0, 1)),
         linear_family(np.eye(3) / 2),
         DeltaCoefficients(),
-        DeltaCoefficients.trace_preserving(B2=np.eye(3)),
+        DeltaCoefficients(B2=np.eye(3)),
     ]
     for _ in range(30):
         cases.append(random_delta(rng, trace_preserving=False))  # b != 0
@@ -447,7 +447,7 @@ def test_coassociativity_verdicts_agree_with_the_exact_lift_weights():
     for s in 10.0 ** np.arange(-150, 151, 10):  # group-like: Delta(sigma_i) = s sigma_i (x) sigma_i
         T = np.zeros((3, 3, 3))
         T[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = s
-        cases.append(DeltaCoefficients.trace_preserving(T=T))
+        cases.append(DeltaCoefficients(T=T))
     exact = [exact_coassociativity_residual(d) for d in cases]
     for d, residual in zip(cases, exact):
         if residual == 0:
@@ -483,9 +483,10 @@ def test_verdict_is_exact_at_the_threshold():
         assert set(verdicts) == {True, False}
 
 
+SUBNORMAL_MAX = 2.2250738585072009e-308
 exact_path_entries = st.one_of(
     signed_entries,
-    st.builds(float.__mul__, st.sampled_from([-1.0, 1.0]), st.floats(5e-324, 2.2250738585072009e-308)),  # subnormal
+    st.builds(float.__mul__, st.sampled_from([-1.0, 1.0]), st.floats(5e-324, SUBNORMAL_MAX)),  # subnormal
     st.sampled_from([-COEFFICIENT_LIMIT, COEFFICIENT_LIMIT]),
 )
 
@@ -497,15 +498,31 @@ def test_integer_weights_are_the_exact_weights(x):
     # operator: the ints are 2^2148 times the Fraction weights, and the
     # exact path's verdict is the Fraction comparison at every tol.
     d = delta_from_entries(x)
-    c = _basis_coefficients(d)
+    table = d._stacked_coefficients
     exact = exact_weight_differences(d)
-    assert [Fraction(v, 1 << 2148) for v in channel._scaled_weight_differences(c).tolist()] == exact
+    assert [Fraction(v, 1 << 2148) for v in channel._weight_differences(channel._scaled(table)).tolist()] == exact
     squared = 8 * sum(v * v for v in exact)
     tols = [0.0, 5e-324, 1e-300, 1e-9, 1.0, 1e300]
     if squared < 1e300:
         near = math.sqrt(float(squared))
         tols += [math.nextafter(near, 0.0), near, math.nextafter(near, math.inf)]
-    assert [channel._exact_coassociativity_within(c, t) for t in tols] == [Fraction(t) ** 2 >= squared for t in tols]
+    assert [channel._exact_coassociativity_within(table, t) for t in tols] == [Fraction(t) ** 2 >= squared for t in tols]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_scaled_is_the_double_times_two_to_the_1074_exactly(x):
+    assert Fraction(channel._scaled(np.array([x]))[0], 2**1074) == Fraction(x)
+
+
+def test_scaled_keeps_the_edge_doubles_and_the_shape():
+    edges = np.array([[0.0, -0.0, 5e-324, -5e-324], [SUBNORMAL_MAX, 1.0, 1e150, -1e150]])
+    scaled = channel._scaled(edges)
+    assert scaled.shape == edges.shape and scaled.dtype == object
+    assert all(type(n) is int for n in scaled.flat)
+    assert [Fraction(n, 2**1074) for n in scaled.flat] == [Fraction(x) for x in edges.flat]
+    assert scaled[0, :3].tolist() == [0, 0, 1] and scaled[1, 1] == 1 << 1074
+    assert scaled[1, 0] == (1 << 52) - 1  # the largest subnormal: 2^52 - 1 units of 2^-1074
 
 
 def test_the_exact_path_keeps_the_bound_operators_non_coassociative(monkeypatch):
@@ -580,7 +597,7 @@ def test_images_and_map_are_built_once_per_operator(rng):
 def test_coefficients_are_built_once_and_read_only(rng):
     d = random_delta(rng)
     c = _basis_coefficients(d)
-    assert _basis_coefficients(d) is c
+    assert c.base is d._stacked_coefficients is _basis_coefficients(d).base  # views of the one table, built once
     with pytest.raises(ValueError):
         c[0, 0, 0] = 1.0
     # a derived operator takes its own entries, so its own coefficients

@@ -567,6 +567,15 @@ def test_conjugacy_command(capsys):
     assert json.loads(out)["residual"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["catalog", "nosuch"], "unknown catalog entry 'nosuch'"), (["conjugacy", "--grid", "1"], "grid must be >= 2")],
+)
+def test_catalog_and_conjugacy_refusals_are_one_error_line(capsys, argv, message):
+    # through main's handler, as every other refusal: exit 1, no stdout, one "error: " line
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_main_builds_one_parser(capsys, monkeypatch):
     # one parser and one action table per process, whichever way each line is read
     tables = []

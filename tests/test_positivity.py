@@ -194,7 +194,7 @@ def rank_one_operator(t):
     T = np.zeros((3, 3, 3))
     for m in range(3):
         T[m, m] = t
-    return DeltaCoefficients.trace_preserving(T=T)
+    return DeltaCoefficients(T=T)
 
 
 def cross_check_operators():
@@ -361,9 +361,9 @@ def test_probe_directions_at_the_admission_bound():
     T = np.zeros((3, 3, 3))
     T[0, 0] = (3e160, 4e160, 0.0)
     with pytest.raises(ValueError, match="T: .*overflow"):
-        DeltaCoefficients.trace_preserving(T=T)
+        DeltaCoefficients(T=T)
     T[0, 0] = (0.6e150, 0.8e150, 0.0)
-    probes = _probe_directions(induced_qmap(DeltaCoefficients.trace_preserving(T=T)))
+    probes = _probe_directions(induced_qmap(DeltaCoefficients(T=T)))
     assert np.abs(probes[0] - [0.6, 0.8, 0.0]).max() <= 1e-15
     assert np.array_equal(probes[1:], np.eye(3))
 
@@ -427,7 +427,7 @@ def linear_operator(s1, s2, top):
     q, _ = np.linalg.qr(np.column_stack([top, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     B1 = rotation_matrix((1, 2, 3), 0.7) @ np.diag(s1) @ q.T
     B2 = rotation_matrix((3, 1, 2), 0.4) @ np.diag(s2) @ q.T
-    return DeltaCoefficients.trace_preserving(B1=B1, B2=B2)
+    return DeltaCoefficients(B1=B1, B2=B2)
 
 
 def boundary_operators():
@@ -542,7 +542,7 @@ def test_branch_and_bound_spends_few_solves(monkeypatch):
     # stops proving them, and 0.95 of their positivity boundary.
     rng = np.random.default_rng(9)
     for _ in range(20):
-        d = DeltaCoefficients.trace_preserving(T=rng.normal(size=(3, 3, 3)))
+        d = DeltaCoefficients(T=rng.normal(size=(3, 3, 3)))
         low, high = 1.0 / reach(d), 0.95 / sphere_max_g(d)
         assert low < high
         d = rescaled(d, rng.uniform(low, high))
@@ -554,7 +554,7 @@ def test_branch_and_bound_spends_few_solves(monkeypatch):
 
 
 # tests/golden/flat.json: g(u) = 0.6 |(u1, u2)| + 0.8 |u3| is 1 on a whole circle.
-FLAT = DeltaCoefficients.trace_preserving(B1=np.diag([0.6, 0.6, 0.0]), B2=np.diag([0.0, 0.0, 0.8]))
+FLAT = DeltaCoefficients(B1=np.diag([0.6, 0.6, 0.0]), B2=np.diag([0.0, 0.0, 0.8]))
 # tests/golden/flat_offset.json: g(u) = 0.8 u3 + 0.6 |(u1, u2)| is 1 on the circle u3 = 0.8.
 FLAT_OFFSET = DeltaCoefficients(b=np.array([0.0, 0.0, 0.8]), B1=np.diag([0.6, 0.6, 0.0]))
 
@@ -589,7 +589,7 @@ def test_rotated_flat_family_is_positive():
     for _ in range(300):
         a = rng.uniform(0.01, 0.99)
         R = rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 2.0 * np.pi))
-        d = DeltaCoefficients.trace_preserving(B1=R @ np.diag([a, a, 0.0]) @ R.T, B2=R @ np.diag([0.0, 0.0, math.sqrt(1.0 - a * a)]) @ R.T)
+        d = DeltaCoefficients(B1=R @ np.diag([a, a, 0.0]) @ R.T, B2=R @ np.diag([0.0, 0.0, math.sqrt(1.0 - a * a)]) @ R.T)
         result = check_positivity(d)
         assert result.verdict is True and result.stage == "linear"
         assert result.l_star == pytest.approx(a * a, rel=1e-6)
@@ -621,7 +621,7 @@ def test_linear_certificate_agrees_with_the_branch_and_bound():
     rng = np.random.default_rng(27)
     stages = []
     for _ in range(300):
-        raw = DeltaCoefficients.trace_preserving(B1=rng.normal(size=(3, 3)), B2=rng.normal(size=(3, 3)))
+        raw = DeltaCoefficients(B1=rng.normal(size=(3, 3)), B2=rng.normal(size=(3, 3)))
         d = rescaled(raw, rng.choice([0.5, 0.9, 0.97, 1.03, 1.1, 2.0]) / sphere_max_g(raw, samples=2000))
         result = check_positivity(d)
         reference = positivity._branch_and_bound(d, oracle_allowance(d), math.inf, -math.inf)
@@ -737,8 +737,8 @@ def bit_identity_operators():
         B1, B2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         for raw in (
             random_delta(rng, trace_preserving=False),  # b != 0
-            DeltaCoefficients.trace_preserving(T=rng.normal(size=(3, 3, 3))),  # T != 0
-            DeltaCoefficients.trace_preserving(B1=B1, B2=B2),  # linear, B1 != B2
+            DeltaCoefficients(T=rng.normal(size=(3, 3, 3))),  # T != 0
+            DeltaCoefficients(B1=B1, B2=B2),  # linear, B1 != B2
             linear_family(B1),  # linear, B1 = B2
         ):
             boundary = 1.0 / sphere_max_g(raw, samples=2000)

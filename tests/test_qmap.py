@@ -17,9 +17,30 @@ from blochquad import (
     is_haar_form,
     sphere_deviation,
 )
-from blochquad.qmap import COEFFICIENT_LIMIT, _feature_rows, _features, jacobian
+from blochquad import channel, qmap
+from blochquad.qmap import _MAP_LIMIT, _ROW_FIELDS, COEFFICIENT_LIMIT, _feature_rows, _features, admit, jacobian
 from conftest import random_delta
 from orbit_reference import evaluate_reference
+
+
+def concatenated_floats(fields, values):
+    """The values converted one by one by np.asarray(value, float), None as zeros, concatenated."""
+    return np.concatenate([np.zeros(shape) if v is None else np.asarray(v, float) for (_, shape), v in zip(fields, values)], axis=None)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def every_admission_is_the_concatenated_floats():
+    # every input a test of this module admits, through either constructor,
+    # must give the bytes of its values converted and concatenated
+    def checked(fields, values, limit):
+        flat = admit(fields, values, limit)
+        assert flat.tobytes() == concatenated_floats(fields, values).tobytes()
+        return flat
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qmap, "admit", checked)
+        mp.setattr(channel, "admit", checked)
+        yield
 
 
 def test_evaluate_benchmark_values():
@@ -135,6 +156,50 @@ def test_operator_admission_names_the_offending_block():
         DeltaCoefficients(B1=[[1, 2], [3, 4]], T=np.full((3, 3, 3), np.nan))
 
 
+def field_values(shape):
+    """A value admit accepts in shape: None, or an array or nested lists of floats, float32s, ints or bools."""
+    finite = st.floats(-COEFFICIENT_LIMIT, COEFFICIENT_LIMIT)
+    kinds = st.one_of(
+        arrays(float, shape, elements=finite),
+        arrays(np.float32, shape, elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        arrays(np.int64, shape),
+        arrays(bool, shape),
+    )
+    return st.none() | kinds | kinds.map(np.ndarray.tolist)
+
+
+REFUSED = [
+    (np.nan, "overflow"),
+    (np.inf, "overflow"),
+    (2.0 * _MAP_LIMIT, "overflow"),
+    ("x", "expected real numbers"),
+    (1j, "expected real numbers"),
+    ([1.0, 2.0], "expected numbers in shape"),
+]
+
+ADMISSIONS = [(_ROW_FIELDS, _MAP_LIMIT), (channel._BLOCKS, COEFFICIENT_LIMIT)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_admission_of_mixed_values_and_its_first_refusal(data):
+    # random None mixes over the nine map fields and the four operator blocks
+    for fields, limit in ADMISSIONS:
+        values = [data.draw(field_values(shape)) for _, shape in fields]
+        flat = admit(fields, values, limit)
+        assert flat.tobytes() == concatenated_floats(fields, values).tobytes() and not flat.flags.writeable
+        # two offending fields: the first one in field order is named
+        first, second = sorted(data.draw(st.lists(st.integers(0, len(fields) - 1), min_size=2, max_size=2, unique=True)))
+        problems = []
+        for k in (first, second):
+            bad, problem = data.draw(st.sampled_from(REFUSED))
+            values[k] = with_last_leaf(np.zeros(fields[k][1]), bad)
+            problems.append(problem)
+        with pytest.raises(ValueError, match=f"^{fields[first][0]}: ") as refusal:
+            admit(fields, values, limit)
+        assert problems[0] in str(refusal.value)
+
+
 def test_operator_blocks_are_views_of_one_read_only_copy(rng):
     source = {"b": rng.normal(size=3), "B1": rng.normal(size=(3, 3)), "T": rng.normal(size=(3, 3, 3))}
     d = DeltaCoefficients(**source)
@@ -205,6 +270,17 @@ def test_admission_refuses_complex_values():
                 bad = np.broadcast_to(np.asarray(bad)[(None,) * (len(shape) - 1)], shape)
             with pytest.raises(ValueError, match=f"^{name}: expected real numbers, got complex128 entries$"):
                 cls(**{name: bad})
+
+
+def test_admission_refuses_narrow_float_infinities():
+    # the bound is compared as a double: cast to float32 or float16 it would be inf, and admit inf
+    for dtype in (np.float16, np.float32):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^a: .*overflow"):
+                QuadraticMapCoeffs(a=np.array([bad, 0.0, 0.0], dtype=dtype))
+            with pytest.raises(ValueError, match="^T: .*overflow"):
+                DeltaCoefficients(T=np.full((3, 3, 3), bad, dtype=dtype))
+    assert QuadraticMapCoeffs(a=np.array([65504.0, 0.0, 0.0], dtype=np.float16)).a.tolist() == [65504.0, 0.0, 0.0]
 
 
 def test_admission_refuses_numeric_strings():
