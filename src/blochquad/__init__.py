@@ -33,7 +33,6 @@ from .errors import NotApplicableError
 from .pauli import kron
 from .positivity import PositivityVerdict, Witness, check_positivity
 from .purity import (
-    CertificateReport,
     check_linear_isometry,
     check_q_purity,
     monte_carlo_sphere,
@@ -43,7 +42,6 @@ from .qmap import QuadraticMapCoeffs, evaluate, is_haar_form
 
 __all__ = [
     "CatalogEntry",
-    "CertificateReport",
     "DeltaCoefficients",
     "FixedComponent",
     "FixedSet",

@@ -184,16 +184,6 @@ class DeltaCoefficients:
         return QuadraticMapCoeffs._from_admitted_rows(rows)
 
 
-def _basis_coefficients(d: DeltaCoefficients) -> np.ndarray:
-    """c[i, m, l]: weight of sigma_m (x) sigma_l in Delta(sigma_i), sigma_0 = 1.
-
-    c[:, 0, 0] is b, c[:, 0, 1:] is B1.T, c[:, 1:, 0] is B2.T and c[:, 1:, 1:]
-    is T.transpose(2, 0, 1).  A read-only view of rows 1 to 3 of d's
-    coefficient table, which is built on first use and kept with d.
-    """
-    return d._stacked_coefficients[1:].reshape(3, 4, 4)
-
-
 def basis_images(d: DeltaCoefficients) -> np.ndarray:
     """The three 4x4 matrices Delta(sigma_i), stacked along the first axis.
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import catalog, dynamics, purity, positivity
 from .channel import DeltaCoefficients, check_coassociativity, has_haar_trace, induced_qmap, is_symmetric, is_trace_preserving
-from .pauli import TOL_STATE, vector_norm
+from .pauli import TOL_ALG, TOL_STATE, vector_norm
 from .qmap import COEFFICIENT_LIMIT, admit, evaluate
 
 
@@ -126,6 +126,8 @@ def parse_config(text: str) -> DeltaCoefficients:
         raw = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:  # the decoder recurses once per open bracket
+        raise ConfigError("arrays or objects nested too deeply to decode; a config nests at most 3 arrays in its object") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     for key in raw:
@@ -367,7 +369,7 @@ def _cmd_certify(args) -> int:
         verdict, interval = purity.check_q_purity(induced_qmap(d))
         outcomes = ("pure", "impure")
         detail = {"check": "q_purity", "verdict": verdict}
-        undecided = f"q-purity undecided: the sphere deviation lies in [{{:.3e}}, {{:.3e}}], across the tolerance {purity.TOL_CERT:g}\n"
+        undecided = f"q-purity undecided: the sphere deviation lies in [{{:.3e}}, {{:.3e}}], across the tolerance {TOL_ALG:g}\n"
     else:
         result = positivity.check_positivity_sampled(d)
         verdict, interval = result.verdict, result.interval
@@ -430,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="operator config JSON file")
     tol_help = "tolerance, relative to the coefficients' Frobenius norm for trace_preserving, symmetric and haar_trace"
     tol_help += ", absolute for coassociative (the Frobenius norm of its 8x8 residuals, decided exactly near tol) and q_purity"
-    p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
+    p.add_argument("--tol", type=float, default=TOL_ALG, help=tol_help)
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("simulate", help="iterate the induced Bloch map")

@@ -16,6 +16,8 @@ import math
 import numpy as np
 
 # Rounding-noise tolerances for closed-form arithmetic on unit-scale data.
+# TOL_ALG is the default tolerance of every check in channel, qmap and
+# purity, and of inspect --tol; is_haar_form and check_linear_isometry use it alone.
 TOL_ALG = 1e-9
 TOL_STATE = 1e-9
 

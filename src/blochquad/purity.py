@@ -8,65 +8,36 @@ max over unit f of | |V(f)|^2 - 1 | between a value the map attains and the
 Bombieri norms of E and O, which bound both forms on the sphere and do not
 change when the frame rotates.  check_q_purity reads its verdict from that
 interval: pure, impure, or None (marginal) where the interval straddles the
-tolerance.  The paper's 25 displayed norm and orthogonality equations
-vanish exactly when the 25 coefficients do; tests/purity_reference.py holds
-them as the tests' reference.  check_linear_isometry certifies a linear map
-2B as an isometry of R^3.  monte_carlo_sphere samples the sphere instead;
-no command calls it, and the tests use it as an independent cross-check.
+tolerance, pauli.TOL_ALG unless the caller gives one.  The paper's 25
+displayed norm and orthogonality equations vanish exactly when the 25
+coefficients do; tests/purity_reference.py holds them as the tests'
+reference.  check_linear_isometry certifies a linear map 2B as an isometry
+of R^3 to within TOL_ALG.  Both certificates return (verdict, number): the
+interval, or the isometry residual.  monte_carlo_sphere samples the sphere
+instead; no command calls it, and the tests use it as an independent
+cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import sampling
-from .pauli import checked_tol
+from .pauli import TOL_ALG, checked_tol
 from .positivity import ICOSAHEDRON
 from .qmap import QuadraticMapCoeffs, _features, evaluate
 
-TOL_CERT = 1e-9
 _EPS = float(np.finfo(float).eps)
-# Sphere-deviation thresholds: rounding noise vs genuine sphere violation
-# are separated by six orders of magnitude.
-MC_PASS_DEVIATION = 1e-9
-MC_VIOLATION_DEVIATION = 1e-3
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of a residual-based certificate."""
-
-    verdict: bool
-    residuals: tuple  # ordered (condition-id, magnitude) pairs
-    worst_condition: str
-
-    @property
-    def max_residual(self) -> float:
-        return max(r for _, r in self.residuals)
-
-    def residual(self, condition: str) -> float:
-        for name, r in self.residuals:
-            if name == condition:
-                return r
-        raise KeyError(condition)
-
-
-def _report(pairs, tol: float) -> CertificateReport:
-    tol = checked_tol(tol)
-    worst = max(pairs, key=lambda item: item[1])[0]
-    verdict = all(r <= tol for _, r in pairs)
-    return CertificateReport(verdict=verdict, residuals=tuple(pairs), worst_condition=worst)
-
-
-def check_linear_isometry(B: np.ndarray, tol: float = TOL_CERT) -> CertificateReport:
-    """Certificate that 2B is an isometry of R^3: residual |(2B)^T (2B) - I|."""
+def check_linear_isometry(B: np.ndarray) -> tuple:
+    """(verdict, residual): whether 2B is an isometry of R^3 to within TOL_ALG, and residual = max |(2B)^T (2B) - I|."""
     B = np.asarray(B, dtype=float)
     residual = float(np.abs(4.0 * B.T @ B - np.eye(3)).max())
-    return _report([("isometry", residual)], tol)
+    return residual <= TOL_ALG, residual
 
 
 # Exponents (of f1, f2, f3) of the nine features of qmap.evaluate, in row order,
@@ -155,7 +126,7 @@ def sphere_deviation(v: QuadraticMapCoeffs) -> tuple:
     return max(0.0, float(at_vertices.max()) - allowance), upper
 
 
-def check_q_purity(v: QuadraticMapCoeffs, tol: float = TOL_CERT) -> tuple:
+def check_q_purity(v: QuadraticMapCoeffs, tol: float = TOL_ALG) -> tuple:
     """(verdict, interval): whether V keeps the unit sphere to within tol, and sphere_deviation(v).
 
     verdict is True when the upper end is at most tol, False when the lower

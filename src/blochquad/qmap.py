@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import TOL_ALG, checked_tol, vector_norm
+from .pauli import TOL_ALG, vector_norm
 
 _FIELDS = ("a", "b", "c", "A", "B", "Gamma", "d", "e", "g")
 
@@ -208,10 +208,9 @@ def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
     return _features(f) @ v.coefficient_rows()
 
 
-def is_haar_form(v: QuadraticMapCoeffs, tol: float = TOL_ALG) -> bool:
-    """True when the map has no linear terms (d = e = g = 0)."""
-    tol = checked_tol(tol)
-    return all(vector_norm(vec) <= tol for vec in (v.d, v.e, v.g))
+def is_haar_form(v: QuadraticMapCoeffs) -> bool:
+    """True when the map has no linear terms: |d|, |e| and |g| are each at most TOL_ALG."""
+    return all(vector_norm(vec) <= TOL_ALG for vec in (v.d, v.e, v.g))
 
 
 def jacobian(v: QuadraticMapCoeffs, f) -> np.ndarray:

@@ -18,7 +18,6 @@ norms (root the identity), which agree exactly when the norms do.
 import math
 
 from algebra_reference import NotHaarFormError
-from blochquad.purity import TOL_CERT, _report
 from blochquad.qmap import is_haar_form
 
 
@@ -97,13 +96,13 @@ def haar_conditions(rows, root=math.sqrt) -> list:
     ]
 
 
-def check_sphere_conditions_reference(v, tol: float = TOL_CERT):
-    """The 25 equations as residuals |lhs - rhs|, each held to tol."""
-    return _report([(name, abs(float(r))) for name, r in sphere_conditions(v.coefficient_rows())], tol)
+def sphere_residuals_reference(v) -> dict:
+    """The 25 equations as residuals |lhs - rhs|, keyed by condition name in the order above."""
+    return {name: abs(float(r)) for name, r in sphere_conditions(v.coefficient_rows())}
 
 
-def check_haar_conditions_reference(v, tol: float = TOL_CERT):
-    """The 15 equations as residuals; NotHaarFormError for a map with linear terms."""
+def haar_residuals_reference(v) -> dict:
+    """The 15 equations as residuals, keyed by condition name; NotHaarFormError for a map with linear terms."""
     if not is_haar_form(v):
-        raise NotHaarFormError("map carries linear terms; use check_sphere_conditions_reference")
-    return _report([(name, abs(float(r))) for name, r in haar_conditions(v.coefficient_rows())], tol)
+        raise NotHaarFormError("map carries linear terms; use sphere_residuals_reference")
+    return {name: abs(float(r)) for name, r in haar_conditions(v.coefficient_rows())}

@@ -5,7 +5,9 @@ seeded sphere directions, each chunk after the first screened by a
 certified shifted LDL^H pivot test (_clears) and eigen-solved only where
 it may matter.  check_positivity_exhaustive solves every direction.  The
 tests compare the proof in blochquad.positivity with both, and the two
-with each other.
+with each other.  MC_PASS_DEVIATION and MC_VIOLATION_DEVIATION are the
+thresholds the tests hold purity.monte_carlo_sphere, the sampled q-purity
+reference, to.
 """
 
 import numpy as np
@@ -14,6 +16,11 @@ from blochquad import channel, sampling
 from blochquad.channel import DeltaCoefficients, induced_qmap
 from blochquad.positivity import TOL_EIG, PositivityVerdict, Witness, _probe_directions
 from blochquad.sampling import generator, sphere_points
+
+# Thresholds for monte_carlo_sphere's sampled sphere deviation: rounding
+# noise vs genuine sphere violation are separated by six orders of magnitude.
+MC_PASS_DEVIATION = 1e-9
+MC_VIOLATION_DEVIATION = 1e-3
 
 # Sphere directions per oracle step.  2048 was the fastest of 1024-8192 in
 # the oracle on 100k directions: larger chunks leave the cache.

@@ -28,13 +28,14 @@ from blochquad import (
     verify_collapse,
 )
 from blochquad.channel import DeltaCoefficients
+from blochquad.pauli import TOL_ALG
 from blochquad.positivity import _probe_directions
-from blochquad.purity import MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION
 from blochquad.sampling import generator, sphere_points
 from conftest import delta_from_qmap, rotate_qmap, rotation_matrix, rotations
 from test_positivity import simple_form_matrix
 from test_purity import scaled
-from purity_reference import check_haar_conditions_reference, check_sphere_conditions_reference
+from purity_reference import haar_residuals_reference, sphere_residuals_reference
+from sampled_oracle import MC_PASS_DEVIATION, MC_VIOLATION_DEVIATION
 from algebra_reference import PauliElement, apply, apply_haar_closed_form, check_linear_positivity, simple_form_eigs, theorem_witness_eigs
 
 
@@ -47,7 +48,7 @@ def test_criterion_1_benchmark_q_purity():
     start = time.time()
     v = induced_qmap(delta0())
     verdict, (_, upper) = check_q_purity(v)
-    max_residual = check_haar_conditions_reference(v).max_residual
+    max_residual = max(haar_residuals_reference(v).values())
     deviation, _ = monte_carlo_sphere(v, samples=100000, seed=42)
     elapsed = time.time() - start
     ok = verdict is True and upper <= 1e-12 and max_residual <= 1e-12 and deviation <= MC_PASS_DEVIATION and elapsed < 1.0
@@ -108,7 +109,7 @@ def test_criterion_3_linear_dichotomy():
 
     axis = rng.standard_normal(3)
     half_rotation = rotation_matrix(axis, rng.uniform(0.0, 2.0 * math.pi)) / 2.0
-    isometry_ok = check_linear_isometry(half_rotation).verdict
+    isometry_ok = check_linear_isometry(half_rotation)[0]
     positive_ok = check_linear_positivity(half_rotation).verdict
     ok = disagreements == 0 and isometry_ok and positive_ok
     _record(
@@ -127,7 +128,7 @@ def test_criterion_3_half_rotations_are_positive_by_the_closed_form(R):
     B = R / 2.0
     result = check_positivity(linear_family(B))
     lower, upper = result.interval
-    ok = check_linear_isometry(B).verdict and result.verdict is True and result.stage == "linear" and lower <= 0.0 <= upper
+    ok = check_linear_isometry(B)[0] and result.verdict is True and result.stage == "linear" and lower <= 0.0 <= upper
     _record(3, ok, f"half-rotation: verdict {result.verdict}, interval [{lower:.2e}, {upper:.2e}]")
 
 
@@ -193,7 +194,7 @@ def test_criterion_8_certificate_oracle_equivalence():
     crossed = 0
     for v in passing:
         verdict, (_, upper) = check_q_purity(v)
-        reference = check_sphere_conditions_reference(v).verdict
+        reference = max(sphere_residuals_reference(v).values()) <= TOL_ALG
         dev, _ = monte_carlo_sphere(v, samples=100000, seed=42)
         crossed += int(not (verdict is True and reference and dev <= MC_PASS_DEVIATION and upper <= MC_PASS_DEVIATION))
 
@@ -204,10 +205,10 @@ def test_criterion_8_certificate_oracle_equivalence():
         field = fields[int(rng.integers(len(fields)))]
         candidate = scaled(v0, field, float(rng.uniform(1.05, 1.5)))
         verdict, (lower, _) = check_q_purity(candidate)
-        report = check_sphere_conditions_reference(candidate)
+        worst = max(sphere_residuals_reference(candidate).values())
         dev, _ = monte_carlo_sphere(candidate, samples=100000, seed=k)
-        refuted = report.max_residual > MC_VIOLATION_DEVIATION and lower > MC_VIOLATION_DEVIATION
-        crossed += int(not (verdict is False and not report.verdict and refuted and dev > MC_VIOLATION_DEVIATION))
+        refuted = worst > MC_VIOLATION_DEVIATION and lower > MC_VIOLATION_DEVIATION
+        crossed += int(not (verdict is False and refuted and dev > MC_VIOLATION_DEVIATION))
     ok = crossed == 0
     _record(8, ok, f"{crossed} crossed verdicts over 5 passing + 50 perturbed maps")
 

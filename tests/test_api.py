@@ -1,9 +1,9 @@
 """The package holds what its commands run.
 
-A public top-level function or class under src/blochquad/ that no other
-library code names is test-only code; it belongs in tests/.  The
-allowlist names the few that an open ROADMAP item still needs in the
-package, each with its item.
+A top-level function or class under src/blochquad/, public or private
+(dunders aside), that no other library code names is test-only code; it
+belongs in tests/.  The allowlist names the few that an open ROADMAP item
+still needs in the package, each with its item.
 """
 
 import ast
@@ -23,7 +23,7 @@ NAMED_ONLY_BY_TESTS = {
 
 
 def unnamed_definitions(src: Path) -> list:
-    """'module.name' of each public top-level def or class that no code in src names outside its own body.
+    """'module.name' of each top-level def or class but a dunder that no code in src names outside its own body.
 
     A name counts as a Name node, or as the attribute of the defining
     module's name (`channel.bloch_images`); __init__ is left aside.
@@ -44,7 +44,7 @@ def unnamed_definitions(src: Path) -> list:
     unnamed = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
                 if node.name not in named and (module, node.name) not in named:
                     unnamed.append(f"{module}.{node.name}")
     return unnamed
@@ -60,4 +60,7 @@ def test_the_guard_sees_a_definition_that_only_tests_call(tmp_path):
     with open(tmp_path / "pauli.py", "a") as fh:  # a function that only the tests called, put back
         fh.write("\n\ndef state_eval(s, p):\n    return p.w0 + complex(np.dot(p.w, s.f))\n")
     assert "pauli.state_eval" in unnamed_definitions(tmp_path)
+    with open(tmp_path / "channel.py", "a") as fh:  # a private layout handle that only the tests read, put back
+        fh.write("\n\ndef _basis_coefficients(d):\n    return d._stacked_coefficients[1:].reshape(3, 4, 4)\n")
+    assert "channel._basis_coefficients" in unnamed_definitions(tmp_path)
 

@@ -65,11 +65,11 @@ def test_delta1_requires_unit_vector():
 
 def test_linear_family_cases():
     half_rotation = rotation_matrix((1, 0, 2), 1.1) / 2
-    assert check_linear_isometry(half_rotation).verdict
+    assert check_linear_isometry(half_rotation)[0]
     assert check_linear_positivity(half_rotation).verdict
 
     bad = np.diag([0.6, 0, 0])
-    assert not check_linear_isometry(bad).verdict
+    assert not check_linear_isometry(bad)[0]
     assert not check_linear_positivity(bad).verdict
 
     zero = linear_family(np.zeros((3, 3)))

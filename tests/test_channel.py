@@ -28,7 +28,6 @@ from blochquad import (
 from blochquad import channel
 from blochquad.channel import (
     TENSOR_BASIS,
-    _basis_coefficients,
     _coassociativity_residual,
     basis_images,
     bloch_images,
@@ -54,6 +53,15 @@ from conftest import admission_bound_config, delta_from_entries, golden_operator
 
 def sigma(i):
     return PauliElement(0.0, np.eye(3)[i])
+
+
+def basis_coefficients(d):
+    """c[i, m, l]: weight of sigma_m (x) sigma_l in Delta(sigma_i), sigma_0 = 1.
+
+    c[:, 0, 0] is b, c[:, 0, 1:] is B1.T, c[:, 1:, 0] is B2.T and c[:, 1:, 1:]
+    is T.transpose(2, 0, 1): a view of rows 1 to 3 of d's coefficient table.
+    """
+    return d._stacked_coefficients[1:].reshape(3, 4, 4)
 
 
 DELTA0_ON_1_PLUS_S2 = np.array(
@@ -316,7 +324,7 @@ def reference_haar_trace_blocks(d):
 
 def reference_coassociativity_residual(d):
     """Frobenius norm of the three 8x8 matrices (Delta (x) id) Delta(sigma_i) - (id (x) Delta) Delta(sigma_i)."""
-    c = _basis_coefficients(d)
+    c = basis_coefficients(d)
     images = np.concatenate([np.eye(4)[None], basis_images(d)])  # Delta(sigma_m), m = 0..3
     basis = np.array(BASIS)
     lhs = np.einsum("iml,mab,lcd->iacbd", c, images, basis).reshape(3, 8, 8)
@@ -353,7 +361,7 @@ def test_structural_residuals_match_the_per_matrix_references():
     for d in structural_cases():
         # the weights sum in another order than the 8x8 lifts: equal up to
         # rounding in entries of size (1 + S)^2 (0.14 eps (1 + S)^2 at most here)
-        scale = 1.0 + float(np.abs(_basis_coefficients(d)).sum())
+        scale = 1.0 + float(np.abs(basis_coefficients(d)).sum())
         reference = reference_coassociativity_residual(d)
         assert abs(_coassociativity_residual(d) - reference) <= eps * scale * scale
         verdicts.add((is_symmetric(d), has_haar_trace(d), check_coassociativity(d)))
@@ -386,7 +394,7 @@ def reference_basis_images(d):
 
 
 def assert_tables_keep_the_bytes(d):
-    assert _basis_coefficients(d).tobytes() == reference_basis_coefficients(d).tobytes()
+    assert basis_coefficients(d).tobytes() == reference_basis_coefficients(d).tobytes()
     assert basis_images(d).tobytes() == reference_basis_images(d).tobytes()
 
 
@@ -422,7 +430,7 @@ def exact_weight_differences(d):
     of the float entries.
     """
     C = [[[Fraction(int(m == p == q == 0)) for q in range(4)] for p in range(4)] for m in range(4)]
-    for i, block in enumerate(_basis_coefficients(d).tolist(), start=1):
+    for i, block in enumerate(basis_coefficients(d).tolist(), start=1):
         C[i] = [[Fraction(x) for x in row] for row in block]
     return [
         sum(C[i][m][r] * C[m][p][q] for m in range(4)) - sum(C[i][p][l] * C[l][q][r] for l in range(4))
@@ -596,13 +604,13 @@ def test_images_and_map_are_built_once_per_operator(rng):
 
 def test_coefficients_are_built_once_and_read_only(rng):
     d = random_delta(rng)
-    c = _basis_coefficients(d)
-    assert c.base is d._stacked_coefficients is _basis_coefficients(d).base  # views of the one table, built once
+    c = basis_coefficients(d)
+    assert c.base is d._stacked_coefficients is basis_coefficients(d).base  # views of the one table, built once
     with pytest.raises(ValueError):
         c[0, 0, 0] = 1.0
     # a derived operator takes its own entries, so its own coefficients
     replaced = dataclasses.replace(d, T=np.zeros((3, 3, 3)))
-    assert _basis_coefficients(replaced) is not c and not _basis_coefficients(replaced)[:, 1:, 1:].any()
+    assert basis_coefficients(replaced) is not c and not basis_coefficients(replaced)[:, 1:, 1:].any()
 
 
 def test_cached_images_and_map_are_read_only(rng):

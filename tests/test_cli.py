@@ -25,8 +25,8 @@ from blochquad.cli import (
     main,
     parse_config,
 )
-from blochquad.purity import MC_PASS_DEVIATION
 from conftest import admission_bound_config
+from sampled_oracle import MC_PASS_DEVIATION
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +209,17 @@ def test_a_config_that_is_not_utf8_is_named_by_its_path(tmp_path, capsys):
     path.write_bytes(b'{"b": [0, 0, 0\xff]}')
     assert run_cli(capsys, "inspect", str(path)) == (
         1, "", f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("depth", [1000, 100000])
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"b": ', "}")], ids=["arrays", "objects"])
+def test_a_deeply_nested_config_is_one_error_line(tmp_path, capsys, depth, opening, closing):
+    # the decoder recurses once per bracket: past the recursion limit it raised RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"b": ' + opening * depth + "0" + closing * depth + "}")
+    assert run_cli(capsys, "inspect", str(path)) == (
+        1, "", f"error: {path}: arrays or objects nested too deeply to decode; a config nests at most 3 arrays in its object\n"
     )
 
 
