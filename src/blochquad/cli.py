@@ -43,11 +43,11 @@ def _reject_nonfinite(token: str):
 
 
 class _Misplaced(Exception):
-    """A value that does not fit where it stands; the walk back up prepends each place to path."""
+    """A value that does not fit where it stands, an error of type error; the walk back up prepends each place to path."""
 
-    def __init__(self, problem: str, path: str = ""):
+    def __init__(self, problem: str, path: str = "", error: type = ValueError):
         super().__init__(problem)
-        self.problem, self.path = problem, path
+        self.problem, self.path, self.error = problem, path, error
 
 
 def _check_number(value):
@@ -171,118 +171,58 @@ def load_config(path: str) -> DeltaCoefficients:
 
 
 def config_dict(d: DeltaCoefficients) -> dict:
-    return {
-        "b": d.b.tolist(),
-        "B1": d.B1.tolist(),
-        "B2": d.B2.tolist(),
-        "T": d.T.tolist(),
-    }
+    """The config of d, its fields b, B1, B2 and T as nested lists, for dumps."""
+    return {key: getattr(d, key).tolist() for key in _FIELD_DIMS}
 
 
 # --------------------------------------------------------------- JSON output
-#
-# One writer per report shape.  Each prints its known fields in a fixed
-# order, two spaces per level, lists of numbers on one line and floats with
-# 17 significant digits, so they round-trip exactly.  A NaN or +-inf, which
-# JSON has no literal for, raises ValueError naming the field as a
-# /-separated key path.
 
-# What json.dumps gives for a str, without its dispatch.
+# What json.dumps gives for a str, without its dispatch; and for an int, a bool and None.
 _quote = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _quote, int: str, bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
 
 
-def _first_non_finite(members, path: str) -> ValueError:
-    """The error for the first (key, value) member whose value is NaN or +-inf, at field path + key."""
-    key, value = next((key, value) for key, value in members if not math.isfinite(value))
-    return ValueError(f"report field {path}{key} is {float(value)}, which JSON cannot hold")
+def dumps(report) -> str:
+    """The report, a nest of dicts, lists and tuples, as JSON text that round-trips exactly.
+
+    Dict members in insertion order, two spaces per level; a list or tuple
+    of floats on one line, any other list one member per line; floats with
+    17 significant digits, other leaves as json.dumps writes them.  A NaN or
+    +-inf raises ValueError, naming the first such field in document order
+    by its /-separated key path; a leaf of any other type, numpy's among
+    them, raises TypeError naming its field.
+    """
+    try:
+        return _text(report, "") + "\n"
+    except _Misplaced as exc:
+        raise exc.error(f"report field {exc.path or '/'} {exc.problem}") from None
 
 
-def _number(value, path: str) -> str:
-    """A finite float field with 17 significant digits."""
-    if not math.isfinite(value):
-        raise _first_non_finite([("", value)], path)
-    return f"{value:.17g}"
-
-
-def _numbers(values, path: str) -> str:
-    """A list of finite floats on one line, entry k at field path + k; null for None."""
-    if values is None:
-        return "null"
-    if not all(map(math.isfinite, values)):
-        raise _first_non_finite(enumerate(values), path)
-    return "[" + ", ".join([f"{x:.17g}" for x in values]) + "]"
-
-
-def _flag(value) -> str:
-    """A bool, or null for None."""
-    return "null" if value is None else "true" if value else "false"
-
-
-def dumps_inspection(report: dict) -> str:
-    """The inspect report of inspection_report as JSON text."""
-    pos = report["positivity"]
-    text = (
-        "{\n"
-        f'  "trace_preserving": {_flag(report["trace_preserving"])},\n'
-        f'  "symmetric": {_flag(report["symmetric"])},\n'
-        f'  "haar_trace": {_flag(report["haar_trace"])},\n'
-        f'  "coassociative": {_flag(report["coassociative"])},\n'
-        '  "q_purity": {\n'
-        '    "certificate": {\n'
-        f'      "verdict": {_flag(report["q_purity"]["certificate"]["verdict"])}\n'
-        "    },\n"
-        f'    "sphere_deviation": {_numbers(report["q_purity"]["sphere_deviation"], "/q_purity/sphere_deviation/")}\n'
-        "  },\n"
-        '  "positivity": {\n'
-        f'    "verdict": {_flag(pos["verdict"])},\n'
-        f'    "min_eigenvalue": {_numbers(pos["min_eigenvalue"], "/positivity/min_eigenvalue/")}'
-    )
-    if "witness" in pos:
-        witness = pos["witness"]
-        text += (
-            ',\n    "witness": {\n'
-            f'      "w": {_numbers(witness["w"], "/positivity/witness/w/")},\n'
-            f'      "min_eigenvalue": {_number(witness["min_eigenvalue"], "/positivity/witness/min_eigenvalue")}\n'
-            "    }"
-        )
-    return text + "\n  }\n}\n"
-
-
-def dumps_certification(detail: dict) -> str:
-    """The certify detail as JSON text; the positivity check adds min_eigenvalue."""
-    interval = ""
-    if "min_eigenvalue" in detail:
-        interval = f'  "min_eigenvalue": {_numbers(detail["min_eigenvalue"], "/min_eigenvalue/")},\n'
-    return (
-        "{\n"
-        f'  "check": {_quote(detail["check"])},\n'
-        f'  "verdict": {_flag(detail["verdict"])},\n'
-        f"{interval}"
-        f'  "expected": {_quote(detail["expected"])},\n'
-        f'  "actual": {_quote(detail["actual"])},\n'
-        f'  "match": {_flag(detail["match"])}\n'
-        "}\n"
-    )
-
-
-def _matrix(rows, path: str, pad: str) -> str:
-    """A list of float lists, one list per line, indented by pad."""
-    body = ",\n".join([f"{pad}  {_numbers(row, f'{path}{k}/')}" for k, row in enumerate(rows)])
-    return "[\n" + body + "\n" + pad + "]"
-
-
-def dumps_config(config: dict) -> str:
-    """An operator config of config_dict as JSON text, which parse_config reads back exactly."""
-    b = _numbers(config["b"], "/b/")  # fields in document order: the first non-finite one is named
-    B1 = _matrix(config["B1"], "/B1/", "  ")
-    B2 = _matrix(config["B2"], "/B2/", "  ")
-    T = ",\n".join([f"    {_matrix(block, f'/T/{k}/', '    ')}" for k, block in enumerate(config["T"])])
-    return f'{{\n  "b": {b},\n  "B1": {B1},\n  "B2": {B2},\n  "T": [\n{T}\n  ]\n}}\n'
-
-
-def dumps_conjugacy(grid: int, residual: float) -> str:
-    """The conjugacy report as JSON text."""
-    return f'{{\n  "grid": {grid},\n  "residual": {_number(residual, "/residual")}\n}}\n'
+def _text(value, pad: str) -> str:
+    """value as JSON text whose inner lines are indented by pad plus two spaces."""
+    kind = type(value)  # exact types: numpy's float64 is a float, and its bool_ is not a bool
+    if kind is float:
+        if math.isfinite(value):
+            return f"{value:.17g}"
+        raise _Misplaced(f"is {value}, which JSON cannot hold")
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    if kind is dict:
+        members, brackets = value.items(), "{}"
+    elif kind is list or kind is tuple:
+        if all([type(x) is float for x in value]) and all(map(math.isfinite, value)):
+            return "[" + ", ".join([f"{x:.17g}" for x in value]) + "]"
+        members, brackets = enumerate(value), "[]"  # a non-finite float is refused below, at its index
+    else:
+        raise _Misplaced(f"is a {kind.__module__}.{kind.__qualname__}, which dumps does not write", error=TypeError)
+    inner, lines = pad + "  ", []
+    try:
+        for key, member in members:
+            lines.append(inner + (f"{_quote(key)}: " if kind is dict else "") + _text(member, inner))
+    except _Misplaced as exc:
+        exc.path = f"/{key}{exc.path}"
+        raise
+    return f"{brackets[0]}\n" + ",\n".join(lines) + f"\n{pad}{brackets[1]}" if lines else brackets
 
 
 # ------------------------------------------------------------------ commands
@@ -297,25 +237,17 @@ def inspection_report(d: DeltaCoefficients, tol: float) -> dict:
         "haar_trace": has_haar_trace(d, tol=tol),
         "coassociative": check_coassociativity(d, tol=tol),
         "q_purity": {"certificate": {"verdict": verdict}, "sphere_deviation": deviation},
-        "positivity": {
-            "verdict": pos.verdict,
-            "min_eigenvalue": pos.interval,
-        },
+        "positivity": {"verdict": pos.verdict, "min_eigenvalue": pos.interval},
     }
     if pos.witness is not None:
-        report["positivity"]["witness"] = {
-            "w": pos.witness.w.tolist(),
-            "min_eigenvalue": pos.witness.min_eigenvalue,
-        }
+        report["positivity"]["witness"] = {"w": pos.witness.w.tolist(), "min_eigenvalue": pos.witness.min_eigenvalue}
     return report
 
 
 def _cmd_inspect(args) -> int:
     if not 0.0 <= args.tol < math.inf:  # a NaN fails too: no verdict may pass by an infinite tolerance
         raise ConfigError(f"--tol must be a finite number at least 0, got {args.tol}")
-    d = load_config(args.path)
-    report = inspection_report(d, tol=args.tol)
-    sys.stdout.write(dumps_inspection(report))
+    sys.stdout.write(dumps(inspection_report(load_config(args.path), tol=args.tol)))
     return 0
 
 
@@ -379,10 +311,8 @@ def _cmd_certify(args) -> int:
     actual = {True: outcomes[0], False: outcomes[1], None: "marginal"}[verdict]
     if verdict is None:
         sys.stderr.write(undecided.format(*interval))
-    detail["expected"] = args.expect
-    detail["actual"] = actual
-    detail["match"] = actual == args.expect
-    sys.stdout.write(dumps_certification(detail))
+    detail.update(expected=args.expect, actual=actual, match=actual == args.expect)
+    sys.stdout.write(dumps(detail))
     return 0 if detail["match"] else 2
 
 
@@ -395,13 +325,13 @@ def _cmd_catalog(args) -> int:
         entry = catalog.get(args.name)
     except KeyError:
         raise ConfigError(f"unknown catalog entry {args.name!r}") from None
-    sys.stdout.write(dumps_config(config_dict(entry.delta)))
+    sys.stdout.write(dumps(config_dict(entry.delta)))
     return 0
 
 
 def _cmd_conjugacy(args) -> int:
     residual = dynamics.logistic_conjugacy_residual(args.grid)
-    sys.stdout.write(dumps_conjugacy(args.grid, residual))
+    sys.stdout.write(dumps({"grid": args.grid, "residual": residual}))
     return 0 if residual <= 1e-10 else 2
 
 

@@ -30,6 +30,8 @@ _EPS = float(np.finfo(float).eps)
 VERTEX_CAP = 20000
 # Rounds of the linear certificate's search before it hands over.
 SEARCH_ROUNDS = 16
+# Ascent steps from the circle point that a linear proof's upper end takes.
+ASCENT_STEPS = 8
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself, hashed by identity
@@ -239,9 +241,9 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
 
     A proof's upper end is min(seen, 1 - peak) + allowance, where peak is
     the largest g(v) = sqrt(p) + sqrt(q), p = |B1 v|^2, q = |B2 v|^2, over
-    the solved top eigenvectors and the circle point of the bracket ends:
-    max g >= g(v) for unit v.  On flat the eigenvectors are the axes
-    (g = 0.6 and 0.8) and the circle point lies on its circle (g = 1).
+    the solved top eigenvectors and _ascent_peak's steps from the circle
+    point of the bracket ends: max g >= g(v) for unit v.  On flat the axes
+    (g = 0.6 and 0.8) are eigenvectors and the circle point has g = 1.
     Each v is unit to within 4 eps (eigh, or the circle point's sum, root
     and division); y = B v errs by under 3u (|B1|_F + |B2|_F) in 2-norm,
     with 3u the three-term dot products' bound; the sums of squares, roots
@@ -278,8 +280,7 @@ def _linear_certificate(d: DeltaCoefficients, norms: list, allowance: float, see
         if 1.0 - bound >= -TOL_EIG:
             peak, u = far[0], _circle_point(lo, hi)
             if u is not None:
-                y = B @ u
-                peak = max(peak, math.sqrt(y[:3] @ y[:3]) + math.sqrt(y[3:] @ y[3:]))
+                peak = max(peak, _ascent_peak(B, u))
             interval = (1.0 - bound, min(seen, 1.0 - peak) + allowance)
             return PositivityVerdict(True, seen, interval=interval, stage="linear", l_star=1.0 / (1.0 + math.exp(-best[1])))
         if far[0] > 1.0 + TOL_EIG or lo is None or hi is None or hi[0] - lo[0] <= 8.0 * _EPS * (1.0 + abs(lo[0])):
@@ -316,6 +317,34 @@ def _circle_point(lo, hi) -> np.ndarray | None:
     u = lo[3] * lo[4] + hi[3] * hi[4]
     size = math.sqrt(u @ u)
     return u / size if size > 0.0 else None
+
+
+def _ascent_peak(B: np.ndarray, u: np.ndarray) -> float:
+    """The largest g = |B1 u| + |B2 u| (B stacks B1 over B2) in ASCENT_STEPS steps u <- grad g(u) / |grad g(u)| from unit u.
+
+    g is convex and positively homogeneous, with subgradient 0 for a term
+    whose norm is 0, so g(u) = <grad g(u), u> and each step climbs:
+    g(u+) >= <grad g(u), u+> = |grad g(u)| >= g(u).  It stops early where
+    the tangent part of grad g(u) is under 8 eps |grad g(u)|, its rounding
+    at a maximum, where |grad g(u)| >= g(u) >= (|B1| + |B2|) / 2.  Each u
+    read is unit to within 4 eps (sum of squares, root and division), so
+    each g is within 8 eps * scale of g at a unit vector, as for the circle
+    point.
+    """
+    peak = 0.0
+    for _ in range(ASCENT_STEPS + 1):
+        y = B @ u
+        n1, n2 = math.sqrt(y[:3] @ y[:3]), math.sqrt(y[3:] @ y[3:])
+        peak = max(peak, n1 + n2)
+        y[:3] *= 1.0 / n1 if n1 > 0.0 else 0.0
+        y[3:] *= 1.0 / n2 if n2 > 0.0 else 0.0
+        grad = y @ B
+        size = math.sqrt(grad @ grad)
+        tangent = grad - (grad @ u) * u
+        if math.sqrt(tangent @ tangent) <= 8.0 * _EPS * size:
+            return peak
+        u = grad / size
+    return peak
 
 
 def _branch_and_bound(d: DeltaCoefficients, allowance: float, seen: float, floor: float) -> PositivityVerdict:

@@ -1,10 +1,10 @@
-"""The recursive report serializer the CLI used before its fixed-shape writers, kept as a reference.
+"""A recursive report serializer, kept apart from blochquad.cli.dumps as its reference.
 
 dumps_report walks any nesting of dicts, lists, tuples, arrays and scalars:
 floats with 17 significant digits, lists of numbers on one line, two spaces
 per level.  A NaN or +-inf raises ValueError naming its /-separated key
-path.  The tests require each writer in blochquad.cli to give this text, or
-this error message, on the report shape it writes.
+path.  The tests require blochquad.cli.dumps to give this text, or this
+error message, on every report a command builds.
 """
 
 import json

@@ -17,9 +17,7 @@ from blochquad.cli import (
     _build_parser,
     _parse_args,
     config_dict,
-    dumps_config,
-    dumps_conjugacy,
-    dumps_inspection,
+    dumps,
     inspection_report,
     load_config,
     main,
@@ -45,7 +43,7 @@ def write_catalog_config(tmp_path, capsys, name):
 
 def test_config_round_trip():
     for entry in catalog.entries():
-        text = dumps_config(config_dict(entry.delta))
+        text = dumps(config_dict(entry.delta))
         parsed = parse_config(text)
         assert np.array_equal(parsed.T, entry.delta.T)
         assert np.array_equal(parsed.B1, entry.delta.B1)
@@ -227,14 +225,14 @@ def test_inspection_report_does_not_depend_on_the_cache(tmp_path, capsys):
     # the report of an operator whose images, map and verdicts were already
     # derived equals the report of a fresh one, and a second report the first
     for entry in catalog.entries():
-        text = dumps_config(config_dict(entry.delta))
-        fresh = dumps_inspection(inspection_report(parse_config(text), tol=1e-9))
+        text = dumps(config_dict(entry.delta))
+        fresh = dumps(inspection_report(parse_config(text), tol=1e-9))
         warm = parse_config(text)
         basis_images(warm)
         induced_qmap(warm)
         check_positivity(warm)
-        assert dumps_inspection(inspection_report(warm, tol=1e-9)) == fresh
-        assert dumps_inspection(inspection_report(warm, tol=1e-9)) == fresh
+        assert dumps(inspection_report(warm, tol=1e-9)) == fresh
+        assert dumps(inspection_report(warm, tol=1e-9)) == fresh
 
 
 def test_inspect_delta0(tmp_path, capsys):
@@ -318,17 +316,17 @@ def test_inspect_and_certify_at_the_admission_bound(tmp_path, capsys, pattern):
 
 
 def test_writers_name_a_non_finite_field():
-    assert dumps_conjugacy(3, 1.0) == '{\n  "grid": 3,\n  "residual": 1\n}\n'
-    assert dumps_conjugacy(3, 2.5) == '{\n  "grid": 3,\n  "residual": 2.5\n}\n'
+    assert dumps({"grid": 3, "residual": 1.0}) == '{\n  "grid": 3,\n  "residual": 1\n}\n'
+    assert dumps({"grid": 3, "residual": 2.5}) == '{\n  "grid": 3,\n  "residual": 2.5\n}\n'
     with pytest.raises(ValueError, match="^report field /residual is nan, which JSON cannot hold$"):
-        dumps_conjugacy(3, float("nan"))
+        dumps({"grid": 3, "residual": float("nan")})
     report = inspection_report(catalog.get("delta1").delta, tol=1e-9)
     report["positivity"]["witness"]["w"] = [1.0, float("nan"), 0.0]
     with pytest.raises(ValueError, match="^report field /positivity/witness/w/1 is nan, which JSON cannot hold$"):
-        dumps_inspection(report)
+        dumps(report)
     report["q_purity"]["sphere_deviation"] = (0.0, -np.inf)
     with pytest.raises(ValueError, match="^report field /q_purity/sphere_deviation/1 is -inf, which JSON"):
-        dumps_inspection(report)
+        dumps(report)
 
 
 def test_inspect_matches_library_verdicts(tmp_path, capsys):
@@ -368,7 +366,7 @@ def test_commands_draw_no_random_numbers(tmp_path, capsys, monkeypatch):
 def test_simulate_target_map(tmp_path, capsys):
     config = tmp_path / "d1.json"
     t = catalog.get("delta1").delta
-    config.write_text(dumps_config(config_dict(t)))
+    config.write_text(dumps(config_dict(t)))
     out_csv = tmp_path / "traj.csv"
     code, out, _ = run_cli(
         capsys, "simulate", str(config), "--f0", "0,1,0", "--steps", "5",

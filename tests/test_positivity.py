@@ -583,7 +583,9 @@ def test_rotated_flat_family_is_positive():
     # B1 = R diag(a, a, 0) R', B2 = R diag(0, 0, c) R' with a^2 + c^2 = 1: g
     # is 1 on a circle, and P/l + Q/(1 - l) = I at l = a^2.  The minimum is
     # 0 (to the rounding of the entries), so the upper end may not pass
-    # below -allowance, and it is never looser than the probes' one.
+    # below -allowance, and it is never looser than the probes' one.  The
+    # ascent from the circle point reaches the circle, so the upper end
+    # stays within 2 * allowance.
     rng = np.random.default_rng(29)
     tighter = 0
     for _ in range(300):
@@ -595,7 +597,7 @@ def test_rotated_flat_family_is_positive():
         assert result.l_star == pytest.approx(a * a, rel=1e-6)
         allowance = oracle_allowance(d)
         lower, upper = result.interval
-        assert -allowance <= upper <= result.min_eigenvalue_seen + allowance and lower <= 0.0
+        assert -allowance <= upper <= min(result.min_eigenvalue_seen + allowance, 2.0 * allowance) and lower <= 0.0
         tighter += upper < result.min_eigenvalue_seen
     assert tighter >= 150
 
