@@ -186,11 +186,12 @@ def dumps(report) -> str:
     """The report, a nest of dicts, lists and tuples, as JSON text that round-trips exactly.
 
     Dict members in insertion order, two spaces per level; a list or tuple
-    of floats on one line, any other list one member per line; floats with
-    17 significant digits, other leaves as json.dumps writes them.  A NaN or
-    +-inf raises ValueError, naming the first such field in document order
-    by its /-separated key path; a leaf of any other type, numpy's among
-    them, raises TypeError naming its field.
+    of numbers (ints and finite floats, not bools) on one line, any other
+    list one member per line; floats with 17 significant digits, other
+    leaves as json.dumps writes them.  A NaN or +-inf raises ValueError,
+    naming the first such field in document order by its /-separated key
+    path; a leaf of any other type, numpy's among them, raises TypeError
+    naming its field.
     """
     try:
         return _text(report, "") + "\n"
@@ -210,8 +211,8 @@ def _text(value, pad: str) -> str:
     if kind is dict:
         members, brackets = value.items(), "{}"
     elif kind is list or kind is tuple:
-        if all([type(x) is float for x in value]) and all(map(math.isfinite, value)):
-            return "[" + ", ".join([f"{x:.17g}" for x in value]) + "]"
+        if all([type(x) is float and math.isfinite(x) or type(x) is int for x in value]):
+            return "[" + ", ".join([f"{x:.17g}" if type(x) is float else str(x) for x in value]) + "]"
         members, brackets = enumerate(value), "[]"  # a non-finite float is refused below, at its index
     else:
         raise _Misplaced(f"is a {kind.__module__}.{kind.__qualname__}, which dumps does not write", error=TypeError)

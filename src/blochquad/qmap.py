@@ -19,7 +19,10 @@ cli.parse_config, which admits a config's 48 entries as one array, and
 every refusal names the field.
 
 Single-point evaluate() and every orbit step of dynamics.iterate() take
-one product, _point_image, so an orbit row is what evaluate() gives.
+one step, the map's _step: the nine products summed left to right in row
+order in Python floats, with no numpy call, so an orbit row is what
+evaluate() gives and its rounding does not depend on a BLAS kernel.  A
+batch takes one (n, 9) @ (9, 3) product.
 """
 
 from __future__ import annotations
@@ -154,6 +157,41 @@ class QuadraticMapCoeffs:
         return hessian
 
     @functools.cached_property
+    def _step(self):
+        """V at one point (f1, f2, f3) of Python floats, as a tuple of three Python floats.
+
+        Built on the first read and kept with the instance: a closure over
+        the 27 coefficients as Python floats.  Component k is
+
+            0.0 + f1*f1 * a_k + f2*f2 * b_k + f3*f3 * c_k + f1*f2 * A_k
+                + f2*f3 * B_k + f1*f3 * Gamma_k + f1 * d_k + f2 * e_k + f3 * g_k
+
+        summed left to right, in row order.  Each feature and each product is
+        rounded once, as numpy rounds them, so a term carries at most two
+        roundings (the quadratic ones) and eight more from the sums: short of
+        underflow, each component is within gamma_10 * sum_k |x_k c_k| of the
+        exact value (Higham, Accuracy and Stability, 3.1), where
+        gamma_10 = 10u / (1 - 10u) and x_k are the exact features.  The sum
+        starts from +0.0, which leaves every other value exact and turns a
+        sum of nine -0.0 products into +0.0, as numpy's dot gives it.  The
+        step makes no numpy call: an orbit step is a few dozen float
+        operations, which numpy's per-call dispatch would cost several times
+        over, and a plain-float overflow gives inf or nan without a warning,
+        for the caller's finiteness test to catch.
+        """
+        a1, a2, a3, b1, b2, b3, c1, c2, c3, A1, A2, A3, B1, B2, B3, G1, G2, G3, d1, d2, d3, e1, e2, e3, g1, g2, g3 = self._rows.ravel().tolist()
+
+        def step(f1: float, f2: float, f3: float) -> tuple:
+            s11, s22, s33, s12, s23, s13 = f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3
+            return (
+                0.0 + s11 * a1 + s22 * b1 + s33 * c1 + s12 * A1 + s23 * B1 + s13 * G1 + f1 * d1 + f2 * e1 + f3 * g1,
+                0.0 + s11 * a2 + s22 * b2 + s33 * c2 + s12 * A2 + s23 * B2 + s13 * G2 + f1 * d2 + f2 * e2 + f3 * g2,
+                0.0 + s11 * a3 + s22 * b3 + s33 * c3 + s12 * A3 + s23 * B3 + s13 * G3 + f1 * d3 + f2 * e3 + f3 * g3,
+            )
+
+        return step
+
+    @functools.cached_property
     def _linear(self) -> np.ndarray:
         """The read-only (9,) linear part of the Jacobian, row-major: _linear[3 i + j] = dV_i/df_j at 0."""
         linear = self._rows[6:].T.ravel()
@@ -183,28 +221,19 @@ def _feature_rows(x: np.ndarray) -> np.ndarray:
     return features
 
 
-def _point_image(rows: np.ndarray, f1: float, f2: float, f3: float) -> np.ndarray:
-    """V at the point (f1, f2, f3) of Python floats, for the map whose (9, 3) coefficient rows are rows.
-
-    The nine features are Python float products, which round each product
-    as numpy does, and the (9,) . (9, 3) vector-matrix product is taken
-    with ndarray.dot: the product of @, bit for bit, with less dispatch.
-    Single-point evaluate() and every dynamics.iterate() step take it.
-    """
-    return np.array([f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3]).dot(rows)
-
-
 def evaluate(v: QuadraticMapCoeffs, f) -> np.ndarray:
     """V(f); broadcasts over a leading batch of input vectors.
 
-    One point, shape (3,), takes the product of _point_image.  A batch
-    takes one (n, 9) @ (9, 3) product, which may round the same point
-    differently in the last bits; an orbit steps one point at a time, so
-    its rows do not depend on how the batch product rounds.
+    One point, shape (3,), takes the map's fixed-order step (v._step), the
+    one every dynamics.iterate() step takes, so an orbit row is what
+    evaluate() gives that point.  A batch takes one (n, 9) @ (9, 3)
+    product, whose BLAS kernel may round the same point differently in the
+    last bits; an orbit steps one point at a time, so its rows do not
+    depend on how the batch product rounds.
     """
     f = np.asarray(f, dtype=float)
     if f.shape == (3,):
-        return _point_image(v.coefficient_rows(), *f.tolist())
+        return np.array(v._step(*f.tolist()))
     return _features(f) @ v.coefficient_rows()
 
 
@@ -218,8 +247,9 @@ def jacobian(v: QuadraticMapCoeffs, f) -> np.ndarray:
 
     Column j is the sum over m of f_m d2V/df_m df_j plus the coefficients
     (d, e, g)[j]: one product with the Hessian table of v.  One point,
-    also a one-row batch, keeps the (3,) @ (3, 9) vector-matrix product, as
-    evaluate() keeps its single-point product.  A batch of n >= 2 points
+    also a one-row batch, takes the (3,) @ (3, 9) vector-matrix product:
+    unlike evaluate(), it has no plain-float step, as no orbit step takes
+    it and the fixed-point search takes it in batches.  A batch of n >= 2 points
     takes one (9, 3) @ (3, n) product into a C-contiguous (9, n) buffer and
     returns a view of it, so jacobian(v, x.T).reshape(-1, 9).T reads the
     nine entries as contiguous rows of length n without a copy.  Both

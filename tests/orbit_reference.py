@@ -1,14 +1,16 @@
 """Earlier forms of the orbit path and of the fixed-set search, kept as references.
 
 evaluate_reference forms the nine features by numpy gathers and one
-concatenate for any input shape; iterate_reference steps an orbit by one
+concatenate for any input shape; step_reference is the orbit step's
+fixed-order sum, one loop per component; iterate_reference steps an orbit by one
 single-point blochquad evaluate() per step, on (3,) arrays; write_trajectory_csv_reference
 writes one row per call; newton_steps_reference solves the Newton systems on
 a (9, n) copy of J - I, and cramer_steps_reference on views of (n, 3, 3)
 systems.  fixed_set_sphere_reference is the fixed-set search on faces held
 as their corner coordinates (k, 3, 3), split by corner arithmetic and
 clustered on corner bits.  The tests require blochquad's orbit rows and CSV
-text to equal these bit for bit, its Newton steps to stay within 1e-12 of
+text to equal these bit for bit, a single-point evaluate() to equal
+step_reference bit for bit, its Newton steps to stay within 1e-12 of
 newton_steps_reference and to have the bytes of cramer_steps_reference, and
 its fixed sets to have the bytes of fixed_set_sphere_reference.
 """
@@ -51,6 +53,19 @@ def evaluate_reference(v, f) -> np.ndarray:
     return features_reference(f) @ v.coefficient_rows()
 
 
+def step_reference(v, f) -> np.ndarray:
+    """V(f) at one point: each component a Python float sum from +0.0 of feature * coefficient, in row order."""
+    f1, f2, f3 = (float(x) for x in f)
+    features = (f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3)
+    image = []
+    for column in v.coefficient_rows().T.tolist():
+        total = 0.0
+        for x, c in zip(features, column):
+            total = total + x * c
+        image.append(total)
+    return np.array(image)
+
+
 def iterate_reference(v, f0, steps: int) -> Trajectory:
     """Orbit f0, V(f0), ..., V^steps(f0), one single-point evaluate() per step; flushes to exact zero below 1e-300."""
     if steps < 0:
@@ -62,18 +77,17 @@ def iterate_reference(v, f0, steps: int) -> Trajectory:
     if not start <= 1.0 + TOL_STATE:
         raise ValueError(f"start point norm {start} exceeds 1")
     points, norms = [f], [math.hypot(*f.tolist())]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, steps + 1):
-            f = evaluate(v, f)
-            norm = math.hypot(*f.tolist())
-            if not math.isfinite(norm):
-                raise ValueError(f"the orbit overflows double precision at step {n} (norm {norms[-1]:.3e} at step {n - 1})")
-            if norm < UNDERFLOW_FLUSH:
-                points.append(np.zeros(3))
-                norms.append(0.0)
-                break
-            points.append(f)
-            norms.append(norm)
+    for n in range(1, steps + 1):  # a single-point evaluate() overflows to inf or nan without a warning
+        f = evaluate(v, f)
+        norm = math.hypot(*f.tolist())
+        if not math.isfinite(norm):
+            raise ValueError(f"the orbit overflows double precision at step {n} (norm {norms[-1]:.3e} at step {n - 1})")
+        if norm < UNDERFLOW_FLUSH:
+            points.append(np.zeros(3))
+            norms.append(0.0)
+            break
+        points.append(f)
+        norms.append(norm)
     return Trajectory(points=np.array(points), norms=np.array(norms))
 
 

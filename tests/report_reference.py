@@ -1,10 +1,10 @@
 """A recursive report serializer, kept apart from blochquad.cli.dumps as its reference.
 
 dumps_report walks any nesting of dicts, lists, tuples, arrays and scalars:
-floats with 17 significant digits, lists of numbers on one line, two spaces
-per level.  A NaN or +-inf raises ValueError naming its /-separated key
-path.  The tests require blochquad.cli.dumps to give this text, or this
-error message, on every report a command builds.
+floats with 17 significant digits, lists of numbers (bools are not numbers
+here) on one line, two spaces per level.  A NaN or +-inf raises ValueError
+naming its /-separated key path.  The tests require blochquad.cli.dumps to
+give this text, or this error message, on every report a command builds.
 """
 
 import json
@@ -47,7 +47,7 @@ def _fmt(value, indent: int) -> str:
         items = list(value)
         if not items:
             return "[]"
-        if all(isinstance(x, (int, float, np.integer, np.floating)) for x in items):
+        if all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) for x in items):
             return "[" + ", ".join(text for _, text in _members(enumerate(items), 0)) + "]"
         body = ",\n".join(f"{pad}  {text}" for _, text in _members(enumerate(items), indent + 1))
         return "[\n" + body + "\n" + pad + "]"

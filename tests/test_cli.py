@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blochquad import DeltaCoefficients, catalog, cli, check_positivity, induced_qmap, sampling, sphere_deviation
+from blochquad import DeltaCoefficients, catalog, cli, check_positivity, evaluate, induced_qmap, sampling, sphere_deviation
 from blochquad.channel import basis_images
 from blochquad.cli import (
     ConfigError,
@@ -404,6 +404,25 @@ def test_simulate_absorbing_circle(tmp_path, capsys):
     rows = out.splitlines()[1:]
     for row in rows[1:]:
         assert row.split(",")[1:4] == ["0", "-1", "0"]
+
+
+def test_a_component_whose_products_are_all_negative_zero_is_positive_zero(tmp_path, capsys):
+    # every coefficient of the third component is -0.0, and every feature of
+    # (0.6, 0.8, 0) is +0.0 or positive, so its nine products are -0.0: their
+    # sum from +0.0 is +0.0, as numpy's dot gives it, and the CSV prints 0
+    negative_zeros = [[-0.0] * 3 for _ in range(3)]
+    block = [[0.5, -0.0, -0.0], [-0.0, 0.5, -0.0], [-0.0, -0.0, -0.0]]
+    path = tmp_path / "signed-zero.json"
+    path.write_text(json.dumps({"B1": block, "B2": block, "T": [negative_zeros] * 3}))
+    v = induced_qmap(cli.load_config(path))
+    assert np.signbit(v.coefficient_rows()[:, 2]).all()
+    for f in ([0.6, 0.8, 0.0], [0.0, 0.0, 0.0]):
+        image = evaluate(v, f)
+        assert image[2] == 0.0 and not np.signbit(image[2])
+        assert not np.signbit(evaluate(v, np.array([f]))[0, 2])  # the batch product agrees
+    code, out, err = run_cli(capsys, "simulate", str(path), "--f0", "0.6,0.8,0", "--steps", "3")
+    assert code == 0 and err == "final_norm=1 classification=fixed\n"
+    assert out == "n,f1,f2,f3,norm\n" + "".join(f"{n},0.59999999999999998,0.80000000000000004,0,1\n" for n in range(4))
 
 
 @pytest.mark.parametrize(

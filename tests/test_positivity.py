@@ -602,6 +602,38 @@ def test_rotated_flat_family_is_positive():
     assert tighter >= 150
 
 
+def assert_witnessed(d, result):
+    # not positive, with a witness whose image the algebra reference gives the same negative eigenvalue
+    assert result.verdict is False and result.witness is not None
+    assert np.linalg.norm(result.witness.w) <= 1.0 + 1e-12
+    assert result.witness.min_eigenvalue < -TOL_EIG
+    m = apply(d, PauliElement(1.0, result.witness.w))
+    assert np.linalg.eigvalsh(m)[0] == pytest.approx(result.witness.min_eigenvalue, abs=1e-10)
+
+
+def test_the_linear_theorem_needs_its_symmetry_hypothesis():
+    # T = 0, b = 0, B1 + B2 = R orthogonal: the map f -> R f is q-pure for every
+    # split.  g(u) = |B1 u| + |B2 u| >= |R u| = 1, with equality everywhere
+    # only for B1 = alpha R, B2 = (1 - alpha) R with alpha in [0, 1]: every
+    # other split is a q-pure linear operator that is not positive.
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        R = rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 2.0 * np.pi))
+        for alpha in (-0.5, -0.05, 0.0, 0.25, 0.5, 0.75, 1.0, 1.05, 1.5):
+            d = DeltaCoefficients(B1=alpha * R, B2=(1.0 - alpha) * R)
+            assert check_q_purity(induced_qmap(d))[0] is True
+            result = check_positivity(d)
+            if 0.0 <= alpha <= 1.0:
+                assert result.verdict is True and result.stage == "linear"
+            else:
+                assert_witnessed(d, result)
+        K = rng.normal(size=(3, 3))
+        K *= 0.1 / np.linalg.norm(K, 2)
+        d = DeltaCoefficients(B1=R / 2 + K, B2=R / 2 - K)
+        assert check_q_purity(induced_qmap(d))[0] is True
+        assert_witnessed(d, check_positivity(d))
+
+
 def test_certificate_refutes_flat_scaled_past_its_circle(monkeypatch):
     # s * flat: g peaks at s on flat's circle, on the kink of the commuting P
     # and Q.  The search finds the kink in its second round, stops there, and

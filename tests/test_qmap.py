@@ -1,8 +1,9 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +21,7 @@ from blochquad import (
 from blochquad import channel, qmap
 from blochquad.qmap import _MAP_LIMIT, _ROW_FIELDS, COEFFICIENT_LIMIT, _feature_rows, _features, admit, jacobian
 from conftest import random_delta
-from orbit_reference import evaluate_reference
+from orbit_reference import evaluate_reference, step_reference
 
 
 def concatenated_floats(fields, values):
@@ -60,12 +61,50 @@ def test_evaluate_batches_match_single_calls(rng):
         assert np.abs(evaluate(v, f) - out).max() < 1e-13
 
 
+step_scales = st.sampled_from([1e-3, 1.0, 1e3, 2 * COEFFICIENT_LIMIT])
+step_points = arrays(float, (3,), elements=st.floats(-1, 1))
+
+
+def drawn_map(seed, scale):
+    return QuadraticMapCoeffs(*(scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, 3))))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3, 2 * COEFFICIENT_LIMIT]), arrays(float, (3,), elements=st.floats(-1, 1)))
-def test_a_single_point_takes_the_batch_forms_product_bit_for_bit(seed, scale, f):
-    # the one-point product, which every orbit step takes, is the batch form's (9,) @ (9, 3)
-    v = QuadraticMapCoeffs(*(scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, 3))))
-    assert evaluate(v, f).tobytes() == evaluate_reference(v, f).tobytes()
+@given(st.integers(0, 2**32 - 1), step_scales, step_points)
+@example(0, 1.0, np.zeros(3))
+def test_a_single_point_takes_the_fixed_order_sum_bit_for_bit(seed, scale, f):
+    # the one-point step, which every orbit step takes, sums the nine products
+    # left to right from +0.0; a batch keeps the (n, 9) @ (9, 3) product.  On
+    # the map's negated magnitudes a zero feature makes a -0.0 product, and
+    # at the origin all nine are -0.0, whose sum from +0.0 is +0.0.
+    v = drawn_map(seed, scale)
+    for w in (v, QuadraticMapCoeffs(*-np.abs(v.coefficient_rows()))):
+        assert evaluate(w, f).tobytes() == step_reference(w, f).tobytes()
+    assert evaluate(v, f[None]).tobytes() == evaluate_reference(v, f[None]).tobytes()
+
+
+_U = Fraction(1, 2**53)
+GAMMA_10 = 10 * _U / (1 - 10 * _U)
+# Half the least subnormal: the most a product that underflows can lose, which gamma_10 does not cover.
+_ETA = Fraction(1, 2**1075)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), step_scales, step_points)
+def test_a_single_point_is_within_the_dot_product_rounding_bound(seed, scale, f):
+    # each component within gamma_10 * sum_k |x_k c_k| of the exact value: a
+    # quadratic term takes two roundings (its feature and its product) and the
+    # first term eight more sums.  A product that underflows may lose up to
+    # _ETA more, and a quadratic feature that underflows |c_k| * _ETA, each
+    # grown by at most (1 + u)^9 < 2 through the later roundings.
+    v = drawn_map(seed, scale)
+    f1, f2, f3 = (Fraction(x) for x in f.tolist())
+    features = (f1 * f1, f2 * f2, f3 * f3, f1 * f2, f2 * f3, f1 * f3, f1, f2, f3)
+    image = evaluate(v, f)
+    for k, column in enumerate(v.coefficient_rows().T.tolist()):
+        terms = [x * Fraction(c) for x, c in zip(features, column)]
+        underflow = 2 * _ETA * sum(1 + abs(Fraction(c)) for c in column)
+        assert abs(Fraction(image[k]) - sum(terms)) <= GAMMA_10 * sum(map(abs, terms)) + underflow
 
 
 def test_homogeneous_linear_decomposition(rng):

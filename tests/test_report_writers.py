@@ -81,16 +81,17 @@ def golden_reports(command: str) -> list:
 @pytest.mark.parametrize("path", golden_reports("inspect"), ids=lambda p: p.name)
 def test_inspection_writer_on_the_golden_reports(path):
     # the report as the command builds it and as its JSON parses back, where
-    # a float written as an integral number parses as a float again
+    # a float written as an integral number parses as an int
     report = inspection_report(load_config(GOLDEN / f"{path.name.split('.')[0]}.json"), tol=1e-9)
     assert dumps(report) == dumps_report(report) == path.read_text()
-    assert_same_text(json.loads(path.read_text(), parse_int=float))
+    parsed = json.loads(path.read_text())
+    assert dumps(parsed) == dumps_report(parsed) == path.read_text()
     assert_same_errors(report)
 
 
 @pytest.mark.parametrize("path", golden_reports("certify"), ids=lambda p: p.name)
 def test_certification_writer_on_the_golden_reports(path):
-    detail = json.loads(path.read_text(), parse_int=float)
+    detail = json.loads(path.read_text())
     assert dumps(detail) == dumps_report(detail) == path.read_text()
     if "min_eigenvalue" in detail:
         assert_same_errors(detail)
@@ -194,6 +195,29 @@ def test_dumps_matches_the_reference_on_built_reports(shape, data):
     if paths:
         path = data.draw(st.sampled_from(paths))
         assert_same_error(replaced(report, path, data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))))
+
+
+@pytest.mark.parametrize(
+    "members, one_line",
+    [([1, 2], "[1, 2]"), ([1, 0.5], "[1, 0.5]"), ([10**20, -3, 0.0], "[100000000000000000000, -3, 0]"), ([], "[]")],
+)
+def test_a_list_of_ints_and_floats_is_written_on_one_line(members, one_line):
+    for sequence in (members, tuple(members)):
+        assert dumps(sequence) == dumps_report(sequence) == one_line + "\n"
+        report = {"counts": sequence}
+        assert dumps(report) == dumps_report(report) == '{\n  "counts": ' + one_line + "\n}\n"
+
+
+def test_a_list_with_a_bool_is_written_one_member_per_line():
+    # a bool is not a number here, though Python's bool is an int
+    for members in ([True, 1], (True, 1), [1, False, 0.5]):
+        text = "[\n" + ",\n".join("  " + json.dumps(x) for x in members) + "\n]\n"
+        assert dumps(members) == dumps_report(members) == text
+
+
+def test_a_non_finite_float_among_ints_is_named_by_its_index():
+    assert assert_same_error({"counts": [1, 2, np.nan]}) == "report field /counts/2 is nan, which JSON cannot hold"
+    assert assert_same_error([np.inf, 1]) == "report field /0 is inf, which JSON cannot hold"
 
 
 def test_writers_name_the_first_non_finite_field_in_document_order():
